@@ -66,12 +66,5 @@ from .robustcov import (
     s_cov,
     stahel_donoho,
 )
-from .simulation import (
-    RejectionCurve,
-    SimulationPlan,
-    heteroscedastic_study,
-    power_study,
-    precision_study,
-    type1_study,
-)
+from .simulation import RejectionCurve, SimulationPlan, power_study, type1_study
 from .svgplot import PlotPayload, render_box_ellipse

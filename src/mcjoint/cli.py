@@ -3,8 +3,9 @@
 Exit codes are verdict-coded so shell pipelines can branch on them:
 0 validated by the joint test, 3 rejected by the joint test, 2 usage or
 input error, 1 runtime failure.  All commands honor --seed and read no
-entropy from the clock or the environment; MCJOINT_THREADS caps worker
-processes.
+entropy from the clock or the environment.  Without --workers, simulate
+runs MCJOINT_THREADS worker processes (an integer; anything else is a
+usage error), or one per CPU; the pool never exceeds the number of tasks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +24,21 @@ import numpy as np
 from . import __version__
 from .dataset import GeneratorSpec, read_csv
 from .errors import McjointError, ValidationError
-from .estimators import METHODS
+from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
 from .powerfit import fit_rejection_curve, invert_for_power, type1_at_null
+from .robustcov import COV_METHODS
 from .simulation import (
-    CSV_HEADER,
     SimulationPlan,
     Type1Table,
     _atomic_write,
-    curve_rows,
+    aggregate_grid_point,
+    default_workers,
     plan_to_dict,
     read_curve_csv,
     run_plan,
     type1_study,
+    write_curve_csv,
     write_manifest,
 )
 from .svgplot import payload_from_report, render_box_ellipse
@@ -57,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="validate one CSV dataset")
     v.add_argument("--input", required=True, help="two-column CSV (reference, test)")
     v.add_argument("--method", default="paba", choices=METHODS)
-    v.add_argument("--cov", default="mcd", choices=("classic", "mcd", "sde"))
+    v.add_argument("--cov", default="mcd", choices=COV_METHODS)
     v.add_argument("--b", type=int, default=2000, help="bootstrap replicates")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--je-alpha", type=float, default=0.01)
@@ -90,15 +94,11 @@ def cmd_validate(args) -> int:
     if not path.exists():
         print(f"mcjoint: input file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         sample = read_csv(path)
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE
-    from .estimators import DemingConfig
-
     try:
         report, ensemble = validate(
             sample, args.method, DemingConfig(lam=args.lam),
@@ -108,6 +108,8 @@ def cmd_validate(args) -> int:
     except McjointError as err:
         print(f"mcjoint: validation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
     buf = io.StringIO()
@@ -156,6 +158,8 @@ def parse_plan(path: Path):
                 sink[key] = conv(raw) if conv is not str else raw.strip()
             except ValueError:
                 problems.append(f"[{section}] {key}={raw!r} is not a {conv.__name__}")
+    if run_kw.get("kind", "power") not in _PLAN_KINDS:
+        problems.append(f"[run] kind={run_kw['kind']!r} is not one of {', '.join(_PLAN_KINDS)}")
     if problems:
         raise ValidationError("malformed plan: " + "; ".join(problems))
 
@@ -217,15 +221,44 @@ def _write_type1_outputs(out: Path, table: Type1Table):
     _atomic_write(out / "pp_data.csv", buf.getvalue())
 
 
+def _chunk_progress(done, total):
+    print(f"  chunk {done}/{total}", file=sys.stderr)
+
+
+def _simulate_type1(plan: SimulationPlan, workers: int, out: Path, completed, points):
+    """Acceptance table at the null; always run whole."""
+    table = type1_study(plan, workers=workers, progress=_chunk_progress)
+    _write_type1_outputs(out, table)
+    return table.curve.points, list(range(len(plan.grid)))
+
+
+def _simulate_power(plan: SimulationPlan, workers: int, out: Path, completed, points):
+    """Rejection curve, saved after every grid point so a rerun resumes."""
+    completed, points = list(completed), list(points)
+    for gi in range(len(plan.grid)):
+        if gi in completed:
+            continue
+        records = run_plan(plan, workers=workers, grid_subset=[gi])
+        points.extend(aggregate_grid_point(plan, gi, records[gi]))
+        completed.append(gi)
+        write_curve_csv(points, out / "curve.csv")
+        write_manifest(out / "manifest.json", plan, completed, "power")
+        print(f"grid point {len(completed)}/{len(plan.grid)} done", file=sys.stderr)
+    return points, completed
+
+
+# plan kind -> runner(plan, workers, out, completed grid indices, their points)
+_PLAN_KINDS = {"type1": _simulate_type1, "power": _simulate_power}
+
+
 def cmd_simulate(args) -> int:
     try:
         kind, plan, factor = parse_plan(Path(args.plan))
+        workers = args.workers if args.workers is not None else default_workers()
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE
     if args.scale == "paper":
-        from dataclasses import replace
-
         plan = replace(plan, replicates=plan.replicates * factor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,42 +277,15 @@ def cmd_simulate(args) -> int:
             if completed:
                 print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
 
-    def progress(done, total):
-        print(f"  chunk {done}/{total}", file=sys.stderr)
-
     try:
-        if kind == "type1":
-            table = type1_study(plan, workers=args.workers, progress=progress)
-            _write_type1_outputs(out, table)
-            points = table.curve.points
-            completed = list(range(len(plan.grid)))
-        else:
-            from .simulation import aggregate_grid_point
-
-            points = list(prior_points)
-            pending = [gi for gi in range(len(plan.grid)) if gi not in completed]
-            for gi in pending:
-                records = run_plan(plan, workers=args.workers, grid_subset=[gi])
-                points.extend(aggregate_grid_point(plan, gi, records[gi]))
-                completed.append(gi)
-                _write_points(curve_path, points)
-                write_manifest(manifest_path, plan, completed, kind)
-                print(f"grid point {len(completed)}/{len(plan.grid)} done", file=sys.stderr)
+        points, completed = _PLAN_KINDS[kind](plan, workers, out, completed, prior_points)
     except McjointError as err:
         print(f"mcjoint: simulation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
-    _write_points(curve_path, points)
+    write_curve_csv(points, curve_path)
     write_manifest(manifest_path, plan, completed, kind)
     print(f"wrote {curve_path}")
     return EXIT_OK
-
-
-def _write_points(path: Path, points):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(CSV_HEADER)
-    w.writerows(curve_rows(points))
-    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

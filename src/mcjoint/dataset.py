@@ -18,12 +18,8 @@ import numpy as np
 from .errors import ValidationError
 from .rng import task_rng
 
-# Documented sigma defaults: keep the level-to-error ratio of the short
-# range (5.5 / 0.12) roughly equal to the long range's (55 / 1.2).
-SHORT_RANGE = (3.0, 8.0)
-LONG_RANGE = (0.0, 110.0)
+# Default error SD, sized for the short range of levels 3-8.
 SIGMA_SHORT = 0.12
-SIGMA_LONG = 1.2
 
 ERROR_MODELS = ("additive", "mixed", "multiplicative")
 PRECISION_CHOICES = (2, 3, 4)

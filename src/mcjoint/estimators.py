@@ -18,15 +18,13 @@ m=1 case, and the bootstrap machinery reuses the same engine for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from statistics import NormalDist
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import PairedSample
 from .errors import DegenerateDataError, InsufficientDataError, StartFailureError
-
-METHODS = ("dem", "wdem", "mdem", "mmdem", "paba")
-METHOD_LABELS = {"dem": "Dem", "wdem": "WDem", "mdem": "MDem", "mmdem": "MMDem", "paba": "PaBa"}
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,8 @@ class RegressionFit:
 
     @property
     def label(self) -> str:
-        return METHOD_LABELS.get(self.method, self.method)
+        entry = _METHOD_TABLE.get(self.method)
+        return entry.label if entry else self.method
 
 
 class BatchFit(NamedTuple):
@@ -202,7 +201,6 @@ def _iterate_weighted(X, Y, cfg, weight_fn, max_iter) -> BatchFit:
 
 def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized weighted Deming (inverse squared level weights)."""
-    lam = cfg.lam
 
     def weight_fn(Xa, Ya, b0, b1):
         level = 0.5 * (Xa + (Ya - b0[:, None]) / b1[:, None])
@@ -372,7 +370,7 @@ def batch_paba(X, Y) -> BatchFit:
 # public single-sample API
 # ---------------------------------------------------------------------------
 
-def _single(batch_fn, s: PairedSample, cfg: DemingConfig, method: str, nonconv_ok=False) -> RegressionFit:
+def _single(batch_fn, s: PairedSample, cfg: DemingConfig, method: str) -> RegressionFit:
     res = batch_fn(s.x[None, :], s.y[None, :], cfg)
     if res.degenerate[0]:
         raise DegenerateDataError(f"{method}: data admit no determinate fit")
@@ -422,37 +420,37 @@ def fit_paba(s: PairedSample) -> RegressionFit:
     return RegressionFit(float(res.intercept[0]), float(res.slope[0]), "paba", 1, True)
 
 
-def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Dispatch by method name ('dem', 'wdem', 'mdem', 'mmdem', 'paba')."""
+class _Method(NamedTuple):
+    label: str
+    fit: Callable[[PairedSample, DemingConfig], RegressionFit]
+    batch: Callable[..., BatchFit]          # (X, Y, cfg) over row-stacked samples
+
+
+_METHOD_TABLE = {
+    "dem": _Method("Dem", fit_deming, batch_dem),
+    "wdem": _Method("WDem", fit_wdeming, batch_wdem),
+    "mdem": _Method("MDem", fit_mdeming, batch_mdem),
+    "mmdem": _Method("MMDem", fit_mmdeming, batch_mmdem),
+    "paba": _Method("PaBa", lambda s, cfg: fit_paba(s), lambda X, Y, cfg: batch_paba(X, Y)),
+}
+METHODS = tuple(_METHOD_TABLE)
+
+
+def _method(method: str) -> _Method:
     try:
-        fn = _FITTERS[method]
+        return _METHOD_TABLE[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return fn(s, cfg)
+
+
+def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
+    """Dispatch by method name, one of ``METHODS``."""
+    return _method(method).fit(s, cfg)
 
 
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:
     """Batched dispatch over row-stacked samples (bootstrap fast path)."""
-    if method == "dem":
-        return batch_dem(X, Y, cfg)
-    if method == "wdem":
-        return batch_wdem(X, Y, cfg)
-    if method == "mdem":
-        return batch_mdem(X, Y, cfg)
-    if method == "mmdem":
-        return batch_mmdem(X, Y, cfg)
-    if method == "paba":
-        return batch_paba(np.asarray(X), np.asarray(Y))
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-_FITTERS = {
-    "dem": lambda s, cfg: fit_deming(s, cfg),
-    "wdem": lambda s, cfg: fit_wdeming(s, cfg),
-    "mdem": lambda s, cfg: fit_mdeming(s, cfg),
-    "mmdem": lambda s, cfg: fit_mmdeming(s, cfg),
-    "paba": lambda s, cfg: fit_paba(s),
-}
+    return _method(method).batch(X, Y, cfg)
 
 
 def paba_analytic_ci(s: PairedSample, alpha: float = 0.05):
@@ -463,15 +461,13 @@ def paba_analytic_ci(s: PairedSample, alpha: float = 0.05):
     the estimator; the intercept bounds are the residual medians at the
     opposite slope bounds.
     """
-    from scipy.stats import norm
-
     from .resampling import IntervalPair
 
     fitted = fit_paba(s)
     S, N, K = _pairwise_slopes(s.x[None, :], s.y[None, :])
     S, N, K = S[0], int(N[0]), int(K[0])
     n = s.n
-    w = norm.ppf(1.0 - alpha / 2.0) * np.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
+    w = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
     M1 = int(np.round((N - w) / 2.0))
     M2 = N - M1 + 1
     if M1 < 1 or M1 + K < 1 or M2 + K > N:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import robustcov
 from .dataset import PairedSample
 from .errors import McjointError
 from .estimators import DemingConfig, RegressionFit
 from .resampling import BootstrapEnsemble, IntervalPair, bca_ci, bootstrap
-from .robustcov import CovarianceModel, EllipseGeometry, ellipse_from, mahalanobis_sq
+from .robustcov import CovarianceModel, EllipseGeometry, _chi2_2_sf, ellipse_from, mahalanobis_sq
 
 H0 = (0.0, 1.0)
 VALIDATED = "validated"
@@ -47,7 +46,7 @@ def je_test(e: BootstrapEnsemble, cov_method: str = "mcd", alpha: float = 0.01,
 
 def je_test_from_model(model: CovarianceModel, alpha: float = 0.01) -> JETestResult:
     d2 = float(mahalanobis_sq(model, np.array(H0)))
-    p = float(chi2.sf(d2, 2))
+    p = _chi2_2_sf(d2)
     verdict = VALIDATED if p > alpha else REJECTED
     return JETestResult(d2, p, verdict, alpha, model)
 
@@ -87,7 +86,8 @@ def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     """Full pipeline: fit, bootstrap, BCa interval, covariance, joint test.
 
     Returns the report together with the ensemble (the CLI dumps the
-    replicate pairs next to the report).  Deterministic per seed.
+    replicate pairs next to the report).  ``seed`` drives both the
+    bootstrap and the covariance, so the run is deterministic per seed.
     """
     stage = "fit"
     try:
@@ -95,7 +95,7 @@ def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
         stage = "interval"
         iv = bca_ci(ensemble, ci_alpha)
         stage = f"covariance[{cov_method}]"
-        model = robustcov.estimate_cov(ensemble.pairs, cov_method, seed=0)
+        model = robustcov.estimate_cov(ensemble.pairs, cov_method, seed=seed)
         stage = "je-test"
         jt = je_test_from_model(model, je_alpha)
         stage = "ellipse"

@@ -18,11 +18,10 @@ pointwise confidence band.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import digamma, gamma
-from scipy.stats import norm
 
 from .errors import ConvergenceError, NoSolutionError, ValidationError
 
@@ -66,6 +65,8 @@ class PowerLevel:
 
 def subbotin_density(x, p: SubbotinParams) -> np.ndarray:
     """Evaluate the four-parameter exponential-power form."""
+    from scipy.special import gamma
+
     x = np.asarray(x, float)
     u = np.abs(x - p.location) / p.scale
     norm_const = p.shape / (2.0 * p.scale * gamma(1.0 / p.shape))
@@ -80,6 +81,8 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
     back by symmetry (a sign on the location component); at the peak each
     component takes its one-sided limit from above.
     """
+    from scipy.special import digamma
+
     x = np.atleast_1d(np.asarray(x, float))
     a, b, s, mu = p.amplitude, p.shape, p.scale, p.location
     u = np.abs(x - mu) / s
@@ -105,6 +108,8 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
 
 def _start_values(x: np.ndarray, y: np.ndarray) -> SubbotinParams:
     """Data-driven starting point; only the scale start needs care."""
+    from scipy.special import gamma
+
     if len(x) >= 3:
         smooth = np.convolve(y, np.ones(3) / 3.0, mode="same")
     else:
@@ -212,7 +217,7 @@ def pointwise_band(p: SubbotinParams, x, level: float = 0.95) -> Tuple[np.ndarra
     x = np.atleast_1d(np.asarray(x, float))
     g = subbotin_gradient(x, p)
     var = np.einsum("ij,jk,ik->i", g, p.covariance, g).clip(min=0.0)
-    half = norm.ppf(0.5 + level / 2.0) * np.sqrt(var)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) * np.sqrt(var)
     f = np.atleast_1d(subbotin_density(x, p))
     return f - half, f + half
 

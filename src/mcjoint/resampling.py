@@ -8,10 +8,10 @@ replicate redraws from its own substream only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import PairedSample
 from .errors import ConvergenceError, EnsembleQualityError, ValidationError
@@ -21,6 +21,7 @@ from .rng import task_rng
 MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
 REDRAW_FRACTION = 0.2
+_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,12 @@ def percentile_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
 def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
     """Adjusted quantile levels from the bias and acceleration constants."""
     out = []
-    for z in (norm.ppf(alpha / 2.0), norm.ppf(1.0 - alpha / 2.0)):
+    for z in (_NORMAL.inv_cdf(alpha / 2.0), _NORMAL.inv_cdf(1.0 - alpha / 2.0)):
         den = 1.0 - a * (z0 + z)
         if den <= 0:
             out.append(1.0 if (z0 + z) > 0 else 0.0)
         else:
-            out.append(float(norm.cdf(z0 + (z0 + z) / den)))
+            out.append(_NORMAL.cdf(z0 + (z0 + z) / den))
     return out[0], out[1]
 
 
@@ -200,7 +201,7 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
             fallback = True
             lo, hi = np.quantile(e.pairs[:, col], [alpha / 2.0, 1.0 - alpha / 2.0])
         else:
-            z0 = float(norm.ppf(frac))
+            z0 = _NORMAL.inv_cdf(frac)
             a = _acceleration(e.jack[:, col])
             a1, a2 = _bca_levels(z0, a, alpha)
             lo, hi = np.quantile(e.pairs[:, col], [a1, a2])

@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.stats import chi2
 
 from .errors import ConvergenceError, SingularCovarianceError, ValidationError
 from .rng import task_rng
 
-COV_METHODS = ("classic", "mcd", "sde")
 _REL_SINGULAR = 1e-15  # det <= tol * (trace/2)^2  <=>  eigenvalue ratio collapse
 
 
@@ -60,6 +56,21 @@ class EllipseGeometry:
     level: float
 
 
+def _chi2_2_ppf(q: float) -> float:
+    """Chi-square(2) quantile; the distribution is exponential with mean 2."""
+    return -2.0 * math.log1p(-q)
+
+
+def _chi2_2_sf(x: float) -> float:
+    """Chi-square(2) upper tail probability."""
+    return math.exp(-0.5 * max(x, 0.0))
+
+
+def _chi2_4_cdf(x: float) -> float:
+    """Chi-square(4) distribution function."""
+    return 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x)
+
+
 def _is_singular(scatter: np.ndarray) -> bool:
     det = scatter[0, 0] * scatter[1, 1] - scatter[0, 1] ** 2
     half_trace = 0.5 * (scatter[0, 0] + scatter[1, 1])
@@ -85,7 +96,7 @@ def ellipse_from(model: CovarianceModel, alpha: float) -> EllipseGeometry:
     """Coverage ellipse of the model at level 1 - alpha."""
     if model.singular or _is_singular(model.scatter):
         raise SingularCovarianceError("cannot build an ellipse from a singular scatter")
-    q = float(chi2.ppf(1.0 - alpha, 2))
+    q = _chi2_2_ppf(1.0 - alpha)
     evals, evecs = np.linalg.eigh(model.scatter)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -237,7 +248,6 @@ def fast_mcd(
     # grow singular elemental subsets until their covariance is invertible
     bad = np.flatnonzero(det <= _det_floor(S))
     if bad.size:
-        extended = []
         for idx in bad:
             members = list(starts[idx])
             while True:
@@ -252,7 +262,6 @@ def fast_mcd(
                 if len(members) >= h:
                     # h collinear points: the objective's true minimum is 0
                     return _finish_mcd(Z, Ti[0], Si[0], 0.0, h, exact=True)
-            extended.append(idx)
 
     for _ in range(initial_steps):
         T, S, det, _ = _c_step(Z, T, S, det, h)
@@ -294,22 +303,22 @@ def _finish_mcd(Z: np.ndarray, T: np.ndarray, S: np.ndarray, raw_det: float, h: 
     if exact or _is_singular(S):
         return CovarianceModel(T, S, "MCD", h=h, correction=1.0, singular=True, raw_det=raw_det)
     alpha = h / B
-    c1 = alpha / chi2.cdf(chi2.ppf(alpha, 2), 4)
+    c1 = alpha / _chi2_4_cdf(_chi2_2_ppf(alpha))
     scatter = S * c1
     model = CovarianceModel(T, scatter, "MCD", h=h)
     d2 = mahalanobis_sq(model, Z)
-    c2 = float(np.median(d2) / chi2.ppf(0.5, 2))
+    c2 = float(np.median(d2) / _chi2_2_ppf(0.5))
     if c2 <= 0 or not np.isfinite(c2):
         c2 = 1.0
     raw_model = CovarianceModel(T, scatter * c2, "MCD", h=h, correction=c1 * c2, raw_det=raw_det)
 
-    q = chi2.ppf(0.975, 2)
+    q = _chi2_2_ppf(0.975)
     keep = (d2 / c2) <= q
     if keep.sum() < max(3, B // 4):
         return raw_model
     sub = Z[keep]
     T_rw = sub.mean(axis=0)
-    S_rw = np.cov(sub, rowvar=False, ddof=1) / (chi2.cdf(q, 4) / 0.975)
+    S_rw = np.cov(sub, rowvar=False, ddof=1) / (_chi2_4_cdf(q) / 0.975)
     if _is_singular(S_rw):
         return raw_model
     return CovarianceModel(T_rw, S_rw, "MCD", h=h, correction=c1 * c2, raw_det=raw_det)
@@ -351,8 +360,8 @@ def stahel_donoho(points: np.ndarray, n_dirs: int = 1000, seed: int = 0) -> Cova
         raise SingularCovarianceError("all projection directions are degenerate")
     out = np.max(np.abs(proj[:, usable] - med[usable]) / mad[usable], axis=1)
 
-    cutoff = math.sqrt(chi2.ppf(0.95, 2))
-    reject = math.sqrt(chi2.ppf(0.999, 2))
+    cutoff = math.sqrt(_chi2_2_ppf(0.95))
+    reject = math.sqrt(_chi2_2_ppf(0.999))
     w = np.minimum(1.0, (cutoff / np.maximum(out, cutoff)) ** 2)
     w[out > reject] = 0.0
     sw = w.sum()
@@ -365,7 +374,7 @@ def stahel_donoho(points: np.ndarray, n_dirs: int = 1000, seed: int = 0) -> Cova
     # calibrate on the retained points only; rejected ones would drag the
     # median factor up under heavy contamination
     d2 = mahalanobis_sq(model, Z[w > 0.0])
-    c2 = float(np.median(d2) / chi2.ppf(0.5, 2))
+    c2 = float(np.median(d2) / _chi2_2_ppf(0.5))
     return CovarianceModel(center, scatter * c2, "SDe", correction=c2)
 
 
@@ -386,22 +395,10 @@ def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
     return np.where(np.abs(u) <= c, (1.0 - t) ** 2, 0.0)
 
 
-def _rayleigh_expect(fn) -> float:
-    val, _ = integrate.quad(lambda r: fn(r) * r * np.exp(-r * r / 2.0), 0.0, np.inf)
-    return val
-
-
-@lru_cache(maxsize=None)
-def _bisquare_s_constants(bdp: float = 0.5):
-    """Tuning constant and target for the bisquare S-estimator in 2-d."""
-
-    def gap(c):
-        b0 = _rayleigh_expect(lambda r: _rho_bisquare(np.asarray(r), c))
-        return b0 - bdp * c * c / 6.0
-
-    c = optimize.brentq(gap, 0.5, 20.0, xtol=1e-12)
-    b0 = bdp * c * c / 6.0
-    return c, b0
+# Tuning constant c and scale target b0 = E[rho(|z|)] of the bisquare
+# S-estimator for bivariate standard normal z at breakdown 0.5; the target
+# is half the rho maximum c^2/6.
+_BISQUARE_S_CONSTANTS = (2.660803392808706, 0.58998955793186)
 
 
 def _rho_translated(u: np.ndarray, M: float, c: float) -> np.ndarray:
@@ -424,23 +421,11 @@ def _weight_translated(u: np.ndarray, M: float, c: float) -> np.ndarray:
     return (1.0 - t * t) ** 2
 
 
-@lru_cache(maxsize=None)
-def _rocke_constants(bdp: float = 0.45, arp: float = 0.05):
-    """(M, c) for the translated-bisquare rho: rejection beyond the
-    chi-square quantile at 1 - arp, breakdown via the scale target."""
-    reach = math.sqrt(chi2.ppf(1.0 - arp, 2))
-
-    def gap(M):
-        c = reach - M
-        rho_max = M * M / 2.0 + c * c / 6.0 + 8.0 * M * c / 15.0
-        b0 = _rayleigh_expect(lambda r: _rho_translated(np.asarray(r), M, c))
-        return b0 - bdp * rho_max
-
-    M = optimize.brentq(gap, 1e-6, reach - 1e-6, xtol=1e-12)
-    c = reach - M
-    rho_max = M * M / 2.0 + c * c / 6.0 + 8.0 * M * c / 15.0
-    b0 = bdp * rho_max
-    return M, c, b0
+# (M, c, b0) of the translated-bisquare rho: weights reach zero at
+# M + c, the chi-square(2) 0.95 quantile's root, and the scale target b0,
+# E[rho(|z|)] for bivariate standard normal z, is 0.45 times the rho
+# maximum M^2/2 + c^2/6 + 8Mc/15 (breakdown 0.45).
+_ROCKE_CONSTANTS = (1.2436729193400209, 1.2040739113407952, 0.8161408610557107)
 
 
 def _m_scale(d: np.ndarray, rho, b0: float, s_init: float) -> float:
@@ -475,7 +460,7 @@ def _s_fixed_point(Z: np.ndarray, rho, weight, b0: float, estimator: str, max_it
             med = float(np.mean(d))
         if med <= 0:
             raise SingularCovarianceError("over half of the points coincide with the center")
-        s_new = _m_scale(d, rho, b0, med / math.sqrt(chi2.ppf(0.5, 2)) if s is None else s)
+        s_new = _m_scale(d, rho, b0, med / math.sqrt(_chi2_2_ppf(0.5)) if s is None else s)
         w = weight(d / s_new)
         sw = w.sum()
         if sw <= 0 or (w > 0).sum() < 3:
@@ -498,7 +483,7 @@ def _s_fixed_point(Z: np.ndarray, rho, weight, b0: float, estimator: str, max_it
 
 def s_cov(points: np.ndarray) -> CovarianceModel:
     """Bisquare S-estimate of location and scatter (breakdown 0.5)."""
-    c, b0 = _bisquare_s_constants()
+    c, b0 = _BISQUARE_S_CONSTANTS
     return _s_fixed_point(
         np.asarray(points, float),
         rho=lambda u: _rho_bisquare(u, c),
@@ -510,7 +495,7 @@ def s_cov(points: np.ndarray) -> CovarianceModel:
 
 def rocke_cov(points: np.ndarray) -> CovarianceModel:
     """Translated-bisquare S-estimate; fallback starter for the MM fit."""
-    M, c, b0 = _rocke_constants()
+    M, c, b0 = _ROCKE_CONSTANTS
     return _s_fixed_point(
         np.asarray(points, float),
         rho=lambda u: _rho_translated(u, M, c),
@@ -520,17 +505,24 @@ def rocke_cov(points: np.ndarray) -> CovarianceModel:
     )
 
 
+# The covariance of the joint test, by name.  Each entry looks its
+# estimator up when called, so a rebound module attribute takes effect.
+_COV_TABLE = {
+    "classic": lambda points, seed: classic_cov(points),
+    "mcd": lambda points, seed: fast_mcd(points, seed=seed),
+    "sde": lambda points, seed: stahel_donoho(points, seed=seed),
+}
+COV_METHODS = tuple(_COV_TABLE)
+
+
 def estimate_cov(points: np.ndarray, method: str, seed: int = 0) -> CovarianceModel:
-    """Dispatch by name: 'classic', 'mcd', 'sde' (plus 'sest', 'rocke')."""
-    method = method.lower()
-    if method == "classic":
-        return classic_cov(points)
-    if method == "mcd":
-        return fast_mcd(points, seed=seed)
-    if method == "sde":
-        return stahel_donoho(points, seed=seed)
-    if method == "sest":
-        return s_cov(points)
-    if method == "rocke":
-        return rocke_cov(points)
-    raise ValidationError(f"unknown covariance method {method!r}")
+    """Dispatch by case-insensitive name, one of ``COV_METHODS``.
+
+    ``seed`` drives the random starts of 'mcd' and the random directions of
+    'sde'; 'classic' ignores it.
+    """
+    try:
+        estimator = _COV_TABLE[method.lower()]
+    except KeyError:
+        raise ValidationError(f"unknown covariance method {method!r}") from None
+    return estimator(points, seed)

@@ -1,4 +1,4 @@
-"""Monte Carlo harnesses: type-I calibration, power curves, precision/ties.
+"""Monte Carlo harnesses: type-I calibration and power curves.
 
 A plan fixes a generator template, the estimators and covariance methods
 to compare, a one-parameter grid, and replicate counts.  Every replicate
@@ -12,10 +12,12 @@ produce bit-identical results.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,7 +31,12 @@ from .jetest import je_test
 from .resampling import bca_ci, bootstrap
 from .robustcov import COV_METHODS
 
-CI_KINDS = ("ci_int", "ci_slope", "ci_total")
+# Classical verdict kind -> whether a replicate's intervals reject the null.
+CI_VERDICTS = {
+    "ci_int": lambda e: not e["int_ok"],
+    "ci_slope": lambda e: not e["slope_ok"],
+    "ci_total": lambda e: not (e["int_ok"] and e["slope_ok"]),
+}
 
 
 @dataclass(frozen=True)
@@ -110,10 +117,14 @@ def _worker(args):
 
 
 def default_workers() -> int:
+    """MCJOINT_THREADS when set, else the CPU count."""
     env = os.environ.get("MCJOINT_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValidationError(f"MCJOINT_THREADS must be an integer, got {env!r}") from None
 
 
 def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
@@ -122,7 +133,8 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
     """Evaluate the plan; returns records[grid_index] = list over replicates.
 
     Execution order never affects results: each (grid, replicate) task is
-    seeded independently and records are reassembled by index.
+    seeded independently and records are reassembled by index.  The pool
+    has at most one worker per task.
     """
     workers = workers if workers is not None else default_workers()
     gis = list(grid_subset) if grid_subset is not None else list(range(len(plan.grid)))
@@ -132,21 +144,13 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
     for gi in gis:
         for lo in range(0, plan.replicates, chunk):
             tasks.append((plan, gi, lo, min(lo + chunk, plan.replicates)))
-    done = 0
-    if workers <= 1 or len(tasks) == 1:
-        results = map(_worker, tasks)
-        for gi, lo, chunk_recs in results:
+    workers = min(workers, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
+        for done, (gi, lo, chunk_recs) in enumerate(results, 1):
             records[gi][lo:lo + len(chunk_recs)] = chunk_recs
-            done += 1
             if progress:
                 progress(done, len(tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for gi, lo, chunk_recs in pool.map(_worker, tasks):
-                records[gi][lo:lo + len(chunk_recs)] = chunk_recs
-                done += 1
-                if progress:
-                    progress(done, len(tasks))
     return records
 
 
@@ -187,14 +191,6 @@ class RejectionCurve:
                 np.array([p.rate for p in sel]),
                 np.array([p.se for p in sel]))
 
-    def failure_series(self, method: str, kind: str = "je", cov: str = "", alpha: Optional[float] = None):
-        sel = [p for p in self.points
-               if p.method == method and p.kind == kind and p.cov == cov
-               and (alpha is None or p.alpha == alpha)]
-        sel.sort(key=lambda p: p.grid_value)
-        return (np.array([p.grid_value for p in sel]),
-                np.array([p.failures / p.replicates for p in sel]))
-
 
 def _binom_se(rate: float, m: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / m)) if m > 0 else float("nan")
@@ -208,13 +204,8 @@ def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) ->
         entries = [r[method] for r in recs]
         okd = [e for e in entries if e["ok"]]
         fails = R - len(okd)
-        for kind in CI_KINDS:
-            if kind == "ci_int":
-                rej = [not e["int_ok"] for e in okd]
-            elif kind == "ci_slope":
-                rej = [not e["slope_ok"] for e in okd]
-            else:
-                rej = [not (e["int_ok"] and e["slope_ok"]) for e in okd]
+        for kind, rejects in CI_VERDICTS.items():
+            rej = [rejects(e) for e in okd]
             rate = float(np.mean(rej)) if okd else float("nan")
             out.append(CurvePoint(method, kind, "", plan.ci_alpha, gval,
                                   rate, _binom_se(rate, len(okd)), len(okd), fails, R))
@@ -298,27 +289,6 @@ def power_study(plan: SimulationPlan, workers: Optional[int] = None, progress=No
     return aggregate_curve(plan, records)
 
 
-def precision_study(plan: SimulationPlan, workers: Optional[int] = None, progress=None) -> RejectionCurve:
-    """Power study on digit-limited data, with atom/failure diagnostics."""
-    if plan.generator.precision_x is None or plan.generator.precision_y is None:
-        raise ValidationError("precision study requires precision_x and precision_y")
-    return power_study(plan, workers=workers, progress=progress)
-
-
-def heteroscedastic_study(plan: SimulationPlan, workers: Optional[int] = None,
-                          progress=None) -> Dict[str, RejectionCurve]:
-    """The same campaign under additive, mixed, and multiplicative errors.
-
-    Intended for long-range generators, where the proportional component
-    actually matters.
-    """
-    out: Dict[str, RejectionCurve] = {}
-    for model in ("additive", "mixed", "multiplicative"):
-        p = replace(plan, generator=replace(plan.generator, error_model=model))
-        out[model] = power_study(p, workers=workers, progress=progress)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -347,15 +317,12 @@ def curve_rows(points: Iterable[CurvePoint]) -> List[List]:
     return rows
 
 
-def write_curve_csv(curve: RejectionCurve, path) -> None:
-    path = Path(path)
-    import io
-
+def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(CSV_HEADER)
-    w.writerows(curve_rows(curve.points))
-    _atomic_write(path, buf.getvalue())
+    w.writerows(curve_rows(points))
+    _atomic_write(Path(path), buf.getvalue())
 
 
 def read_curve_csv(path) -> List[CurvePoint]:

@@ -12,7 +12,8 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
     if p.title:
         out.append(
             f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{p.title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(p.title)}</text>'
         )
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '

@@ -20,7 +20,7 @@ from mcjoint.jetest import (
     validate,
 )
 from mcjoint.resampling import IntervalPair
-from mcjoint.robustcov import CovarianceModel
+from mcjoint.robustcov import CovarianceModel, estimate_cov
 
 CFG = DemingConfig()
 
@@ -168,3 +168,12 @@ def test_validate_deterministic_per_seed():
     assert e1.pairs.tobytes() == e2.pairs.tobytes()
     assert r1.je_pvalue == r2.je_pvalue
     assert r1.mahalanobis_sq == r2.mahalanobis_sq
+
+
+def test_validate_seeds_the_covariance_with_the_run_seed():
+    report, ens = validate(mj.load_hemoglobin(), "dem", CFG, cov_method="sde", B=199, seed=5)
+    want = estimate_cov(ens.pairs, "sde", seed=5)
+    np.testing.assert_array_equal(report.cov.center, want.center)
+    np.testing.assert_array_equal(report.cov.scatter, want.scatter)
+    # SDe draws random directions, so a covariance seeded with 0 differs
+    assert not np.array_equal(report.cov.scatter, estimate_cov(ens.pairs, "sde", seed=0).scatter)

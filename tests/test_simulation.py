@@ -111,7 +111,7 @@ def test_curve_csv_roundtrip(tmp_path):
     plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50)
     curve = power_study(plan, workers=1)
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    write_curve_csv(curve.points, path)
     points = read_curve_csv(path)
     assert len(points) == len(curve.points)
     orig = {(p.method, p.kind, p.cov, p.alpha, p.grid_value): p for p in curve.points}
