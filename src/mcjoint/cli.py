@@ -27,6 +27,7 @@ from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
 from .powerfit import fit_rejection_curve, invert_for_power, type1_at_null
+from .resampling import MIN_REPLICATES
 from .robustcov import COV_METHODS
 from .simulation import (
     SimulationPlan,
@@ -89,19 +90,30 @@ def build_parser() -> argparse.ArgumentParser:
 # validate
 # ---------------------------------------------------------------------------
 
+def _validate_config(args) -> DemingConfig:
+    """Check the numeric flags of ``validate``; raises ValidationError."""
+    for flag, alpha in (("--je-alpha", args.je_alpha), ("--ci-alpha", args.ci_alpha)):
+        if not 0.0 < alpha < 1.0:
+            raise ValidationError(f"{flag} must be in (0, 1), got {alpha}")
+    if args.b < MIN_REPLICATES:
+        raise ValidationError(f"--b must be >= {MIN_REPLICATES}, got {args.b}")
+    return DemingConfig(lam=args.lam)
+
+
 def cmd_validate(args) -> int:
     path = Path(args.input)
     if not path.exists():
         print(f"mcjoint: input file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        cfg = _validate_config(args)
         sample = read_csv(path)
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
         report, ensemble = validate(
-            sample, args.method, DemingConfig(lam=args.lam),
+            sample, args.method, cfg,
             cov_method=args.cov, B=args.b, seed=args.seed,
             je_alpha=args.je_alpha, ci_alpha=args.ci_alpha,
         )

@@ -10,9 +10,16 @@ The variance ratio ``lam`` follows the Linnet convention: ratio of the x
 and y error variances.  All iterative fits are deterministic and converge
 on the change in slope.
 
-Internally every Deming-family fit runs through a batched engine operating
-on (m, n) row-stacked samples; the public single-sample functions are the
-m=1 case, and the bootstrap machinery reuses the same engine for speed.
+Every fit runs through a batched engine operating on (m, n) row-stacked
+samples; the public single-sample functions are the m=1 case, and the
+bootstrap machinery reuses the same engine for speed.  The three iterative
+Deming fits (WDem, MDem, MMDem) share one IRWLS driver and differ only in
+their starting line and weight function.
+
+``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
+are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
+``HUBER_K`` and ``BISQUARE_C`` (formerly the config fields ``tol``,
+``max_iter``, ``max_iter_mm``, ``huber_k`` and ``bisquare_c``).
 """
 
 from __future__ import annotations
@@ -24,25 +31,25 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .dataset import PairedSample
-from .errors import DegenerateDataError, InsufficientDataError, StartFailureError
+from .errors import DegenerateDataError, InsufficientDataError, StartFailureError, ValidationError
+
+
+TOL = 1e-10            # IRWLS stops once the slope moves less than this
+MAX_ITER = 100         # refit budget of WDem and MDem
+MAX_ITER_MM = 500      # refit budget of the MMDem bisquare step
+HUBER_K = 1.345        # Huber cutoff of MDem (95% Gaussian efficiency)
+BISQUARE_C = 4.685     # Tukey bisquare cutoff of MMDem (95% Gaussian efficiency)
 
 
 @dataclass(frozen=True)
 class DemingConfig:
-    """Tuning constants shared by the Deming-family fits."""
+    """The x/y error-variance ratio the Deming-family fits assume."""
 
     lam: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 100
-    max_iter_mm: int = 500
-    huber_k: float = 1.345
-    bisquare_c: float = 4.685
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not self.lam > 0:
+            raise ValidationError(f"lam must be > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -152,21 +159,22 @@ def batch_dem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized plain Deming over row-stacked samples."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    W = np.ones_like(X)
-    b0, b1, ok = _weighted_deming(X, Y, W, cfg.lam)
+    b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
     m = X.shape[0]
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), None, ~ok)
 
 
-def _iterate_weighted(X, Y, cfg, weight_fn, max_iter) -> BatchFit:
+def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     """Shared IRWLS driver: refit weighted Deming until the slope settles.
 
-    ``weight_fn(X, Y, b0, b1)`` returns per-point weights for the active
-    rows, or None rows flagged via a boolean mask (degenerate).
+    ``start`` is the starting line per row, ``(b0, b1, ok)``; rows with
+    ``ok`` False are not iterated and come back degenerate.
+    ``weight_fn(rows, Xa, Ya, b0, b1)`` gets the indices and data of the
+    active rows and returns their per-point weights plus a boolean mask of
+    rows to flag degenerate.
     """
     m, _ = X.shape
-    W = np.ones_like(X)
-    b0, b1, ok = _weighted_deming(X, Y, W, cfg.lam)
+    b0, b1, ok = start
     iters = np.ones(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     degenerate = ~ok
@@ -176,14 +184,14 @@ def _iterate_weighted(X, Y, cfg, weight_fn, max_iter) -> BatchFit:
         if active.size == 0:
             break
         Xa, Ya = X[active], Y[active]
-        Wa, bad = weight_fn(Xa, Ya, b0[active], b1[active])
+        Wa, bad = weight_fn(active, Xa, Ya, b0[active], b1[active])
         if bad.any():
             degenerate[active[bad]] = True
             keep = ~bad
             active, Xa, Ya, Wa = active[keep], Xa[keep], Ya[keep], Wa[keep]
             if active.size == 0:
                 break
-        nb0, nb1, ok = _weighted_deming(Xa, Ya, Wa, cfg.lam)
+        nb0, nb1, ok = _weighted_deming(Xa, Ya, Wa, lam)
         if (~ok).any():
             degenerate[active[~ok]] = True
         delta = np.abs(nb1 - b1[active])
@@ -191,7 +199,7 @@ def _iterate_weighted(X, Y, cfg, weight_fn, max_iter) -> BatchFit:
         b0[active] = nb0
         b1[active] = nb1
         iters[active] += 1
-        done = ok & (delta < cfg.tol)
+        done = ok & (delta < TOL)
         converged[active[done]] = True
         active = active[ok & ~done]
     degenerate |= ~np.isfinite(b1) | ~np.isfinite(b0)
@@ -201,58 +209,82 @@ def _iterate_weighted(X, Y, cfg, weight_fn, max_iter) -> BatchFit:
 
 def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized weighted Deming (inverse squared level weights)."""
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
 
-    def weight_fn(Xa, Ya, b0, b1):
+    def weight_fn(rows, Xa, Ya, b0, b1):
         level = 0.5 * (Xa + (Ya - b0[:, None]) / b1[:, None])
         bad = (level <= 0.0).any(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             W = 1.0 / (level * level)
         return W, bad
 
-    return _iterate_weighted(np.asarray(X, float), np.asarray(Y, float), cfg, weight_fn, cfg.max_iter)
+    start = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
+    return _iterate_weighted(X, Y, cfg.lam, weight_fn, MAX_ITER, start)
 
 
 def batch_mdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized Huber-weighted Deming (weights applied on both axes)."""
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
     lam = cfg.lam
-    k = cfg.huber_k
 
-    def weight_fn(Xa, Ya, b0, b1):
+    def weight_fn(rows, Xa, Ya, b0, b1):
         d, e = _deming_residuals(Xa, Ya, b0, b1, lam)
         sd = _robust_scale(d)
         se = _robust_scale(e)
-        W = _huber_weight(d / sd[:, None], k) * _huber_weight(e / se[:, None], k)
+        W = _huber_weight(d / sd[:, None], HUBER_K) * _huber_weight(e / se[:, None], HUBER_K)
         return W, np.zeros(len(Xa), dtype=bool)
 
-    return _iterate_weighted(np.asarray(X, float), np.asarray(Y, float), cfg, weight_fn, cfg.max_iter)
+    start = _weighted_deming(X, Y, np.ones_like(X), lam)
+    return _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER, start)
+
+
+def _mean_distance(X, Y, b0, b1, lam):
+    """Mean Euclidean (d, e) residual per row; NaN where the line is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        d, e = _deming_residuals(X, Y, b0, b1, lam)
+        return np.hypot(d, e).mean(axis=1)
 
 
 def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
-    """Bisquare Deming with robust covariance start, row by row.
+    """Bisquare Deming from a robust covariance start, scale fixed per row.
 
-    Rows whose covariance starters both fail are flagged degenerate; the
-    scalar API turns that into a start-failure error.
+    Rows that the closed-form line already fits exactly keep that line.
+    The others start from the S-covariance line (Rocke fallback), one row
+    at a time, and are refit with bisquare weights at the start's mean
+    residual distance.  Rows whose covariance starters both fail are
+    flagged degenerate; the scalar API turns that into a start-failure
+    error.
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    m, n = X.shape
-    b0 = np.zeros(m)
-    b1 = np.zeros(m)
-    conv = np.zeros(m, dtype=bool)
-    iters = np.zeros(m, dtype=int)
-    weights = np.ones_like(X)
-    degen = np.zeros(m, dtype=bool)
-    for i in range(m):
+    lam = cfg.lam
+    # (near-)collinear rows defeat the covariance starters but are simply a
+    # perfect fit; they keep the closed-form line
+    b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), lam)
+    spread = X.std(axis=1) + Y.std(axis=1)
+    final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * np.maximum(spread, 1.0))
+    started = np.zeros_like(final)
+    for i in np.flatnonzero(~final):
         try:
-            fit = _mmdem_single(X[i], Y[i], cfg)
-        except (StartFailureError, DegenerateDataError):
-            degen[i] = True
+            b0[i], b1[i] = _mm_start(X[i], Y[i])
+        except StartFailureError:
             continue
-        b0[i], b1[i] = fit.intercept, fit.slope
-        conv[i] = fit.converged
-        iters[i] = fit.iterations
-        weights[i] = fit.weights
-    return BatchFit(b0, b1, conv, iters, weights, degen)
+        started[i] = True
+    sigma = _mean_distance(X, Y, b0, b1, lam)
+    final |= started & (sigma == 0.0)  # the start itself fits exactly
+
+    def weight_fn(rows, Xa, Ya, b0, b1):
+        d, e = _deming_residuals(Xa, Ya, b0, b1, lam)
+        s = sigma[rows, None]
+        W = _bisquare_weight(d / s, BISQUARE_C) * _bisquare_weight(e / s, BISQUARE_C)
+        return W, (W.sum(axis=1) <= 0.0) | ((W > 0.0).sum(axis=1) < 3)
+
+    res = _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER_MM, (b0, b1, started & ~final))
+    # a covariance start is no fit, so the refits alone count as iterations
+    return res._replace(converged=res.converged | final, degenerate=res.degenerate & ~final,
+                        iterations=np.where(final, 1, res.iterations - 1))
 
 
 def _mm_start(x, y):
@@ -278,41 +310,6 @@ def _mm_start(x, y):
         if np.isfinite(b0) and np.isfinite(b1) and b1 != 0.0:
             return b0, b1
     raise StartFailureError(f"both covariance starters failed: {last_err}")
-
-
-def _mmdem_single(x, y, cfg: DemingConfig) -> RegressionFit:
-    lam = cfg.lam
-    c = cfg.bisquare_c
-    # (near-)collinear data defeat the covariance starters but are simply a
-    # perfect fit; take the closed-form line directly in that case
-    pre = batch_dem(x[None, :], y[None, :], cfg)
-    if not pre.degenerate[0]:
-        d, e = _deming_residuals(x[None, :], y[None, :], pre.intercept, pre.slope, lam)
-        spread = float(np.std(x) + np.std(y))
-        if float(np.hypot(d, e).mean()) <= 1e-12 * max(spread, 1.0):
-            return RegressionFit(float(pre.intercept[0]), float(pre.slope[0]),
-                                 "mmdem", 1, True, np.ones_like(x))
-    b0, b1 = _mm_start(x, y)
-    B0 = np.array([b0])
-    B1 = np.array([b1])
-    d, e = _deming_residuals(x[None, :], y[None, :], B0, B1, lam)
-    sigma = float(np.hypot(d, e).mean())
-    if sigma == 0.0:
-        return RegressionFit(b0, b1, "mmdem", 1, True, np.ones_like(x))
-    w = np.ones_like(x)
-    for it in range(1, cfg.max_iter_mm + 1):
-        d, e = _deming_residuals(x[None, :], y[None, :], B0, B1, lam)
-        w = (_bisquare_weight(d / sigma, c) * _bisquare_weight(e / sigma, c))[0]
-        if w.sum() <= 0.0 or (w > 0).sum() < 3:
-            raise DegenerateDataError("all points rejected by the bisquare weights")
-        nb0, nb1, ok = _weighted_deming(x[None, :], y[None, :], w[None, :], lam)
-        if not ok[0]:
-            raise DegenerateDataError("indeterminate slope during MM iteration")
-        delta = abs(nb1[0] - B1[0])
-        B0, B1 = nb0, nb1
-        if delta < cfg.tol:
-            return RegressionFit(float(B0[0]), float(B1[0]), "mmdem", it, True, w)
-    return RegressionFit(float(B0[0]), float(B1[0]), "mmdem", cfg.max_iter_mm, False, w)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +406,11 @@ def fit_mdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> Regressi
 
 def fit_mmdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
     """Redescending (bisquare) Deming with robust covariance start."""
-    return _mmdem_single(s.x, s.y, cfg)
+    try:
+        return _single(batch_mmdem, s, cfg, "mmdem")
+    except DegenerateDataError:
+        _mm_start(s.x, s.y)  # raises the starters' failure when that was the cause
+        raise
 
 
 def fit_paba(s: PairedSample) -> RegressionFit:

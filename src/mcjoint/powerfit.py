@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ConvergenceError, NoSolutionError, ValidationError
 
 MIN_POINTS = 8
+_MAX_ITER = 200        # Gauss-Newton steps of the curve fit
+_BAND_LEVEL = 0.95     # confidence level of the pointwise band
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,13 @@ def _start_values(x: np.ndarray, y: np.ndarray) -> SubbotinParams:
     return SubbotinParams(a0, b0, s0, mu0)
 
 
-def fit_rejection_curve(grid, rejection, start: Optional[SubbotinParams] = None,
-                        max_iter: int = 200) -> SubbotinParams:
+def fit_rejection_curve(grid, rejection) -> SubbotinParams:
     """Fit the acceptance bump (one minus the rejection rate).
 
     Levenberg-damped Gauss-Newton on the four parameters with the
-    analytic Jacobian.  Raises on non-convergence, carrying a hint that
-    the scale start is the usual culprit.
+    analytic Jacobian, from data-driven start values.  Raises on
+    non-convergence, carrying a hint that the scale start is the usual
+    culprit.
     """
     x = np.asarray(grid, float)
     y = 1.0 - np.asarray(rejection, float)
@@ -146,13 +148,11 @@ def fit_rejection_curve(grid, rejection, start: Optional[SubbotinParams] = None,
         raise ValidationError("grid and rejection must be equal-length vectors")
     order = np.argsort(x)
     x, y = x[order], y[order]
-    p = start if start is not None else _start_values(x, y)
-
-    theta = p.as_array()
+    theta = _start_values(x, y).as_array()
     lam = 1e-3
     sse = float(((y - subbotin_density(x, _params(theta))) ** 2).sum())
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         pc = _params(theta)
         r = y - subbotin_density(x, pc)
         J = subbotin_gradient(x, pc)
@@ -210,14 +210,14 @@ def _params(theta: np.ndarray) -> SubbotinParams:
     return SubbotinParams(float(theta[0]), float(theta[1]), float(theta[2]), float(theta[3]))
 
 
-def pointwise_band(p: SubbotinParams, x, level: float = 0.95) -> Tuple[np.ndarray, np.ndarray]:
-    """Delta-method confidence band of the fitted curve at x."""
+def pointwise_band(p: SubbotinParams, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Delta-method 95% confidence band of the fitted curve at x."""
     if p.covariance is None:
         raise ValidationError("fit carries no parameter covariance")
     x = np.atleast_1d(np.asarray(x, float))
     g = subbotin_gradient(x, p)
     var = np.einsum("ij,jk,ik->i", g, p.covariance, g).clip(min=0.0)
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * np.sqrt(var)
+    half = NormalDist().inv_cdf(0.5 + _BAND_LEVEL / 2.0) * np.sqrt(var)
     f = np.atleast_1d(subbotin_density(x, p))
     return f - half, f + half
 

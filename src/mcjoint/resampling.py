@@ -283,13 +283,3 @@ def studentized_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
         level=1.0 - alpha, kind="studentized", dropped=dropped,
     )
 
-
-CI_KINDS = {"percentile": percentile_ci, "bca": bca_ci, "studentized": studentized_ci}
-
-
-def interval(e: BootstrapEnsemble, kind: str, alpha: float = 0.05) -> IntervalPair:
-    try:
-        fn = CI_KINDS[kind]
-    except KeyError:
-        raise ValidationError(f"unknown CI kind {kind!r}") from None
-    return fn(e, alpha)

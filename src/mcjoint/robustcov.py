@@ -27,6 +27,11 @@ from .errors import ConvergenceError, SingularCovarianceError, ValidationError
 from .rng import task_rng
 
 _REL_SINGULAR = 1e-15  # det <= tol * (trace/2)^2  <=>  eigenvalue ratio collapse
+_ELLIPSE_POINTS = 181  # vertices of the plotted ellipse polyline
+_MCD_KEEP = 10         # lowest-determinant starts iterated to a fixed point
+_MCD_INITIAL_STEPS = 2  # concentration steps every start takes
+_MCD_MAX_STEPS = 60    # cap on the concentration steps of the kept starts
+_SDE_DIRS = 1000       # random projection directions of Stahel-Donoho
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ def ellipse_from(model: CovarianceModel, alpha: float) -> EllipseGeometry:
     )
 
 
-def ellipse_points(geom: EllipseGeometry, n: int = 256) -> np.ndarray:
-    """Polyline approximation of the ellipse boundary (for plotting)."""
-    t = np.linspace(0.0, 2.0 * np.pi, n)
+def ellipse_points(geom: EllipseGeometry) -> np.ndarray:
+    """Closed polyline of 181 points on the ellipse boundary (for plotting)."""
+    t = np.linspace(0.0, 2.0 * np.pi, _ELLIPSE_POINTS)
     a, b = geom.semi_axes
     xy = np.column_stack([a * np.cos(t), b * np.sin(t)])
     c, s = math.cos(geom.rotation), math.sin(geom.rotation)
@@ -196,22 +201,16 @@ def _det_floor(S: np.ndarray) -> np.ndarray:
     return _REL_SINGULAR * half_trace * half_trace
 
 
-def fast_mcd(
-    points: np.ndarray,
-    h_fraction: float = 0.5,
-    seed: int = 0,
-    n_starts: int = 500,
-    n_keep: int = 10,
-    initial_steps: int = 2,
-    max_steps: int = 60,
-) -> CovarianceModel:
+def fast_mcd(points: np.ndarray, seed: int = 0, n_starts: int = 500) -> CovarianceModel:
     """Minimum covariance determinant scatter via concentration steps.
 
-    Elemental (p+1)-subsets seed the search (all of them when few enough,
-    otherwise ``n_starts`` random ones); each start takes two concentration
-    steps; the ``n_keep`` candidates with the smallest determinants are
-    iterated to a fixed point.  An exactly collinear best subset is
-    reported as a singular model, never inverted.
+    The subset size is h = (B + 3) // 2 of the B points, the maximal
+    breakdown choice.  Elemental (p+1)-subsets seed the search (all of
+    them when few enough, otherwise ``n_starts`` random ones); each start
+    takes two concentration steps; the 10 candidates with the smallest
+    determinants are iterated to a fixed point (at most 60 steps).  An
+    exactly collinear best subset is reported as a singular model, never
+    inverted.
     """
     Z = np.asarray(points, float)
     if Z.ndim != 2 or Z.shape[1] != 2:
@@ -219,17 +218,8 @@ def fast_mcd(
     B = len(Z)
     if B < 10:
         raise ValidationError("need at least 10 points")
-    h_min = (B + 3) // 2
-    if not 0.5 <= h_fraction <= 1.0:
-        raise ValidationError("h_fraction must be in [0.5, 1]")
-    h = max(h_min, int(math.ceil(h_fraction * B))) if h_fraction > 0.5 else h_min
+    h = (B + 3) // 2
     rng = task_rng(seed)
-
-    if h >= B:
-        support = np.arange(B)[None, :]
-        T, S, det = _subset_stats(Z, support)
-        return _finish_mcd(Z, T[0], S[0], float(det[0]), h)
-
     n_elemental = B * (B - 1) * (B - 2) // 6
     if n_elemental <= max(n_starts, 1200):
         starts = np.array(list(combinations(range(B), 3)), dtype=np.intp)
@@ -263,17 +253,17 @@ def fast_mcd(
                     # h collinear points: the objective's true minimum is 0
                     return _finish_mcd(Z, Ti[0], Si[0], 0.0, h, exact=True)
 
-    for _ in range(initial_steps):
+    for _ in range(_MCD_INITIAL_STEPS):
         T, S, det, _ = _c_step(Z, T, S, det, h)
         exact = det <= _det_floor(S)
         if exact.any():
             i = int(np.argmax(exact))
             return _finish_mcd(Z, T[i], S[i], 0.0, h, exact=True)
 
-    order = np.argsort(det, kind="stable")[:n_keep]
+    order = np.argsort(det, kind="stable")[:_MCD_KEEP]
     T, S, det = T[order], S[order], det[order]
     active = np.arange(len(det))
-    for _ in range(max_steps):
+    for _ in range(_MCD_MAX_STEPS):
         T2, S2, det2, _ = _c_step(Z, T[active], S[active], det[active], h)
         exact = det2 <= _det_floor(S2)
         if exact.any():
@@ -328,12 +318,13 @@ def _finish_mcd(Z: np.ndarray, T: np.ndarray, S: np.ndarray, raw_det: float, h: 
 # Stahel-Donoho
 # ---------------------------------------------------------------------------
 
-def stahel_donoho(points: np.ndarray, n_dirs: int = 1000, seed: int = 0) -> CovarianceModel:
+def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     """Projection-outlyingness weighted mean and covariance.
 
     Outlyingness is the worst standardized deviation from the projection
-    median over random unit directions, plus every pairwise point-to-point
-    direction when the cloud is small enough for that to be exact.
+    median over 1000 random unit directions drawn from ``seed``, plus every
+    pairwise point-to-point direction when the cloud is small enough
+    (B <= 200) for that to be exact.
     """
     Z = np.asarray(points, float)
     if Z.ndim != 2 or Z.shape[1] != 2:
@@ -342,7 +333,7 @@ def stahel_donoho(points: np.ndarray, n_dirs: int = 1000, seed: int = 0) -> Cova
     if B < 10:
         raise ValidationError("need at least 10 points")
     rng = task_rng(seed)
-    theta = rng.uniform(0.0, np.pi, n_dirs)
+    theta = rng.uniform(0.0, np.pi, _SDE_DIRS)
     dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
     if B <= 200:
         I, J = np.triu_indices(B, 1)

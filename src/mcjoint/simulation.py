@@ -28,7 +28,7 @@ from .dataset import GeneratorSpec, generate
 from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import je_test
-from .resampling import bca_ci, bootstrap
+from .resampling import MIN_REPLICATES, bca_ci, bootstrap
 from .robustcov import COV_METHODS
 
 # Classical verdict kind -> whether a replicate's intervals reject the null.
@@ -62,6 +62,10 @@ class SimulationPlan:
         object.__setattr__(self, "je_alphas", tuple(self.je_alphas))
         if self.replicates < 50:
             raise ValidationError("need at least 50 replicates per grid point")
+        if self.B < MIN_REPLICATES:
+            raise ValidationError(f"B must be >= {MIN_REPLICATES}, got {self.B}")
+        if not self.je_alphas or not all(0.0 < a < 1.0 for a in (self.ci_alpha, *self.je_alphas)):
+            raise ValidationError("ci_alpha and the je_alphas (at least one) must be in (0, 1)")
         if self.grid_param not in ("slope", "intercept"):
             raise ValidationError("grid_param must be 'slope' or 'intercept'")
         if not self.grid:

@@ -151,7 +151,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
     )
 
     for e, dash, tag in ((p.ellipse05, "", "ellipse05"), (p.ellipse01, ' stroke-dasharray="6,4"', "ellipse01")):
-        ring = ellipse_points(e, 181)
+        ring = ellipse_points(e)
         d = "M " + " L ".join(f"{fmt(px(x))},{fmt(py(y))}" for x, y in ring) + " Z"
         out.append(
             f'<path d="{d}" fill="none" stroke="#b22222" stroke-width="1.4"{dash} '

@@ -91,6 +91,17 @@ def test_validate_non_numeric_csv_exits_2_and_leaves_no_directory(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--ci-alpha", 0), ("--ci-alpha", 1.5), ("--je-alpha", 1.5), ("--lam", 0), ("--b", 10),
+])
+def test_validate_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
+    rc, _, err = run(capsys, "validate", "--input", hemoglobin_path(), "--out", tmp_path / "out",
+                     "--method", "dem", "--cov", "classic", "--b", 199, flag, value)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_singular_scatter_on_ties_exits_1(tmp_path, capsys):
     src = write_sample(tmp_path / "ties.csv", TIED)
     rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",
@@ -118,6 +129,18 @@ def test_simulate_malformed_plan_exits_2(tmp_path, capsys):
     assert rc == 2
     assert_one_line_error(err)
     assert "replicates" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("b", 100), ("ci_alpha", 0), ("je_alphas", "0.05, 1.5"), ("je_alphas", ","),
+])
+def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
+    plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", **{key: value})
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "malformed plan" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_unknown_kind_exits_2(tmp_path, capsys):

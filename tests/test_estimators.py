@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcjoint as mj
-from mcjoint.dataset import GeneratorSpec, PairedSample, generate
-from mcjoint.estimators import DemingConfig, deming_objective, fit
+from mcjoint import estimators as est
+from mcjoint.dataset import GeneratorSpec, PairedSample, generate, round_significant
+from mcjoint.estimators import HUBER_K, DemingConfig, deming_objective, fit
 
 CFG = DemingConfig()
 
@@ -155,7 +156,7 @@ def test_mdem_weights_bounded_and_unit_for_small_residuals():
     d, e = _deming_residuals(s.x[None], s.y[None],
                              np.array([f.intercept]), np.array([f.slope]), CFG.lam)
     sd, se_ = _robust_scale(d), _robust_scale(e)
-    small = (np.abs(d[0] / sd[0]) < CFG.huber_k) & (np.abs(e[0] / se_[0]) < CFG.huber_k)
+    small = (np.abs(d[0] / sd[0]) < HUBER_K) & (np.abs(e[0] / se_[0]) < HUBER_K)
     assert np.all(f.weights[small] == 1.0)
 
 
@@ -226,6 +227,109 @@ def test_mmdem_resists_clustered_contamination():
         md = mj.fit_mdeming(s).slope
         hits += abs(mm - 1.0) < abs(md - 1.0)
     assert hits >= 80
+
+
+# The per-row engine MMDem ran on before it joined the shared IRWLS driver,
+# kept as the reference the batched engine must reproduce bit for bit.
+
+def _mmdem_single_reference(x, y, lam=1.0):
+    X, Y = x[None, :], y[None, :]
+    pre = est.batch_dem(X, Y, DemingConfig(lam))
+    if not pre.degenerate[0]:
+        d, e = est._deming_residuals(X, Y, pre.intercept, pre.slope, lam)
+        spread = float(np.std(x) + np.std(y))
+        if float(np.hypot(d, e).mean()) <= 1e-12 * max(spread, 1.0):
+            return float(pre.intercept[0]), float(pre.slope[0]), 1, True, np.ones_like(x)
+    b0, b1 = est._mm_start(x, y)
+    B0 = np.array([b0])
+    B1 = np.array([b1])
+    d, e = est._deming_residuals(X, Y, B0, B1, lam)
+    sigma = float(np.hypot(d, e).mean())
+    if sigma == 0.0:
+        return b0, b1, 1, True, np.ones_like(x)
+    w = np.ones_like(x)
+    for it in range(1, 501):
+        d, e = est._deming_residuals(X, Y, B0, B1, lam)
+        w = (est._bisquare_weight(d / sigma, 4.685) * est._bisquare_weight(e / sigma, 4.685))[0]
+        if w.sum() <= 0.0 or (w > 0).sum() < 3:
+            raise mj.DegenerateDataError("all points rejected by the bisquare weights")
+        nb0, nb1, ok = est._weighted_deming(X, Y, w[None, :], lam)
+        if not ok[0]:
+            raise mj.DegenerateDataError("indeterminate slope during MM iteration")
+        delta = abs(nb1[0] - B1[0])
+        B0, B1 = nb0, nb1
+        if delta < 1e-10:
+            return float(B0[0]), float(B1[0]), it, True, w
+    return float(B0[0]), float(B1[0]), 500, False, w
+
+
+def _batch_mmdem_reference(X, Y, lam=1.0):
+    m = len(X)
+    b0, b1 = np.zeros(m), np.zeros(m)
+    conv = np.zeros(m, dtype=bool)
+    iters = np.zeros(m, dtype=int)
+    weights = np.ones_like(X)
+    degen = np.zeros(m, dtype=bool)
+    for i in range(m):
+        try:
+            b0[i], b1[i], iters[i], conv[i], weights[i] = _mmdem_single_reference(X[i], Y[i], lam)
+        except (mj.StartFailureError, mj.DegenerateDataError):
+            degen[i] = True
+    return est.BatchFit(b0, b1, conv, iters, weights, degen)
+
+
+COLLINEAR, TIED, COINCIDENT = -3, -2, -1
+
+
+@pytest.fixture(scope="module")
+def mm_rows():
+    """Bootstrap rows of a contaminated n=40 sample, then three special rows.
+
+    The special rows are an exactly collinear sample (the perfect-fit
+    screen), the contaminated sample tied to 2 significant digits, and a
+    sample whose points mostly coincide (both covariance starters fail).
+    """
+    rng = np.random.default_rng(40)
+    x = rng.uniform(3.0, 8.0, 40)
+    y = x + rng.normal(0.0, 0.12, 40)
+    y[0] *= 3.0
+    x[1:4] += 6.0
+    idx = rng.integers(0, 40, (24, 40))
+    line = np.linspace(3.0, 8.0, 40)
+    same = np.where(np.arange(40) < 25, 5.0, x)
+    X = np.vstack([x[idx], line, round_significant(x, 2), same])
+    Y = np.vstack([y[idx], 2.0 * line, round_significant(y, 2), np.where(np.arange(40) < 25, 5.0, y)])
+    return X, Y, _batch_mmdem_reference(X, Y)
+
+
+def test_batch_mmdem_matches_per_row_reference(mm_rows):
+    X, Y, ref = mm_rows
+    got = est.batch_mmdem(X, Y, CFG)
+    np.testing.assert_array_equal(got.degenerate, ref.degenerate)
+    ok = ~ref.degenerate
+    for field in ("intercept", "slope", "converged", "iterations", "weights"):
+        np.testing.assert_array_equal(getattr(got, field)[ok], getattr(ref, field)[ok], err_msg=field)
+    # the fixture reaches the screen, the iteration and the start failure
+    assert got.iterations[COLLINEAR] == 1 and got.converged[COLLINEAR]
+    assert ok[TIED] and (got.iterations[:COLLINEAR] > 1).all()
+    assert ref.degenerate[COINCIDENT]
+
+
+def test_fit_mmdeming_start_failure(mm_rows):
+    X, Y, _ = mm_rows
+    with pytest.raises(mj.StartFailureError, match="^both covariance starters failed: "):
+        mj.fit_mmdeming(sample(X[COINCIDENT], Y[COINCIDENT]))
+
+
+def test_mmdem_bootstrap_repeatable_and_equal_to_single_fits():
+    s = line_sample(1.1, 0.2, n=14, noise=0.3, seed=14)
+    a = mj.bootstrap(s, "mmdem", CFG, B=199, seed=3)
+    b = mj.bootstrap(s, "mmdem", CFG, B=199, seed=3)
+    np.testing.assert_array_equal(a.pairs, b.pairs)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    for pair, idx in zip(a.pairs, a.indices):
+        f = mj.fit_mmdeming(sample(s.x[idx], s.y[idx]))
+        assert (f.intercept, f.slope) == (pair[0], pair[1])
 
 
 # -- Passing-Bablok ----------------------------------------------------------
@@ -371,3 +475,40 @@ def test_paba_matches_oracle_hypothesis(seed):
         return
     f = mj.fit_paba(sample(x, y))
     assert f.slope == b and f.intercept == a
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       p=st.floats(-5.0, 5.0), q=st.floats(0.2, 5.0), q_sign=st.sampled_from([-1.0, 1.0]),
+       r=st.floats(-5.0, 5.0), t=st.floats(0.2, 5.0), t_sign=st.sampled_from([-1.0, 1.0]))
+def test_deming_affine_equivariance_hypothesis(seed, p, q, q_sign, r, t, t_sign):
+    # x -> p + q x and y -> r + t y map the fit when lam becomes lam q^2 / t^2
+    q, t = q * q_sign, t * t_sign
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    x = rng.uniform(1.0, 10.0, n)
+    y = rng.uniform(0.5, 2.0) * x + rng.normal(0.0, 0.5, n)
+    lam = float(rng.choice([0.25, 1.0, 4.0]))
+    f0 = mj.fit_deming(sample(x, y), DemingConfig(lam))
+    f1 = mj.fit_deming(sample(p + q * x, r + t * y), DemingConfig(lam * q**2 / t**2))
+    b = t / q * f0.slope
+    a = r + t * f0.intercept - b * p
+    assert f1.slope == pytest.approx(b, rel=1e-9)
+    assert f1.intercept == pytest.approx(a, abs=1e-9 * (abs(r) + abs(t * f0.intercept) + abs(b * p) + 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_paba_swap_symmetry_hypothesis(seed):
+    # exact only for an odd count N of usable slopes: an even N averages
+    # two order statistics, and 1/mean differs from the mean of reciprocals
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    x = rng.uniform(1.0, 10.0, n)
+    y = rng.uniform(0.5, 2.0) * x + rng.normal(0.0, 0.5, n)
+    _, N, _ = est._pairwise_slopes(x[None, :], y[None, :])
+    assume(N[0] % 2 == 1)
+    f = mj.fit_paba(sample(x, y))
+    g = mj.fit_paba(sample(y, x))
+    assert g.slope == pytest.approx(1.0 / f.slope, rel=1e-12)
+    assert g.intercept == pytest.approx(-f.intercept / f.slope, abs=1e-9 * (abs(f.intercept / f.slope) + 10.0))

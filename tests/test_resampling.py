@@ -180,8 +180,8 @@ def test_studentized_close_to_percentile_for_gaussian(clean_ensemble):
 # -- invariants ---------------------------------------------------------------
 
 def test_interval_bounds_ordered(clean_ensemble):
-    for kind in ("percentile", "bca", "studentized"):
-        iv = mj.resampling.interval(clean_ensemble, kind, 0.05)
+    for kind, ci in (("percentile", percentile_ci), ("bca", bca_ci), ("studentized", studentized_ci)):
+        iv = ci(clean_ensemble, 0.05)
         assert iv.slope_lo <= iv.slope_hi
         assert iv.int_lo <= iv.int_hi
         assert iv.kind == kind

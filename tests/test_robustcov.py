@@ -262,6 +262,6 @@ def test_ellipse_rotation_range_and_boundary_distance():
     m = mj.CovarianceModel(np.array([1.0, 2.0]), scatter, "Classic")
     e = ellipse_from(m, 0.05)
     assert -math.pi / 2 <= e.rotation < math.pi / 2
-    ring = ellipse_points(e, 64)
+    ring = ellipse_points(e)
     d2 = mahalanobis_sq(m, ring)
     np.testing.assert_allclose(d2, chi2.ppf(0.95, 2), rtol=1e-9)
