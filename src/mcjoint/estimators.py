@@ -14,7 +14,8 @@ Every fit runs through a batched engine operating on (m, n) row-stacked
 samples; the public single-sample functions are the m=1 case, and the
 bootstrap machinery reuses the same engine for speed.  The three iterative
 Deming fits (WDem, MDem, MMDem) share one IRWLS driver and differ only in
-their starting line and weight function.
+their starting line and weight function; MMDem's robust covariance start
+is itself batched over rows (``robustcov.mcd_rows`` and ``s_rows``).
 
 ``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
 are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
@@ -251,8 +252,8 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Bisquare Deming from a robust covariance start, scale fixed per row.
 
     Rows that the closed-form line already fits exactly keep that line.
-    The others start from the S-covariance line (Rocke fallback), one row
-    at a time, and are refit with bisquare weights at the start's mean
+    The others start from the S-covariance line (Rocke fallback), all
+    rows at once, and are refit with bisquare weights at the start's mean
     residual distance.  Rows whose covariance starters both fail are
     flagged degenerate; the scalar API turns that into a start-failure
     error.
@@ -266,12 +267,11 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     spread = X.std(axis=1) + Y.std(axis=1)
     final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * np.maximum(spread, 1.0))
     started = np.zeros_like(final)
-    for i in np.flatnonzero(~final):
-        try:
-            b0[i], b1[i] = _mm_start(X[i], Y[i])
-        except StartFailureError:
-            continue
-        started[i] = True
+    rows = np.flatnonzero(~final)
+    if rows.size:
+        start_b0, start_b1, start_ok, _ = _mm_starts(X[rows], Y[rows])
+        rows = rows[start_ok]
+        b0[rows], b1[rows], started[rows] = start_b0[start_ok], start_b1[start_ok], True
     sigma = _mean_distance(X, Y, b0, b1, lam)
     final |= started & (sigma == 0.0)  # the start itself fits exactly
 
@@ -287,29 +287,49 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
                         iterations=np.where(final, 1, res.iterations - 1))
 
 
-def _mm_start(x, y):
-    """Robust starting line: S-covariance slope, Rocke covariance fallback."""
+def _mm_starts(X, Y):
+    """Robust starting lines per row: S-covariance slope, Rocke covariance fallback.
+
+    Both S-estimators start a row from the same MCD, so a row whose MCD is
+    singular fails both.  Returns ``(b0, b1, ok, error)``; where ``ok`` is
+    False, ``error`` holds the last starter failure (None when the
+    starters converged to a line that is not finite).
+    """
     from . import robustcov
 
-    pts = np.column_stack([x, y])
-    last_err = None
-    for estimator in (robustcov.s_cov, robustcov.rocke_cov):
-        try:
-            model = estimator(pts)
-        except Exception as err:  # noqa: BLE001 - any starter failure falls through
-            last_err = err
-            continue
-        sxx = model.scatter[0, 0]
-        sxy = model.scatter[0, 1]
-        syy = model.scatter[1, 1]
-        if sxx <= 0.0 or sxy == 0.0:
-            last_err = DegenerateDataError("covariance start gives indeterminate slope")
-            continue
-        b1 = 0.5 * (sxy / sxx + syy / sxy)
-        b0 = model.center[1] - b1 * model.center[0]
-        if np.isfinite(b0) and np.isfinite(b1) and b1 != 0.0:
-            return b0, b1
-    raise StartFailureError(f"both covariance starters failed: {last_err}")
+    m = len(X)
+    b0, b1 = np.full(m, np.nan), np.full(m, np.nan)
+    todo = np.ones(m, dtype=bool)
+    error = np.full(m, None, dtype=object)
+    try:
+        start = robustcov.s_start(X, Y)
+    except ValidationError as err:
+        error.fill(err)
+        return b0, b1, ~todo, error
+    for estimator in (robustcov.S_BISQUARE, robustcov.S_ROCKE):
+        rows = np.flatnonzero(todo)
+        center, scatter, failed = robustcov.s_rows(X[rows], Y[rows], start.take(rows), estimator)
+        sxx, sxy, syy = scatter[:, 0, 0], scatter[:, 0, 1], scatter[:, 1, 1]
+        usable = np.equal(failed, None)
+        flat = usable & ((sxx <= 0.0) | (sxy == 0.0))
+        if flat.any():
+            failed[flat] = DegenerateDataError("covariance start gives indeterminate slope")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c1 = 0.5 * (sxy / sxx + syy / sxy)
+            c0 = center[:, 1] - c1 * center[:, 0]
+        good = usable & ~flat & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
+        hit = ~np.equal(failed, None)
+        error[rows[hit]] = failed[hit]
+        b0[rows[good]], b1[rows[good]], todo[rows[good]] = c0[good], c1[good], False
+    return b0, b1, ~todo, error
+
+
+def _mm_start(x, y):
+    """Robust starting line of one sample; StartFailureError when both starters fail."""
+    b0, b1, ok, error = _mm_starts(x[None, :], y[None, :])
+    if not ok[0]:
+        raise StartFailureError(f"both covariance starters failed: {error[0]}")
+    return b0[0], b1[0]
 
 
 # ---------------------------------------------------------------------------

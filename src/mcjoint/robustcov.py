@@ -8,6 +8,12 @@ ranking), projection-outlyingness downweighting, and two S-estimators
 (bisquare, and a translated-bisquare fallback) used to start the
 redescending regression.
 
+The MCD search and the S fixed point each run on a leading row axis:
+``mcd_rows`` and ``s_rows`` take row-stacked (m, B) coordinates, so the
+MM fit starts every bootstrap row in one call, and ``fast_mcd``,
+``s_cov`` and ``rocke_cov`` are their one-row cases.  A row's arithmetic
+does not depend on the rows it is batched with.
+
 All estimators rescale their scatter so that squared Mahalanobis distances
 of clean Gaussian data are approximately chi-square with 2 degrees of
 freedom: an asymptotic factor where the estimator calls for one, then an
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +37,12 @@ _ELLIPSE_POINTS = 181  # vertices of the plotted ellipse polyline
 _MCD_KEEP = 10         # lowest-determinant starts iterated to a fixed point
 _MCD_INITIAL_STEPS = 2  # concentration steps every start takes
 _MCD_MAX_STEPS = 60    # cap on the concentration steps of the kept starts
+_MCD_BLOCK = 8         # rows searched at once; bounds the (rows x starts, B) temporaries
+_S_MCD_STARTS = 120    # random elemental starts of the MCD the S-estimators start from
+_S_MAX_ITER = 200      # S fixed-point iterations before giving up
+_S_TOL = 1e-10         # relative scale shift that ends the S fixed point
+_M_SCALE_MAX_ITER = 200  # M-scale iterations before giving up
+_M_SCALE_TOL = 1e-12   # relative scale step that ends the M-scale iteration
 _SDE_DIRS = 1000       # random projection directions of Stahel-Donoho
 
 
@@ -76,10 +88,11 @@ def _chi2_4_cdf(x: float) -> float:
     return 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 
-def _is_singular(scatter: np.ndarray) -> bool:
-    det = scatter[0, 0] * scatter[1, 1] - scatter[0, 1] ** 2
-    half_trace = 0.5 * (scatter[0, 0] + scatter[1, 1])
-    return not (det > _REL_SINGULAR * half_trace * half_trace and half_trace > 0)
+def _is_singular(scatter: np.ndarray):
+    """Whether a 2x2 scatter, or each of a stack of them, is (nearly) singular."""
+    det = scatter[..., 0, 0] * scatter[..., 1, 1] - scatter[..., 0, 1] ** 2
+    half_trace = 0.5 * (scatter[..., 0, 0] + scatter[..., 1, 1])
+    return ~((det > _REL_SINGULAR * half_trace * half_trace) & (half_trace > 0))
 
 
 def mahalanobis_sq(model: CovarianceModel, points: np.ndarray) -> np.ndarray:
@@ -90,11 +103,17 @@ def mahalanobis_sq(model: CovarianceModel, points: np.ndarray) -> np.ndarray:
             "bootstrap pairs, e.g. from low measurement precision)"
         )
     pts = np.atleast_2d(np.asarray(points, float))
-    diff = pts - model.center
-    s = model.scatter
-    det = s[0, 0] * s[1, 1] - s[0, 1] ** 2
-    d2 = (diff[:, 0] ** 2 * s[1, 1] - 2.0 * diff[:, 0] * diff[:, 1] * s[0, 1] + diff[:, 1] ** 2 * s[0, 0]) / det
+    d2 = _mahalanobis_rows(pts[None, :, 0], pts[None, :, 1], model.center[None], model.scatter[None])[0]
     return d2 if np.asarray(points).ndim > 1 else float(d2[0])
+
+
+def _mahalanobis_rows(Z0: np.ndarray, Z1: np.ndarray, T: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of each row's points under that row's (T, V): (m, B)."""
+    D0 = Z0 - T[:, 0, None]
+    D1 = Z1 - T[:, 1, None]
+    v00, v01, v11 = V[:, 0, 0, None], V[:, 0, 1, None], V[:, 1, 1, None]
+    det = v00 * v11 - v01 ** 2
+    return (D0 ** 2 * v11 - 2.0 * D0 * D1 * v01 + D1 ** 2 * v00) / det
 
 
 def ellipse_from(model: CovarianceModel, alpha: float) -> EllipseGeometry:
@@ -133,6 +152,13 @@ def ellipse_points(geom: EllipseGeometry) -> np.ndarray:
 # classic covariance
 # ---------------------------------------------------------------------------
 
+def _points(points: np.ndarray) -> np.ndarray:
+    Z = np.asarray(points, float)
+    if Z.ndim != 2 or Z.shape[1] != 2:
+        raise ValidationError("need a (B, 2) array")
+    return Z
+
+
 def classic_cov(points: np.ndarray) -> CovarianceModel:
     """Sample mean and unbiased sample covariance."""
     Z = np.asarray(points, float)
@@ -149,35 +175,54 @@ def classic_cov(points: np.ndarray) -> CovarianceModel:
 # FAST-MCD
 # ---------------------------------------------------------------------------
 
-def _subset_stats(Z: np.ndarray, support: np.ndarray):
-    """Mean, covariance (ddof=1) and determinant per candidate subset."""
-    h = support.shape[1]
-    s0 = Z[:, 0][support]
-    s1 = Z[:, 1][support]
-    mx = s0.mean(axis=1)
-    my = s1.mean(axis=1)
-    s0 -= mx[:, None]
-    s1 -= my[:, None]
+class McdRows(NamedTuple):
+    """FAST-MCD results of row-stacked samples, one entry per row."""
+
+    center: np.ndarray      # (m, 2)
+    scatter: np.ndarray     # (m, 2, 2)
+    singular: np.ndarray    # (m,) exact fit or collinear optimum
+    correction: np.ndarray  # (m,) consistency factor applied to the raw scatter
+    raw_det: np.ndarray     # (m,) determinant of the raw optimum
+    h: int
+
+    def take(self, rows: np.ndarray) -> "McdRows":
+        return McdRows(self.center[rows], self.scatter[rows], self.singular[rows],
+                       self.correction[rows], self.raw_det[rows], self.h)
+
+
+def _subset_stats(s0: np.ndarray, s1: np.ndarray):
+    """Mean, covariance (ddof=1) and determinant of each subset.
+
+    ``s0`` and ``s1`` hold the subsets' x and y coordinates along the last
+    axis; they are centered in place.
+    """
+    h = s0.shape[-1]
+    mx = s0.sum(axis=-1) / h  # mean(axis=-1), bit for bit, without its overhead
+    my = s1.sum(axis=-1) / h
+    T = np.empty(mx.shape + (2,))
+    T[..., 0] = mx
+    T[..., 1] = my
+    s0 -= mx[..., None]
+    s1 -= my[..., None]
     denom = h - 1
-    sxx = np.einsum("ch,ch->c", s0, s0) / denom
-    syy = np.einsum("ch,ch->c", s1, s1) / denom
-    sxy = np.einsum("ch,ch->c", s0, s1) / denom
-    T = np.column_stack([mx, my])
-    S = np.empty((len(support), 2, 2))
-    S[:, 0, 0] = sxx
-    S[:, 1, 1] = syy
-    S[:, 0, 1] = S[:, 1, 0] = sxy
+    sxx = np.einsum("...h,...h->...", s0, s0) / denom
+    syy = np.einsum("...h,...h->...", s1, s1) / denom
+    sxy = np.einsum("...h,...h->...", s0, s1) / denom
+    S = np.empty(mx.shape + (2, 2))
+    S[..., 0, 0] = sxx
+    S[..., 1, 1] = syy
+    S[..., 0, 1] = S[..., 1, 0] = sxy
     det = sxx * syy - sxy * sxy
     return T, S, det
 
 
-def _candidate_dists(Z: np.ndarray, T: np.ndarray, S: np.ndarray, det: np.ndarray):
-    """Squared Mahalanobis distances of all points per candidate: (c, B)."""
-    a = (S[:, 1, 1] / det)[:, None]
-    b = (-2.0 * S[:, 0, 1] / det)[:, None]
-    c = (S[:, 0, 0] / det)[:, None]
-    D0 = Z[None, :, 0] - T[:, 0, None]
-    D1 = Z[None, :, 1] - T[:, 1, None]
+def _candidate_dists(Z0: np.ndarray, Z1: np.ndarray, T: np.ndarray, S: np.ndarray, det: np.ndarray):
+    """Squared Mahalanobis distances of each row's points per candidate: (m, c, B)."""
+    a = (S[..., 1, 1] / det)[..., None]
+    b = (-2.0 * S[..., 0, 1] / det)[..., None]
+    c = (S[..., 0, 0] / det)[..., None]
+    D0 = Z0[:, None, :] - T[..., 0, None]
+    D1 = Z1[:, None, :] - T[..., 1, None]
     d2 = D0 * D0
     d2 *= a
     cross = D0
@@ -190,15 +235,136 @@ def _candidate_dists(Z: np.ndarray, T: np.ndarray, S: np.ndarray, det: np.ndarra
     return d2
 
 
-def _c_step(Z: np.ndarray, T, S, det, h: int):
-    d2 = _candidate_dists(Z, T, S, det)
-    support = np.argpartition(d2, h - 1, axis=1)[:, :h]
-    return _subset_stats(Z, support) + (support,)
+def _c_step(Z0, Z1, T, S, det, h: int):
+    support = np.argpartition(_candidate_dists(Z0, Z1, T, S, det), h - 1, axis=-1)[..., :h]
+    return _subset_stats(np.take_along_axis(Z0[:, None, :], support, axis=-1),
+                         np.take_along_axis(Z1[:, None, :], support, axis=-1))
 
 
 def _det_floor(S: np.ndarray) -> np.ndarray:
     half_trace = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
     return _REL_SINGULAR * half_trace * half_trace
+
+
+def _elemental_starts(B: int, seed: int, n_starts: int):
+    """Elemental 3-subsets seeding the search, and the generator that drew them.
+
+    All of them when few enough, otherwise ``n_starts`` random ones.  They
+    depend on (B, seed, n_starts) alone, so every row of a batch shares them.
+    """
+    rng = task_rng(seed)
+    n_elemental = B * (B - 1) * (B - 2) // 6
+    if n_elemental <= max(n_starts, 1200):
+        return np.array(list(combinations(range(B), 3)), dtype=np.intp), rng
+    starts = rng.integers(0, B, size=(n_starts, 3)).astype(np.intp)
+    dup = (
+        (starts[:, 0] == starts[:, 1])
+        | (starts[:, 0] == starts[:, 2])
+        | (starts[:, 1] == starts[:, 2])
+    )
+    for i in np.flatnonzero(dup):
+        while len(set(starts[i])) < 3:
+            starts[i] = rng.integers(0, B, size=3)
+    return starts, rng
+
+
+def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int):
+    """Raw MCD optimum of each row: center, scatter, determinant, exact-fit flag.
+
+    Every row runs the same search: two concentration steps from every
+    elemental start, then the ``_MCD_KEEP`` lowest determinants iterated
+    until none improves.  A row ends early, with an exact fit, as soon as
+    a candidate's h points are collinear.
+    """
+    m, B = Z0.shape
+    best_T = np.empty((m, 2))
+    best_S = np.empty((m, 2, 2))
+    best_det = np.zeros(m)
+    exact = np.zeros(m, dtype=bool)
+
+    def finish_exact(rows, hit, T, S):
+        done = hit.any(axis=1)
+        first = hit.argmax(axis=1)[done]
+        best_T[rows[done]] = T[done, first]
+        best_S[rows[done]] = S[done, first]
+        exact[rows[done]] = True
+        return done
+
+    starts, rng = _elemental_starts(B, seed, n_starts)
+    after_starts = rng.bit_generator.state
+    T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
+    # grow singular elemental subsets until their covariance is invertible;
+    # each row draws from the generator as it stood after the starts
+    grown = -1
+    for r, j in zip(*np.nonzero(det <= _det_floor(S))):
+        if exact[r]:
+            continue
+        if r != grown:
+            grown, rng.bit_generator.state = r, after_starts
+        members = list(starts[j])
+        while True:
+            extra = int(rng.integers(0, B))
+            if extra in members:
+                continue
+            members.append(extra)
+            Ti, Si, di = _subset_stats(Z0[r, members][None], Z1[r, members][None])
+            if di[0] > _det_floor(Si)[0]:
+                T[r, j], S[r, j], det[r, j] = Ti[0], Si[0], di[0]
+                break
+            if len(members) >= h:
+                # h collinear points: the objective's true minimum is 0
+                best_T[r], best_S[r], exact[r] = Ti[0], Si[0], True
+                break
+
+    rows = np.flatnonzero(~exact)
+    T, S, det = T[rows], S[rows], det[rows]
+    for _ in range(_MCD_INITIAL_STEPS):
+        T, S, det = _c_step(Z0[rows], Z1[rows], T, S, det, h)
+        keep = ~finish_exact(rows, det <= _det_floor(S), T, S)
+        rows, T, S, det = rows[keep], T[keep], S[keep], det[keep]
+
+    order = np.argsort(det, axis=1, kind="stable")[:, :_MCD_KEEP]
+    T = np.take_along_axis(T, order[..., None], axis=1)
+    S = np.take_along_axis(S, order[..., None, None], axis=1)
+    det = np.take_along_axis(det, order, axis=1)
+    active = np.ones(det.shape, dtype=bool)
+    run = np.arange(len(rows))
+    for _ in range(_MCD_MAX_STEPS):
+        if run.size == 0:
+            break
+        T2, S2, det2 = _c_step(Z0[rows[run]], Z1[rows[run]], T[run], S[run], det[run], h)
+        act = active[run]
+        done = finish_exact(rows[run], act & (det2 <= _det_floor(S2)), T2, S2)
+        improved = act & (det2 < det[run])
+        T[run] = np.where(act[..., None], T2, T[run])
+        S[run] = np.where(act[..., None, None], S2, S[run])
+        det[run] = np.where(act, det2, det[run])
+        active[run] = improved
+        run = run[~done & improved.any(axis=1)]
+
+    left = ~exact[rows]
+    best = np.argmin(det[left], axis=1)
+    best_T[rows[left]] = T[left, best]
+    best_S[rows[left]] = S[left, best]
+    best_det[rows[left]] = det[left, best]
+    return best_T, best_S, best_det, exact
+
+
+def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRows:
+    """FAST-MCD of every row of row-stacked coordinates ``Z0``/``Z1`` (m, B).
+
+    Rows are searched ``_MCD_BLOCK`` at a time, which bounds the
+    (rows x starts, B) temporaries; a row's result does not depend on the
+    rows searched with it.
+    """
+    m, B = Z0.shape
+    if B < 10:
+        raise ValidationError("need at least 10 points")
+    h = (B + 3) // 2
+    blocks = [_mcd_search(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], seed, n_starts, h)
+              for lo in range(0, m, _MCD_BLOCK)]
+    T, S, raw_det, exact = (np.concatenate(part) for part in zip(*blocks))
+    return _finish_mcd(Z0, Z1, T, S, raw_det, exact, h)
 
 
 def fast_mcd(points: np.ndarray, seed: int = 0, n_starts: int = 500) -> CovarianceModel:
@@ -210,108 +376,59 @@ def fast_mcd(points: np.ndarray, seed: int = 0, n_starts: int = 500) -> Covarian
     takes two concentration steps; the 10 candidates with the smallest
     determinants are iterated to a fixed point (at most 60 steps).  An
     exactly collinear best subset is reported as a singular model, never
-    inverted.
+    inverted.  This is the one-row case of ``mcd_rows``.
     """
-    Z = np.asarray(points, float)
-    if Z.ndim != 2 or Z.shape[1] != 2:
-        raise ValidationError("need a (B, 2) array")
-    B = len(Z)
-    if B < 10:
-        raise ValidationError("need at least 10 points")
-    h = (B + 3) // 2
-    rng = task_rng(seed)
-    n_elemental = B * (B - 1) * (B - 2) // 6
-    if n_elemental <= max(n_starts, 1200):
-        starts = np.array(list(combinations(range(B), 3)), dtype=np.intp)
-    else:
-        starts = rng.integers(0, B, size=(n_starts, 3)).astype(np.intp)
-        dup = (
-            (starts[:, 0] == starts[:, 1])
-            | (starts[:, 0] == starts[:, 2])
-            | (starts[:, 1] == starts[:, 2])
-        )
-        for i in np.flatnonzero(dup):
-            while len(set(starts[i])) < 3:
-                starts[i] = rng.integers(0, B, size=3)
-
-    T, S, det = _subset_stats(Z, starts)
-    # grow singular elemental subsets until their covariance is invertible
-    bad = np.flatnonzero(det <= _det_floor(S))
-    if bad.size:
-        for idx in bad:
-            members = list(starts[idx])
-            while True:
-                extra = int(rng.integers(0, B))
-                if extra in members:
-                    continue
-                members.append(extra)
-                Ti, Si, di = _subset_stats(Z, np.array(members)[None, :])
-                if di[0] > _det_floor(Si)[0]:
-                    T[idx], S[idx], det[idx] = Ti[0], Si[0], di[0]
-                    break
-                if len(members) >= h:
-                    # h collinear points: the objective's true minimum is 0
-                    return _finish_mcd(Z, Ti[0], Si[0], 0.0, h, exact=True)
-
-    for _ in range(_MCD_INITIAL_STEPS):
-        T, S, det, _ = _c_step(Z, T, S, det, h)
-        exact = det <= _det_floor(S)
-        if exact.any():
-            i = int(np.argmax(exact))
-            return _finish_mcd(Z, T[i], S[i], 0.0, h, exact=True)
-
-    order = np.argsort(det, kind="stable")[:_MCD_KEEP]
-    T, S, det = T[order], S[order], det[order]
-    active = np.arange(len(det))
-    for _ in range(_MCD_MAX_STEPS):
-        T2, S2, det2, _ = _c_step(Z, T[active], S[active], det[active], h)
-        exact = det2 <= _det_floor(S2)
-        if exact.any():
-            i = int(np.argmax(exact))
-            return _finish_mcd(Z, T2[i], S2[i], 0.0, h, exact=True)
-        improved = det2 < det[active]
-        T[active] = T2
-        S[active] = S2
-        det[active] = det2
-        active = active[improved]
-        if active.size == 0:
-            break
-
-    best = int(np.argmin(det))
-    return _finish_mcd(Z, T[best], S[best], float(det[best]), h)
+    Z = _points(points)
+    r = mcd_rows(Z[None, :, 0], Z[None, :, 1], seed, n_starts)
+    return CovarianceModel(r.center[0], r.scatter[0], "MCD", h=r.h, correction=float(r.correction[0]),
+                           singular=bool(r.singular[0]), raw_det=float(r.raw_det[0]))
 
 
-def _finish_mcd(Z: np.ndarray, T: np.ndarray, S: np.ndarray, raw_det: float, h: int, exact: bool = False) -> CovarianceModel:
-    """Consistency-correct the raw optimum, then one-step reweighting.
+def _weighted_moments(Z0: np.ndarray, Z1: np.ndarray, w: np.ndarray):
+    """Per row: the weight total, the weighted mean, and the weighted sums of
+    centered cross products (the scatter before normalisation)."""
+    sw = w.sum(axis=1)
+    T = np.stack([(w * Z0).sum(axis=1), (w * Z1).sum(axis=1)], axis=-1) / sw[:, None]
+    D0 = Z0 - T[:, 0, None]
+    D1 = Z1 - T[:, 1, None]
+    wD0 = w * D0
+    C = np.empty((len(w), 2, 2))
+    C[:, 0, 0] = (wD0 * D0).sum(axis=1)
+    C[:, 1, 1] = (w * D1 * D1).sum(axis=1)
+    C[:, 0, 1] = C[:, 1, 0] = (wD0 * D1).sum(axis=1)
+    return sw, T, C
+
+
+def _finish_mcd(Z0, Z1, T, S, raw_det, exact, h: int) -> McdRows:
+    """Consistency-correct each row's raw optimum, then one-step reweighting.
 
     The raw subset scatter gets the asymptotic trimming factor and an
     empirical median factor (small-sample correction); the usual
     reweighted estimate (drop points beyond the 97.5% quantile, rescale
-    for the truncation) recovers efficiency the raw optimum lacks.
+    for the truncation) recovers efficiency the raw optimum lacks.  Exact
+    fits and collinear optima come back as they are, flagged singular.
     """
-    B = len(Z)
-    if exact or _is_singular(S):
-        return CovarianceModel(T, S, "MCD", h=h, correction=1.0, singular=True, raw_det=raw_det)
+    B = Z0.shape[1]
+    singular = exact | _is_singular(S)
     alpha = h / B
     c1 = alpha / _chi2_4_cdf(_chi2_2_ppf(alpha))
-    scatter = S * c1
-    model = CovarianceModel(T, scatter, "MCD", h=h)
-    d2 = mahalanobis_sq(model, Z)
-    c2 = float(np.median(d2) / _chi2_2_ppf(0.5))
-    if c2 <= 0 or not np.isfinite(c2):
-        c2 = 1.0
-    raw_model = CovarianceModel(T, scatter * c2, "MCD", h=h, correction=c1 * c2, raw_det=raw_det)
-
+    V = S * c1
     q = _chi2_2_ppf(0.975)
-    keep = (d2 / c2) <= q
-    if keep.sum() < max(3, B // 4):
-        return raw_model
-    sub = Z[keep]
-    T_rw = sub.mean(axis=0)
-    S_rw = np.cov(sub, rowvar=False, ddof=1) / (_chi2_4_cdf(q) / 0.975)
-    if _is_singular(S_rw):
-        return raw_model
-    return CovarianceModel(T_rw, S_rw, "MCD", h=h, correction=c1 * c2, raw_det=raw_det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = _mahalanobis_rows(Z0, Z1, T, V)
+        c2 = np.median(d2, axis=1) / _chi2_2_ppf(0.5)
+        c2 = np.where((c2 > 0) & np.isfinite(c2), c2, 1.0)
+        k, T_rw, S_rw = _weighted_moments(Z0, Z1, (d2 / c2[:, None] <= q).astype(float))
+        S_rw /= (k - 1)[:, None, None]
+        S_rw /= _chi2_4_cdf(q) / 0.975
+    # rows keeping too few points, or a singular reweighted scatter, keep the raw estimate
+    raw = (k < max(3, B // 4)) | _is_singular(S_rw)
+    reweighted = ~singular & ~raw
+    center = np.where(reweighted[:, None], T_rw, T)
+    scatter = np.where(singular[:, None, None], S,
+                       np.where(raw[:, None, None], V * c2[:, None, None], S_rw))
+    correction = np.where(singular, 1.0, c1 * c2)
+    return McdRows(center, scatter, singular, correction, raw_det, h)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +443,7 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     pairwise point-to-point direction when the cloud is small enough
     (B <= 200) for that to be exact.
     """
-    Z = np.asarray(points, float)
-    if Z.ndim != 2 or Z.shape[1] != 2:
-        raise ValidationError("need a (B, 2) array")
+    Z = _points(points)
     B = len(Z)
     if B < 10:
         raise ValidationError("need at least 10 points")
@@ -374,11 +489,9 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
 # ---------------------------------------------------------------------------
 
 def _rho_bisquare(u: np.ndarray, c: float) -> np.ndarray:
-    u = np.abs(u)
-    inside = u <= c
-    v = np.where(inside, u, c)
-    val = v * v / 2.0 - v ** 4 / (2.0 * c * c) + v ** 6 / (6.0 * c ** 4)
-    return np.where(inside, val, c * c / 6.0)
+    """v^2/2 - v^4/(2c^2) + v^6/(6c^4) at v = min(|u|, c), in Horner form."""
+    t = np.minimum(np.abs(u), c) ** 2
+    return t * (0.5 + t * (t / (6.0 * c ** 4) - 0.5 / (c * c)))
 
 
 def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
@@ -419,81 +532,144 @@ def _weight_translated(u: np.ndarray, M: float, c: float) -> np.ndarray:
 _ROCKE_CONSTANTS = (1.2436729193400209, 1.2040739113407952, 0.8161408610557107)
 
 
-def _m_scale(d: np.ndarray, rho, b0: float, s_init: float) -> float:
-    """Solve mean rho(d/s) = b0 by the multiplicative fixed point."""
-    s = s_init
-    for _ in range(200):
-        val = float(np.mean(rho(d / s)))
-        if val <= 0.0:
-            raise SingularCovarianceError("scale target unattainable (all distances zero)")
-        s_new = s * math.sqrt(val / b0)
-        if abs(s_new - s) <= 1e-12 * s:
-            return s_new
-        s = s_new
-    raise ConvergenceError("M-scale iteration did not settle")
+class SEstimator(NamedTuple):
+    """An S-estimator: its name, rho and weight functions, and scale target b0."""
+
+    name: str
+    rho: Callable[[np.ndarray], np.ndarray]
+    weight: Callable[[np.ndarray], np.ndarray]
+    b0: float
 
 
-def _s_fixed_point(Z: np.ndarray, rho, weight, b0: float, estimator: str, max_iter: int = 200) -> CovarianceModel:
-    n = len(Z)
-    if n < 5:
+S_BISQUARE = SEstimator(
+    "Sest",
+    rho=lambda u: _rho_bisquare(u, _BISQUARE_S_CONSTANTS[0]),
+    weight=lambda u: _weight_bisquare(u, _BISQUARE_S_CONSTANTS[0]),
+    b0=_BISQUARE_S_CONSTANTS[1],
+)
+S_ROCKE = SEstimator(
+    "Rocke",
+    rho=lambda u: _rho_translated(u, *_ROCKE_CONSTANTS[:2]),
+    weight=lambda u: _weight_translated(u, *_ROCKE_CONSTANTS[:2]),
+    b0=_ROCKE_CONSTANTS[2],
+)
+
+# Why an S fixed point fails, by the code ``s_rows`` works with (0: it converged).
+_S_FAILURES = (
+    None,
+    (SingularCovarianceError, "initial scatter is singular"),
+    (SingularCovarianceError, "over half of the points coincide with the center"),
+    (SingularCovarianceError, "scale target unattainable (all distances zero)"),
+    (ConvergenceError, "M-scale iteration did not settle"),
+    (SingularCovarianceError, "all points rejected by the weight function"),
+    (SingularCovarianceError, "weighted shape collapsed"),
+    (ConvergenceError, "{name} fixed point did not converge in {max_iter} iterations"),
+)
+_SINGULAR_START, _COINCIDENT, _UNATTAINABLE, _UNSETTLED, _REJECTED, _COLLAPSED, _NOT_CONVERGED = range(1, 8)
+
+
+def s_start(Z0: np.ndarray, Z1: np.ndarray) -> McdRows:
+    """The MCD (seed 0, 120 random starts) both S-estimators start each row from."""
+    if Z0.shape[1] < 5:
         raise ValidationError("need at least 5 points")
-    start = fast_mcd(Z, seed=0, n_starts=120)
-    if start.singular:
-        raise SingularCovarianceError("initial scatter is singular")
+    return mcd_rows(Z0, Z1, seed=0, n_starts=_S_MCD_STARTS)
+
+
+def _m_scale(d: np.ndarray, rho, b0: float, s: np.ndarray, run: np.ndarray):
+    """Solve mean rho(d/s) = b0 per row by the multiplicative fixed point.
+
+    ``s`` holds the starting scales; only rows with ``run`` set iterate.
+    Returns the scales and a failure code per row.
+    """
+    s = s.copy()
+    code = np.zeros(len(d), dtype=np.intp)
+    rows = np.flatnonzero(run)
+    d_run, s_run = d[rows], s[rows]
+    for _ in range(_M_SCALE_MAX_ITER):
+        if rows.size == 0:
+            return s, code
+        val = rho(d_run / s_run[:, None]).sum(axis=1) / d.shape[1]
+        zero = val <= 0.0
+        s_new = s_run * np.sqrt(val / b0)
+        moving = ~zero & ~(np.abs(s_new - s_run) <= _M_SCALE_TOL * s_run)
+        s[rows] = s_new
+        code[rows[zero]] = _UNATTAINABLE
+        if not moving.all():
+            rows, d_run, s_new = rows[moving], d_run[moving], s_new[moving]
+        s_run = s_new
+    code[rows] = _UNSETTLED
+    return s, code
+
+
+def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
+    """S-estimates of location and scatter of every row, from its MCD start.
+
+    Each row iterates: distances under the current determinant-one shape,
+    the M-scale s solving mean rho(d/s) = b0, weights w(d/s), and the
+    weighted mean and shape; it stops once s moves by at most
+    ``_S_TOL`` relative.  Returns centers (m, 2), scatters (m, 2, 2) and a
+    failure per row: None where the row converged, otherwise the exception
+    ``_s_fixed_point`` raises for it.
+    """
+    m = len(Z0)
     T = start.center.copy()
-    G = start.scatter / math.sqrt(np.linalg.det(start.scatter))
-    s = None
-    for _ in range(max_iter):
-        model = CovarianceModel(T, G, estimator)
-        d = np.sqrt(mahalanobis_sq(model, Z))
-        med = np.median(d)
-        if med <= 0:
-            med = float(np.mean(d))
-        if med <= 0:
-            raise SingularCovarianceError("over half of the points coincide with the center")
-        s_new = _m_scale(d, rho, b0, med / math.sqrt(_chi2_2_ppf(0.5)) if s is None else s)
-        w = weight(d / s_new)
-        sw = w.sum()
-        if sw <= 0 or (w > 0).sum() < 3:
-            raise SingularCovarianceError("all points rejected by the weight function")
-        T_new = (w[:, None] * Z).sum(axis=0) / sw
-        diff = Z - T_new
-        C = (w[:, None] * diff).T @ diff
-        detC = np.linalg.det(C)
-        if detC <= 0 or _is_singular(C):
-            raise SingularCovarianceError("weighted shape collapsed")
-        G_new = C / math.sqrt(detC)
-        shift = abs(s_new - s) / s_new if s is not None else np.inf
-        T, G = T_new, G_new
-        if shift <= 1e-10:
-            scatter = s_new * s_new * G
-            return CovarianceModel(T, scatter, estimator)
-        s = s_new
-    raise ConvergenceError(f"{estimator} fixed point did not converge in {max_iter} iterations")
+    s = np.zeros(m)
+    code = np.where(start.singular, _SINGULAR_START, 0)
+    rows = np.flatnonzero(code == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = start.scatter
+        G = V / np.sqrt(V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] ** 2)[:, None, None]
+        for it in range(_S_MAX_ITER):
+            if rows.size == 0:
+                break
+            Za0, Za1 = Z0[rows], Z1[rows]
+            d = np.sqrt(_mahalanobis_rows(Za0, Za1, T[rows], G[rows]))
+            med = np.median(d, axis=1)
+            med = np.where(med > 0, med, d.mean(axis=1))
+            status = np.where(med > 0, 0, _COINCIDENT)
+            s_init = med / math.sqrt(_chi2_2_ppf(0.5)) if it == 0 else s[rows]
+            s_new, scale_status = _m_scale(d, est.rho, est.b0, s_init, status == 0)
+            status = np.where(status == 0, scale_status, status)
+            w = est.weight(d / s_new[:, None])
+            sw, T_new, C = _weighted_moments(Za0, Za1, w)
+            status[(status == 0) & ((sw <= 0) | ((w > 0).sum(axis=1) < 3))] = _REJECTED
+            detC = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] ** 2
+            status[(status == 0) & ((detC <= 0) | _is_singular(C))] = _COLLAPSED
+            ok = status == 0
+            shift = np.abs(s_new - s[rows]) / s_new if it else np.full(len(rows), np.inf)
+            code[rows] = status
+            done, moving = rows[ok], ok & ~(shift <= _S_TOL)
+            T[done] = T_new[ok]
+            G[done] = C[ok] / np.sqrt(detC[ok])[:, None, None]
+            s[done] = s_new[ok]
+            rows = rows[moving]
+        scatter = (s * s)[:, None, None] * G
+    code[rows] = _NOT_CONVERGED
+    failure = np.full(m, None, dtype=object)
+    for k in np.unique(code[code > 0]):
+        cls, msg = _S_FAILURES[k]
+        failure[code == k] = cls(msg.format(name=est.name, max_iter=_S_MAX_ITER))
+    return T, scatter, failure
+
+
+def _s_fixed_point(points: np.ndarray, est: SEstimator) -> CovarianceModel:
+    """S-estimate of one (B, 2) sample: the one-row case of ``s_rows``."""
+    Z = _points(points)
+    Z0, Z1 = Z[None, :, 0], Z[None, :, 1]
+    T, V, failure = s_rows(Z0, Z1, s_start(Z0, Z1), est)
+    if failure[0] is not None:
+        raise failure[0]
+    return CovarianceModel(T[0], V[0], est.name)
 
 
 def s_cov(points: np.ndarray) -> CovarianceModel:
     """Bisquare S-estimate of location and scatter (breakdown 0.5)."""
-    c, b0 = _BISQUARE_S_CONSTANTS
-    return _s_fixed_point(
-        np.asarray(points, float),
-        rho=lambda u: _rho_bisquare(u, c),
-        weight=lambda u: _weight_bisquare(u, c),
-        b0=b0,
-        estimator="Sest",
-    )
+    return _s_fixed_point(points, S_BISQUARE)
 
 
 def rocke_cov(points: np.ndarray) -> CovarianceModel:
     """Translated-bisquare S-estimate; fallback starter for the MM fit."""
-    M, c, b0 = _ROCKE_CONSTANTS
-    return _s_fixed_point(
-        np.asarray(points, float),
-        rho=lambda u: _rho_translated(u, M, c),
-        weight=lambda u: _weight_translated(u, M, c),
-        b0=b0,
-        estimator="Rocke",
-    )
+    return _s_fixed_point(points, S_ROCKE)
 
 
 # The covariance of the joint test, by name.  Each entry looks its

@@ -512,3 +512,26 @@ def test_paba_swap_symmetry_hypothesis(seed):
     g = mj.fit_paba(sample(y, x))
     assert g.slope == pytest.approx(1.0 / f.slope, rel=1e-12)
     assert g.intercept == pytest.approx(-f.intercept / f.slope, abs=1e-9 * (abs(f.intercept / f.slope) + 10.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(-64, 64), k=st.integers(-4, 4))
+def test_paba_affine_equivariance_hypothesis(seed, p, k):
+    # the same map x -> p + q x, y -> p + q y on both axes, q = 2^k > 0;
+    # on a dyadic grid every pairwise slope is exact, so the slope is unchanged
+    p, q = p / 4.0, 2.0 ** k
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    x = rng.integers(8, 80, n) / 8.0
+    y = (np.round(8.0 * rng.uniform(0.5, 2.0) * x) + rng.integers(-4, 5, n)) / 8.0
+    mapped = sample(p + q * x, p + q * y)
+    try:
+        f0 = mj.fit_paba(sample(x, y))
+    except mj.DegenerateDataError:
+        with pytest.raises(mj.DegenerateDataError):
+            mj.fit_paba(mapped)
+        return
+    f1 = mj.fit_paba(mapped)
+    assert f1.slope == f0.slope
+    a = p + q * f0.intercept - f0.slope * p
+    assert f1.intercept == pytest.approx(a, abs=1e-9 * (abs(p) + abs(q * f0.intercept) + abs(f0.slope * p) + 1.0))

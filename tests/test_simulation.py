@@ -1,5 +1,8 @@
 """Monte Carlo harness: determinism, shared datasets, aggregation, IO."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mcjoint.simulation import (
     SimulationPlan,
     aggregate_curve,
     curve_rows,
+    evaluate_replicate,
     read_curve_csv,
     run_plan,
     type1_study,
@@ -50,6 +54,17 @@ def test_serial_parallel_identical():
     c1 = aggregate_curve(plan, serial)
     c2 = aggregate_curve(plan, parallel)
     assert curve_rows(c1.points) == curve_rows(c2.points)
+
+
+def test_mmdem_replicates_repeatable_serial_and_spawned():
+    plan = small_plan(generator=GeneratorSpec(xmin=3, xmax=8, n=40), methods=("mmdem",))
+    tasks = [(plan, 0, 0), (plan, 0, 1)]
+    first = [repr(evaluate_replicate(*t)) for t in tasks]
+    second = [repr(evaluate_replicate(*t)) for t in tasks]
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        spawned = [repr(rec) for rec in pool.map(evaluate_replicate, *zip(*tasks))]
+    assert first == second == spawned
+    assert all("'ok': True" in rec and "'classic': None" not in rec for rec in first)
 
 
 def test_same_datasets_across_method_sets():
