@@ -6,6 +6,11 @@ input error, 1 runtime failure.  All commands honor --seed and read no
 entropy from the clock or the environment.  Without --workers, simulate
 runs MCJOINT_THREADS worker processes (an integer; anything else is a
 usage error), or one per CPU; the pool never exceeds the number of tasks.
+
+simulate exits 2, before it creates --out, when the plan file is missing,
+malformed or out of range, or fails its kind's check.  Only power plans
+resume, from the curve.csv and manifest.json saved after each grid point;
+unreadable ones exit 2 and are left as they are.  Type-I plans run whole.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .simulation import (
     Type1Table,
     _atomic_write,
     aggregate_grid_point,
+    check_power_plan,
+    check_type1_plan,
     default_workers,
     plan_to_dict,
     read_curve_csv,
@@ -69,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ci-alpha", type=float, default=0.05)
     v.add_argument("--lam", type=float, default=1.0, help="error variance ratio")
     v.add_argument("--out", required=True, help="output directory")
+    v.set_defaults(run=cmd_validate)
 
     s = sub.add_parser("simulate", help="run a Monte Carlo plan file")
     s.add_argument("--plan", required=True, help="key=value plan file")
@@ -76,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scale", default="desk", choices=("desk", "paper"),
                    help="paper scale multiplies replicate counts")
     s.add_argument("--workers", type=int, default=None)
+    s.set_defaults(run=cmd_simulate)
 
     f = sub.add_parser("fit-power", help="fit curves and tabulate power levels")
     f.add_argument("--curves", required=True, help="curve CSV from simulate")
@@ -83,7 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target", type=float, default=0.2, help="target rejection (power 80%%)")
     f.add_argument("--side", default="above", choices=("above", "below"))
     f.add_argument("--null-value", type=float, default=1.0)
+    f.set_defaults(run=cmd_fit_power)
     return ap
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write ``rows`` through this module's ``_atomic_write``, which bench/layers.py times."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +141,8 @@ def cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["intercept", "slope"])
-    for b0, b1 in ensemble.pairs:
-        w.writerow([repr(float(b0)), repr(float(b1))])
-    _atomic_write(out / "ensemble.csv", buf.getvalue())
+    _write_csv(out / "ensemble.csv", [["intercept", "slope"]]
+               + [[repr(float(b0)), repr(float(b1))] for b0, b1 in ensemble.pairs])
     print(f"{report.verdict_je} (JE p={report.je_pvalue:.4g}, CI verdict {report.verdict_ci})")
     return EXIT_OK if report.verdict_je == VALIDATED else EXIT_REJECTED
 
@@ -138,23 +151,35 @@ def cmd_validate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _listed(conv):
+    """Parser of a comma-separated list of ``conv`` values."""
+    def parse(raw: str):
+        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
+
+    parse.__name__ = f"list of {conv.__name__}"
+    return parse
+
+
+# plan-file key -> parser; each key names a GeneratorSpec or SimulationPlan
+# field (b names B), apart from [run] kind and paper_factor
 _GEN_KEYS = {"xmin": float, "xmax": float, "n": int, "slope": float, "intercept": float,
              "sigmax": float, "sigmay": float, "error_model": str,
              "precision_x": int, "precision_y": int, "detmin": float}
-_RUN_KEYS = {"kind": str, "methods": str, "cov_methods": str, "grid_param": str,
-             "grid": str, "replicates": int, "b": int, "ci_alpha": float,
-             "je_alphas": str, "master_seed": int, "paper_factor": int}
+_RUN_KEYS = {"kind": str, "methods": _listed(str), "cov_methods": _listed(str),
+             "grid_param": str, "grid": _listed(float), "replicates": int, "b": int,
+             "ci_alpha": float, "je_alphas": _listed(float), "master_seed": int,
+             "paper_factor": int}
 
 
 def parse_plan(path: Path):
-    """Parse the flat key=value plan format; collect every bad key."""
+    """(kind, plan, paper factor) of a key=value plan file; collect every bad key.
+
+    Keys left out or blank take the dataclasses' defaults.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValidationError(f"plan file not found: {path}")
-    problems = []
-    gen_kw = {}
-    run_kw = {}
+    problems, gen_kw, run_kw = [], {}, {}
     for section, keys, sink in (("generator", _GEN_KEYS, gen_kw), ("run", _RUN_KEYS, run_kw)):
         if not cp.has_section(section):
             problems.append(f"missing [{section}] section")
@@ -162,91 +187,83 @@ def parse_plan(path: Path):
         for key, raw in cp.items(section):
             if key not in keys:
                 problems.append(f"[{section}] unknown key {key!r}")
-                continue
-            conv = keys[key]
-            if raw.strip() == "":
-                continue
-            try:
-                sink[key] = conv(raw) if conv is not str else raw.strip()
-            except ValueError:
-                problems.append(f"[{section}] {key}={raw!r} is not a {conv.__name__}")
-    if run_kw.get("kind", "power") not in _PLAN_KINDS:
-        problems.append(f"[run] kind={run_kw['kind']!r} is not one of {', '.join(_PLAN_KINDS)}")
+            elif raw.strip():
+                try:
+                    sink[key] = keys[key](raw.strip())
+                except ValueError:
+                    problems.append(f"[{section}] {key}={raw!r} is not a {keys[key].__name__}")
+    kind = run_kw.pop("kind", "power")
+    factor = run_kw.pop("paper_factor", 10)
+    if kind not in _PLAN_KINDS:
+        problems.append(f"[run] kind={kind!r} is not one of {', '.join(_PLAN_KINDS)}")
+    if factor < 1:
+        problems.append(f"[run] paper_factor={factor} must be >= 1")
     if problems:
         raise ValidationError("malformed plan: " + "; ".join(problems))
 
-    kind = run_kw.pop("kind", "power")
-    factor = run_kw.pop("paper_factor", 10)
-
-    def split(value, conv):
-        return tuple(conv(v.strip()) for v in value.split(",") if v.strip())
-
+    if "b" in run_kw:
+        run_kw["B"] = run_kw.pop("b")
+    check, _ = _PLAN_KINDS[kind]
     try:
-        generator = GeneratorSpec(**gen_kw)
-        plan = SimulationPlan(
-            generator=generator,
-            methods=split(run_kw.get("methods", "dem"), str),
-            cov_methods=split(run_kw.get("cov_methods", "mcd"), str),
-            grid_param=run_kw.get("grid_param", "slope"),
-            grid=split(run_kw.get("grid", "1.0"), float) or (1.0,),
-            replicates=run_kw.get("replicates", 200),
-            B=run_kw.get("b", 999),
-            ci_alpha=run_kw.get("ci_alpha", 0.05),
-            je_alphas=split(run_kw.get("je_alphas", "0.05,0.01"), float),
-            master_seed=run_kw.get("master_seed", 0),
-        )
+        plan = SimulationPlan(generator=GeneratorSpec(**gen_kw), **run_kw)
+        check(plan)
     except (ValidationError, TypeError) as err:
         raise ValidationError(f"malformed plan: {err}") from err
     return kind, plan, factor
 
 
-def _write_type1_outputs(out: Path, table: Type1Table):
-    plan = table.plan
-    rows = [["method", "column", "acceptance", "n_used"]]
-    for method in plan.methods:
-        for kind, label in (("ci_int", f"int.CI{plan.ci_alpha:.0%}"),
-                            ("ci_slope", f"sl.CI{plan.ci_alpha:.0%}"),
-                            ("ci_total", f"tot.CI{plan.ci_alpha:.0%}")):
-            _, rate, _ = table.curve.series(method, kind, "", plan.ci_alpha)
-            n_used = [p.n_used for p in table.curve.points
-                      if p.method == method and p.kind == kind][0]
-            rows.append([method, label, repr(float(1.0 - rate[0])), n_used])
-        for cov in plan.cov_methods:
-            for alpha in plan.je_alphas:
-                _, rate, _ = table.curve.series(method, "je", cov, alpha)
-                n_used = [p.n_used for p in table.curve.points
-                          if p.method == method and p.kind == "je"
-                          and p.cov == cov and p.alpha == alpha][0]
-                rows.append([method, f"JE.{cov.upper()}{alpha:.0%}",
-                             repr(float(1.0 - rate[0])), n_used])
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    _atomic_write(out / "type1_table.csv", buf.getvalue())
+# type1_table.csv column label of each verdict kind
+_TYPE1_COLUMNS = {"ci_int": "int.CI{alpha:.0%}", "ci_slope": "sl.CI{alpha:.0%}",
+                  "ci_total": "tot.CI{alpha:.0%}", "je": "JE.{cov}{alpha:.0%}"}
 
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["method", "cov", "nominal_alpha", "empirical_rejection"])
-    for (method, cov), _ in table.je_pvalues.items():
+
+def _write_type1_outputs(out: Path, table: Type1Table):
+    # the single grid point's curve points are already in the table's row order
+    _write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
+        [p.method, _TYPE1_COLUMNS[p.kind].format(cov=p.cov.upper(), alpha=p.alpha),
+         repr(float(1.0 - p.rate)), p.n_used]
+        for p in table.curve.points])
+    rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
+    for method, cov in table.je_pvalues:
         nom, emp = table.pp_curve(method, cov)
-        for a, r in zip(nom, emp):
-            w.writerow([method, cov, repr(float(a)), repr(float(r))])
-    _atomic_write(out / "pp_data.csv", buf.getvalue())
+        rows += [[method, cov, repr(float(a)), repr(float(r))] for a, r in zip(nom, emp)]
+    _write_csv(out / "pp_data.csv", rows)
 
 
 def _chunk_progress(done, total):
     print(f"  chunk {done}/{total}", file=sys.stderr)
 
 
-def _simulate_type1(plan: SimulationPlan, workers: int, out: Path, completed, points):
+def _simulate_type1(plan: SimulationPlan, workers: int, out: Path):
     """Acceptance table at the null; always run whole."""
     table = type1_study(plan, workers=workers, progress=_chunk_progress)
     _write_type1_outputs(out, table)
     return table.curve.points, list(range(len(plan.grid)))
 
 
-def _simulate_power(plan: SimulationPlan, workers: int, out: Path, completed, points):
+def _resume(plan: SimulationPlan, out: Path):
+    """Grid indices a saved run of this power plan completed, and their points."""
+    manifest_path, curve_path = out / "manifest.json", out / "curve.csv"
+    if not (manifest_path.exists() and curve_path.exists()):
+        return [], []
+    try:
+        saved = json.loads(manifest_path.read_text())
+        if saved.get("plan") != plan_to_dict(plan) or saved.get("kind") != "power":
+            return [], []
+        completed = list(saved.get("completed", []))
+        done_values = {plan.grid[gi] for gi in completed}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
+        raise ValidationError(f"cannot resume from {manifest_path}: "
+                              f"{type(err).__name__}: {err}") from None
+    points = [p for p in read_curve_csv(curve_path) if p.grid_value in done_values]
+    if completed:
+        print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
+    return completed, points
+
+
+def _simulate_power(plan: SimulationPlan, workers: int, out: Path):
     """Rejection curve, saved after every grid point so a rerun resumes."""
-    completed, points = list(completed), list(points)
+    completed, points = _resume(plan, out)
     for gi in range(len(plan.grid)):
         if gi in completed:
             continue
@@ -259,44 +276,30 @@ def _simulate_power(plan: SimulationPlan, workers: int, out: Path, completed, po
     return points, completed
 
 
-# plan kind -> runner(plan, workers, out, completed grid indices, their points)
-_PLAN_KINDS = {"type1": _simulate_type1, "power": _simulate_power}
+# plan kind -> (its check, its runner(plan, workers, out) -> (curve points, completed grid indices))
+_PLAN_KINDS = {"type1": (check_type1_plan, _simulate_type1),
+               "power": (check_power_plan, _simulate_power)}
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.out)
     try:
         kind, plan, factor = parse_plan(Path(args.plan))
         workers = args.workers if args.workers is not None else default_workers()
+        if args.scale == "paper":
+            plan = replace(plan, replicates=plan.replicates * factor)
+        out.mkdir(parents=True, exist_ok=True)
+        _, runner = _PLAN_KINDS[kind]
+        points, completed = runner(plan, workers, out)
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.scale == "paper":
-        plan = replace(plan, replicates=plan.replicates * factor)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    curve_path = out / "curve.csv"
-
-    completed = []
-    prior_points = []
-    if manifest_path.exists() and curve_path.exists():
-        saved = json.loads(manifest_path.read_text())
-        if saved.get("plan") == plan_to_dict(plan) and saved.get("kind") == kind:
-            completed = list(saved.get("completed", []))
-            done_values = {plan.grid[gi] for gi in completed}
-            prior_points = [p for p in read_curve_csv(curve_path)
-                            if p.grid_value in done_values]
-            if completed:
-                print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
-
-    try:
-        points, completed = _PLAN_KINDS[kind](plan, workers, out, completed, prior_points)
     except McjointError as err:
         print(f"mcjoint: simulation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
-    write_curve_csv(points, curve_path)
-    write_manifest(manifest_path, plan, completed, kind)
-    print(f"wrote {curve_path}")
+    write_curve_csv(points, out / "curve.csv")
+    write_manifest(out / "manifest.json", plan, completed, kind)
+    print(f"wrote {out / 'curve.csv'}")
     return EXIT_OK
 
 
@@ -309,7 +312,11 @@ def cmd_fit_power(args) -> int:
     if not path.exists():
         print(f"mcjoint: curve file not found: {path}", file=sys.stderr)
         return EXIT_USAGE
-    points = read_curve_csv(path)
+    try:
+        points = read_curve_csv(path)
+    except ValidationError as err:
+        print(f"mcjoint: {err}", file=sys.stderr)
+        return EXIT_USAGE
     groups = {}
     for p in points:
         if p.kind in ("ci_total", "je") and np.isfinite(p.rate):
@@ -328,33 +335,24 @@ def cmd_fit_power(args) -> int:
         pts.sort(key=lambda p: p.grid_value)
         grid = np.array([p.grid_value for p in pts])
         rate = np.array([p.rate for p in pts])
-        note = ""
         try:
             fitp = fit_rejection_curve(grid, rate)
             level = invert_for_power(fitp, target_rejection=args.target, side=args.side)
             t1_est, t1_lo, t1_hi = type1_at_null(fitp, null_value=args.null_value)
             row = [method, kind, cov, repr(alpha),
                    repr(level.lci), repr(level.estimate), repr(level.uci),
-                   repr(t1_lo), repr(t1_est), repr(t1_hi), note]
+                   repr(t1_lo), repr(t1_est), repr(t1_hi), ""]
         except McjointError as err:
             row = [method, kind, cov, repr(alpha)] + [""] * 6 + [str(err)]
         rows.append(row)
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    _atomic_write(out / "power_table.csv", buf.getvalue())
+    _write_csv(out / "power_table.csv", rows)
     print(f"wrote {out / 'power_table.csv'}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "fit-power":
-        return cmd_fit_power(args)
-    return EXIT_USAGE
+    return args.run(args)
 
 
 if __name__ == "__main__":

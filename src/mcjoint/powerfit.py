@@ -28,6 +28,8 @@ from .errors import ConvergenceError, NoSolutionError, ValidationError
 MIN_POINTS = 8
 _MAX_ITER = 200        # Gauss-Newton steps of the curve fit
 _BAND_LEVEL = 0.95     # confidence level of the pointwise band
+_BISECT_TOL = 1e-10    # bracket width that ends a bisection
+_BRACKET_SPAN = 64.0   # widest bracket searched, in fitted scales from the peak
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def pointwise_band(p: SubbotinParams, x) -> Tuple[np.ndarray, np.ndarray]:
     return f - half, f + half
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _bisect(fn, lo: float, hi: float) -> float:
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
@@ -231,7 +233,7 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
         return hi
     if flo * fhi > 0:
         raise NoSolutionError("no sign change in bracket")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0:
@@ -243,10 +245,10 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bracket(fn, mu: float, scale: float, side: str, max_span: float = 64.0):
+def _bracket(fn, mu: float, scale: float, side: str):
     sgn = 1.0 if side == "above" else -1.0
     span = scale
-    while span <= max_span * scale:
+    while span <= _BRACKET_SPAN * scale:
         edge = mu + sgn * span
         if fn(edge) < 0:
             lo, hi = (mu, edge) if side == "above" else (edge, mu)

@@ -22,6 +22,7 @@ MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
 REDRAW_FRACTION = 0.2
 _NORMAL = NormalDist()
+_INNER_MAX_REFITS = 20  # refits per replicate of the inner delete-d jackknife
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,13 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
     )
 
 
-def _delete_d_groups(n: int, max_refits: int = 20):
+def _delete_d_groups(n: int):
     """Contiguous index groups for the inner delete-d jackknife.
 
-    Group count is capped so each replicate costs at most ``max_refits``
+    Group count is capped so each replicate costs at most ``_INNER_MAX_REFITS``
     refits; the remainder spills into slightly larger groups.
     """
-    g = min(max_refits, n)
+    g = min(_INNER_MAX_REFITS, n)
     d, r = divmod(n, g)
     groups, start = [], 0
     for i in range(g):

@@ -38,6 +38,7 @@ _MCD_KEEP = 10         # lowest-determinant starts iterated to a fixed point
 _MCD_INITIAL_STEPS = 2  # concentration steps every start takes
 _MCD_MAX_STEPS = 60    # cap on the concentration steps of the kept starts
 _MCD_BLOCK = 8         # rows searched at once; bounds the (rows x starts, B) temporaries
+_MCD_STARTS = 500      # random elemental starts of fast_mcd
 _S_MCD_STARTS = 120    # random elemental starts of the MCD the S-estimators start from
 _S_MAX_ITER = 200      # S fixed-point iterations before giving up
 _S_TOL = 1e-10         # relative scale shift that ends the S fixed point
@@ -241,11 +242,6 @@ def _c_step(Z0, Z1, T, S, det, h: int):
                          np.take_along_axis(Z1[:, None, :], support, axis=-1))
 
 
-def _det_floor(S: np.ndarray) -> np.ndarray:
-    half_trace = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
-    return _REL_SINGULAR * half_trace * half_trace
-
-
 def _elemental_starts(B: int, seed: int, n_starts: int):
     """Elemental 3-subsets seeding the search, and the generator that drew them.
 
@@ -296,7 +292,7 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
     # grow singular elemental subsets until their covariance is invertible;
     # each row draws from the generator as it stood after the starts
     grown = -1
-    for r, j in zip(*np.nonzero(det <= _det_floor(S))):
+    for r, j in zip(*np.nonzero(_is_singular(S))):
         if exact[r]:
             continue
         if r != grown:
@@ -308,7 +304,7 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
                 continue
             members.append(extra)
             Ti, Si, di = _subset_stats(Z0[r, members][None], Z1[r, members][None])
-            if di[0] > _det_floor(Si)[0]:
+            if not _is_singular(Si[0]):
                 T[r, j], S[r, j], det[r, j] = Ti[0], Si[0], di[0]
                 break
             if len(members) >= h:
@@ -320,7 +316,7 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
     T, S, det = T[rows], S[rows], det[rows]
     for _ in range(_MCD_INITIAL_STEPS):
         T, S, det = _c_step(Z0[rows], Z1[rows], T, S, det, h)
-        keep = ~finish_exact(rows, det <= _det_floor(S), T, S)
+        keep = ~finish_exact(rows, _is_singular(S), T, S)
         rows, T, S, det = rows[keep], T[keep], S[keep], det[keep]
 
     order = np.argsort(det, axis=1, kind="stable")[:, :_MCD_KEEP]
@@ -334,7 +330,7 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
             break
         T2, S2, det2 = _c_step(Z0[rows[run]], Z1[rows[run]], T[run], S[run], det[run], h)
         act = active[run]
-        done = finish_exact(rows[run], act & (det2 <= _det_floor(S2)), T2, S2)
+        done = finish_exact(rows[run], act & _is_singular(S2), T2, S2)
         improved = act & (det2 < det[run])
         T[run] = np.where(act[..., None], T2, T[run])
         S[run] = np.where(act[..., None, None], S2, S[run])
@@ -367,19 +363,19 @@ def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRow
     return _finish_mcd(Z0, Z1, T, S, raw_det, exact, h)
 
 
-def fast_mcd(points: np.ndarray, seed: int = 0, n_starts: int = 500) -> CovarianceModel:
+def fast_mcd(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     """Minimum covariance determinant scatter via concentration steps.
 
     The subset size is h = (B + 3) // 2 of the B points, the maximal
     breakdown choice.  Elemental (p+1)-subsets seed the search (all of
-    them when few enough, otherwise ``n_starts`` random ones); each start
+    them when few enough, otherwise ``_MCD_STARTS`` random ones); each start
     takes two concentration steps; the 10 candidates with the smallest
     determinants are iterated to a fixed point (at most 60 steps).  An
     exactly collinear best subset is reported as a singular model, never
     inverted.  This is the one-row case of ``mcd_rows``.
     """
     Z = _points(points)
-    r = mcd_rows(Z[None, :, 0], Z[None, :, 1], seed, n_starts)
+    r = mcd_rows(Z[None, :, 0], Z[None, :, 1], seed, _MCD_STARTS)
     return CovarianceModel(r.center[0], r.scatter[0], "MCD", h=r.h, correction=float(r.correction[0]),
                            singular=bool(r.singular[0]), raw_det=float(r.raw_det[0]))
 
@@ -634,7 +630,7 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
             sw, T_new, C = _weighted_moments(Za0, Za1, w)
             status[(status == 0) & ((sw <= 0) | ((w > 0).sum(axis=1) < 3))] = _REJECTED
             detC = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] ** 2
-            status[(status == 0) & ((detC <= 0) | _is_singular(C))] = _COLLAPSED
+            status[(status == 0) & _is_singular(C)] = _COLLAPSED
             ok = status == 0
             shift = np.abs(s_new - s[rows]) / s_new if it else np.full(len(rows), np.inf)
             code[rows] = status

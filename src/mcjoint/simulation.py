@@ -18,7 +18,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,13 +38,15 @@ CI_VERDICTS = {
     "ci_total": lambda e: not (e["int_ok"] and e["slope_ok"]),
 }
 
+_NULL_LINE = {"slope": 1.0, "intercept": 0.0}  # the null line; a plan's grid varies one of them
+
 
 @dataclass(frozen=True)
 class SimulationPlan:
     """One Monte Carlo campaign over a single varied parameter."""
 
     generator: GeneratorSpec
-    methods: Tuple[str, ...]
+    methods: Tuple[str, ...] = ("dem",)
     cov_methods: Tuple[str, ...] = ("mcd",)
     grid_param: str = "slope"
     grid: Tuple[float, ...] = (1.0,)
@@ -60,13 +62,15 @@ class SimulationPlan:
         object.__setattr__(self, "cov_methods", tuple(self.cov_methods))
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "je_alphas", tuple(self.je_alphas))
+        if not self.methods:
+            raise ValidationError("methods must not be empty")
         if self.replicates < 50:
             raise ValidationError("need at least 50 replicates per grid point")
         if self.B < MIN_REPLICATES:
             raise ValidationError(f"B must be >= {MIN_REPLICATES}, got {self.B}")
         if not self.je_alphas or not all(0.0 < a < 1.0 for a in (self.ci_alpha, *self.je_alphas)):
             raise ValidationError("ci_alpha and the je_alphas (at least one) must be in (0, 1)")
-        if self.grid_param not in ("slope", "intercept"):
+        if self.grid_param not in _NULL_LINE:
             raise ValidationError("grid_param must be 'slope' or 'intercept'")
         if not self.grid:
             raise ValidationError("grid must not be empty")
@@ -185,11 +189,10 @@ class RejectionCurve:
     points: List[CurvePoint]
     atom_fraction: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
 
-    def series(self, method: str, kind: str, cov: str = "", alpha: Optional[float] = None):
+    def series(self, method: str, kind: str, cov: str, alpha: float):
         """(grid, rate, se) arrays for one verdict family."""
         sel = [p for p in self.points
-               if p.method == method and p.kind == kind and p.cov == cov
-               and (alpha is None or p.alpha == alpha)]
+               if p.method == method and p.kind == kind and p.cov == cov and p.alpha == alpha]
         sel.sort(key=lambda p: p.grid_value)
         return (np.array([p.grid_value for p in sel]),
                 np.array([p.rate for p in sel]),
@@ -243,6 +246,9 @@ def aggregate_curve(plan: SimulationPlan, records: Dict[int, List[Dict]]) -> Rej
 # studies
 # ---------------------------------------------------------------------------
 
+_PP_NOMINAL = np.linspace(0.002, 0.2, 100)  # nominal alphas of the P-P curve
+
+
 @dataclass
 class Type1Table:
     """Acceptance ratios under the null, in the layout of the type-I table."""
@@ -251,25 +257,35 @@ class Type1Table:
     curve: RejectionCurve
     je_pvalues: Dict[Tuple[str, str], np.ndarray]
 
-    def acceptance(self, method: str, kind: str, cov: str = "", alpha: Optional[float] = None) -> float:
+    def acceptance(self, method: str, kind: str, cov: str, alpha: float) -> float:
         _, rate, _ = self.curve.series(method, kind, cov, alpha)
         return float(1.0 - rate[0])
 
-    def pp_curve(self, method: str, cov: str, nominal: Optional[np.ndarray] = None):
+    def pp_curve(self, method: str, cov: str):
         """Empirical rejection of the joint test vs nominal alpha."""
         p = self.je_pvalues[(method, cov)]
-        if nominal is None:
-            nominal = np.linspace(0.002, 0.2, 100)
-        emp = np.array([(p <= a).mean() for a in nominal])
-        return nominal, emp
+        return _PP_NOMINAL, np.array([(p <= a).mean() for a in _PP_NOMINAL])
+
+
+def check_type1_plan(plan: SimulationPlan) -> None:
+    """A type-I plan draws its data at the null: slope 1, intercept 0."""
+    if any(getattr(plan.generator, name) != null for name, null in _NULL_LINE.items()):
+        raise ValidationError("type-I study requires slope=1 and intercept=0")
+
+
+def check_power_plan(plan: SimulationPlan) -> None:
+    """A power plan varies one parameter over two or more values; the other sits at null."""
+    for name, null in _NULL_LINE.items():
+        if name != plan.grid_param and getattr(plan.generator, name) != null:
+            raise ValidationError(f"power study varies {plan.grid_param}; {name} must be {null}")
+    if len(plan.grid) < 2:
+        raise ValidationError("power study needs at least 2 grid values")
 
 
 def type1_study(plan: SimulationPlan, workers: Optional[int] = None, progress=None) -> Type1Table:
     """Null-hypothesis calibration: one grid point at the true null."""
-    if plan.generator.slope != 1.0 or plan.generator.intercept != 0.0:
-        raise ValidationError("type-I study requires slope=1 and intercept=0")
-    null_value = 1.0 if plan.grid_param == "slope" else 0.0
-    plan = replace(plan, grid=(null_value,))
+    check_type1_plan(plan)
+    plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
     records = run_plan(plan, workers=workers, progress=progress)
     curve = aggregate_curve(plan, records)
     pvals: Dict[Tuple[str, str], np.ndarray] = {}
@@ -283,12 +299,7 @@ def type1_study(plan: SimulationPlan, workers: Optional[int] = None, progress=No
 
 def power_study(plan: SimulationPlan, workers: Optional[int] = None, progress=None) -> RejectionCurve:
     """Rejection-rate curve over the grid; the other parameter sits at null."""
-    other = "intercept" if plan.grid_param == "slope" else "slope"
-    null_other = 0.0 if other == "intercept" else 1.0
-    if getattr(plan.generator, other) != null_other:
-        raise ValidationError(f"power study varies {plan.grid_param}; {other} must be {null_other}")
-    if len(plan.grid) < 2:
-        raise ValidationError("power study needs a real grid")
+    check_power_plan(plan)
     records = run_plan(plan, workers=workers, progress=progress)
     return aggregate_curve(plan, records)
 
@@ -296,10 +307,6 @@ def power_study(plan: SimulationPlan, workers: Optional[int] = None, progress=No
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
-
-CSV_HEADER = ["method", "kind", "cov", "alpha", "grid_value", "rate", "se",
-              "n_used", "failures", "replicates"]
-
 
 def _atomic_write(path: Path, text: str):
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
@@ -313,57 +320,51 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+# curve.csv columns: CurvePoint's fields, each with the type its annotation names
+_CURVE_COLUMNS = [(f.name, {"str": str, "int": int, "float": float}[f.type])
+                  for f in fields(CurvePoint)]
+
+
 def curve_rows(points: Iterable[CurvePoint]) -> List[List]:
+    """curve.csv rows in (grid value, method, kind, cov, alpha) order; floats as repr."""
     rows = []
     for p in sorted(points, key=lambda p: (p.grid_value, p.method, p.kind, p.cov, p.alpha)):
-        rows.append([p.method, p.kind, p.cov, repr(p.alpha), repr(p.grid_value),
-                     repr(p.rate), repr(p.se), p.n_used, p.failures, p.replicates])
+        rows.append([repr(float(getattr(p, name))) if conv is float else getattr(p, name)
+                     for name, conv in _CURVE_COLUMNS])
     return rows
 
 
 def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(CSV_HEADER)
+    w.writerow([name for name, _ in _CURVE_COLUMNS])
     w.writerows(curve_rows(points))
     _atomic_write(Path(path), buf.getvalue())
 
 
 def read_curve_csv(path) -> List[CurvePoint]:
-    points = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(CurvePoint(
-                method=row["method"], kind=row["kind"], cov=row["cov"],
-                alpha=float(row["alpha"]), grid_value=float(row["grid_value"]),
-                rate=float(row["rate"]), se=float(row["se"]),
-                n_used=int(row["n_used"]), failures=int(row["failures"]),
-                replicates=int(row["replicates"]),
-            ))
-    return points
+    """The points of a curve.csv; a file that does not parse raises ValidationError."""
+    try:
+        with Path(path).open(newline="") as fh:
+            return [CurvePoint(**{name: conv(row[name]) for name, conv in _CURVE_COLUMNS})
+                    for row in csv.DictReader(fh)]
+    except (OSError, ValueError, LookupError, TypeError, csv.Error) as err:
+        raise ValidationError(f"unreadable curve file {path}: {type(err).__name__}: {err}") from None
+
+
+# fields no plan file sets: the per-replicate generator seed and the Deming config
+_NOT_SAVED = ("seed", "cfg")
 
 
 def plan_to_dict(plan: SimulationPlan) -> Dict:
-    gen = plan.generator
-    return {
-        "generator": {
-            "xmin": gen.xmin, "xmax": gen.xmax, "n": gen.n,
-            "slope": gen.slope, "intercept": gen.intercept,
-            "sigmax": gen.sigmax, "sigmay": gen.sigmay,
-            "error_model": gen.error_model,
-            "precision_x": gen.precision_x, "precision_y": gen.precision_y,
-            "detmin": gen.detmin,
-        },
-        "methods": list(plan.methods),
-        "cov_methods": list(plan.cov_methods),
-        "grid_param": plan.grid_param,
-        "grid": list(plan.grid),
-        "replicates": plan.replicates,
-        "B": plan.B,
-        "ci_alpha": plan.ci_alpha,
-        "je_alphas": list(plan.je_alphas),
-        "master_seed": plan.master_seed,
-    }
+    """The plan's fields as JSON values, tuples as lists, in field order."""
+    def plain(value):
+        if is_dataclass(value):
+            return {f.name: plain(getattr(value, f.name))
+                    for f in fields(value) if f.name not in _NOT_SAVED}
+        return list(value) if isinstance(value, tuple) else value
+
+    return plain(plan)
 
 
 def write_manifest(path, plan: SimulationPlan, completed: List[int], kind: str) -> None:

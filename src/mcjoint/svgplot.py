@@ -36,8 +36,6 @@ class PlotPayload:
     intervals: IntervalPair
     h0: Tuple[float, float]
     center: Tuple[float, float]
-    xlabel: str = "Intercept"
-    ylabel: str = "Slope"
     title: str = ""
 
 
@@ -129,11 +127,11 @@ def render_box_ellipse(p: PlotPayload) -> str:
         )
     out.append(
         f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{p.xlabel}</text>'
+        'font-family="sans-serif" font-size="12">Intercept</text>'
     )
     out.append(
         f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {_MT + ph / 2:.1f})">{p.ylabel}</text>'
+        f'font-size="12" transform="rotate(-90 16 {_MT + ph / 2:.1f})">Slope</text>'
     )
 
     marks = " ".join(

@@ -22,12 +22,14 @@ def write_sample(path, spec=CONTINUOUS, header="reference,test"):
     return path
 
 
-def write_plan(path, **run):
+def write_plan(path, generator=(), **run):
+    gen = dict(xmin=3.0, xmax=8.0, n=25)
+    gen.update(generator)
     keys = dict(kind="power", methods="dem", cov_methods="classic", grid="0.98, 1.02",
                 replicates=50, b=199, master_seed=7)
     keys.update(run)
-    path.write_text("[generator]\nxmin = 3.0\nxmax = 8.0\nn = 25\n\n[run]\n"
-                    + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    path.write_text("[generator]\n" + "".join(f"{k} = {v}\n" for k, v in gen.items())
+                    + "\n[run]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
     return path
 
 
@@ -133,6 +135,7 @@ def test_simulate_malformed_plan_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("b", 100), ("ci_alpha", 0), ("je_alphas", "0.05, 1.5"), ("je_alphas", ","),
+    ("methods", ","), ("paper_factor", 0), ("je_alphas", "0.05, abc"),
 ])
 def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", **{key: value})
@@ -140,6 +143,20 @@ def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     assert rc == 2
     assert_one_line_error(err)
     assert "malformed plan" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("generator, run, reason", [
+    ({}, {"grid": "1.0"}, "at least 2 grid values"),
+    ({"intercept": 0.5}, {}, "intercept must be 0.0"),
+    ({"slope": 1.1}, {"kind": "type1", "grid": "1.0"}, "slope=1 and intercept=0"),
+], ids=["power-one-grid-value", "power-intercept-off-null", "type1-slope-off-null"])
+def test_simulate_plan_failing_its_kind_check_exits_2(tmp_path, capsys, generator, run, reason):
+    plan = write_plan(tmp_path / "plan.cfg", generator, **run)
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "malformed plan" in err and reason in err
     assert not (tmp_path / "out").exists()
 
 
@@ -181,7 +198,7 @@ def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("MCJOINT_THREADS", "64")
-    plan = write_plan(tmp_path / "plan.cfg", grid="1.0")
+    plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0")
     rc, _, _ = simulate(capsys, plan, tmp_path / "out")
     assert rc == 0
     # 64 workers get one-replicate chunks, so 50 replicates make 50 tasks
@@ -222,6 +239,44 @@ def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):
     assert simulate(capsys, plan, full, "--workers", 1)[0] == 0
     assert evaluated == []
     assert {name: (full / name).read_bytes() for name in want} == want
+
+
+@pytest.mark.parametrize("corrupt", ["manifest", "curve"])
+def test_simulate_unreadable_resume_files_exit_2_and_stay(tmp_path, capsys, corrupt):
+    plan = write_plan(tmp_path / "plan.cfg")
+    out = tmp_path / "out"
+    out.mkdir()
+    _, parsed, _ = cli.parse_plan(plan)
+    simulation.write_manifest(out / "manifest.json", parsed, [0], "power")
+    (out / "curve.csv").write_text("method,kind\ndem,je\n")
+    if corrupt == "manifest":
+        (out / "manifest.json").write_text('{"kind": "power", "plan":')
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    rc, _, err = simulate(capsys, plan, out, "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_simulate_reruns_a_finished_type1_plan_whole(tmp_path, capsys):
+    plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0")
+    out = tmp_path / "out"
+    names = ("curve.csv", "manifest.json", "type1_table.csv", "pp_data.csv")
+    assert simulate(capsys, plan, out, "--workers", 1)[0] == 0
+    first = {name: (out / name).read_bytes() for name in names}
+    rc, _, err = simulate(capsys, plan, out, "--workers", 1)
+    assert rc == 0
+    assert "resuming" not in err
+    assert {name: (out / name).read_bytes() for name in names} == first
+
+
+def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):
+    curves = tmp_path / "curve.csv"
+    curves.write_text("method,kind,cov,alpha,grid_value,rate\ndem,je,classic,0.05,1.0,abc\n")
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_paper_scale_multiplies_replicates(tmp_path, capsys):

@@ -41,6 +41,8 @@ def test_plan_validation():
     with pytest.raises(mj.ValidationError):
         small_plan(methods=("nope",))
     with pytest.raises(mj.ValidationError):
+        small_plan(methods=())
+    with pytest.raises(mj.ValidationError):
         small_plan(cov_methods=("nope",))
     with pytest.raises(mj.ValidationError):
         small_plan(grid_param="sigma")
@@ -132,7 +134,7 @@ def test_curve_csv_roundtrip(tmp_path):
     orig = {(p.method, p.kind, p.cov, p.alpha, p.grid_value): p for p in curve.points}
     for p in points:
         q = orig[(p.method, p.kind, p.cov, p.alpha, p.grid_value)]
-        assert p.rate == q.rate and p.se == q.se and p.failures == q.failures
+        assert p == q
 
 
 def test_atom_fraction_diagnostic_tracks_precision():
