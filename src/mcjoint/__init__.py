@@ -4,7 +4,20 @@ Five Deming-family/Passing-Bablok regressions, pairs bootstrap with
 percentile/BCa/studentized intervals, robust covariance of the bootstrap
 coefficient cloud, the chi-square(2) joint test of (intercept, slope) =
 (0, 1), and the Monte Carlo machinery to study calibration and power.
+
+Importing the package pins BLAS to one thread: OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1.  Every matrix here is two
+columns wide, so BLAS threads only compete with the simulation's worker
+processes; results are the same bits either way.  To override, set a
+variable before the import (e.g. OPENBLAS_NUM_THREADS=2).  The pin acts
+only if numpy is first imported after it.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

@@ -6,6 +6,9 @@ input error, 1 runtime failure.  All commands honor --seed and read no
 entropy from the clock or the environment.  Without --workers, simulate
 runs MCJOINT_THREADS worker processes (an integer; anything else is a
 usage error), or one per CPU; the pool never exceeds the number of tasks.
+Each process runs BLAS on one thread: OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS default to 1, and a value set in the
+environment is kept.
 
 simulate exits 2, before it creates --out, when the plan file is missing,
 malformed or out of range, or fails its kind's check.  Only power plans
@@ -235,10 +238,10 @@ def _chunk_progress(done, total):
 
 
 def _simulate_type1(plan: SimulationPlan, workers: int, out: Path):
-    """Acceptance table at the null; always run whole."""
+    """Acceptance table at the null; always run whole, on the null grid point alone."""
     table = type1_study(plan, workers=workers, progress=_chunk_progress)
     _write_type1_outputs(out, table)
-    return table.curve.points, list(range(len(plan.grid)))
+    return table.plan, table.curve.points, [0]
 
 
 def _resume(plan: SimulationPlan, out: Path):
@@ -273,10 +276,11 @@ def _simulate_power(plan: SimulationPlan, workers: int, out: Path):
         write_curve_csv(points, out / "curve.csv")
         write_manifest(out / "manifest.json", plan, completed, "power")
         print(f"grid point {len(completed)}/{len(plan.grid)} done", file=sys.stderr)
-    return points, completed
+    return plan, points, completed
 
 
-# plan kind -> (its check, its runner(plan, workers, out) -> (curve points, completed grid indices))
+# plan kind -> (its check, its runner); runner(plan, workers, out) returns the plan
+# it ran, the curve points and the grid indices completed
 _PLAN_KINDS = {"type1": (check_type1_plan, _simulate_type1),
                "power": (check_power_plan, _simulate_power)}
 
@@ -290,7 +294,7 @@ def cmd_simulate(args) -> int:
             plan = replace(plan, replicates=plan.replicates * factor)
         out.mkdir(parents=True, exist_ok=True)
         _, runner = _PLAN_KINDS[kind]
-        points, completed = runner(plan, workers, out)
+        plan, points, completed = runner(plan, workers, out)
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataset import PairedSample
 from .errors import DegenerateDataError, InsufficientDataError, StartFailureError, ValidationError
+from .robustcov import median_rows
 
 
 TOL = 1e-10            # IRWLS stops once the slope moves less than this
@@ -149,7 +150,7 @@ def _robust_scale(R):
     caller treats that as a perfect fit (weight one), so zeros map to inf
     to make r/scale collapse to 0.
     """
-    s = 1.4826 * np.median(np.abs(R), axis=1)
+    s = 1.4826 * median_rows(np.abs(R))
     zero = s == 0.0
     if zero.any():
         s = np.where(zero, np.abs(R).mean(axis=1), s)
@@ -378,7 +379,7 @@ def batch_paba(X, Y) -> BatchFit:
     ok &= np.isfinite(b1) & (b1 != 0.0)
     b1 = np.where(ok, b1, np.nan)
     with np.errstate(invalid="ignore"):
-        b0 = np.median(Y - b1[:, None] * X, axis=1)
+        b0 = median_rows(Y - b1[:, None] * X)
     m = X.shape[0]
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), None, ~ok)
 
@@ -497,8 +498,8 @@ def paba_analytic_ci(s: PairedSample, alpha: float = 0.05):
         )
     b_lo = float(S[M1 + K - 1])
     b_hi = float(S[M2 + K - 1])
-    a_at_hi = float(np.median(s.y - b_hi * s.x))
-    a_at_lo = float(np.median(s.y - b_lo * s.x))
+    a_at_hi = float(median_rows(s.y - b_hi * s.x))
+    a_at_lo = float(median_rows(s.y - b_lo * s.x))
     return IntervalPair(
         slope_lo=b_lo,
         slope_hi=b_hi,

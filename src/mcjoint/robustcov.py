@@ -89,6 +89,23 @@ def _chi2_4_cdf(x: float) -> float:
     return 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 
+def median_rows(A: np.ndarray) -> np.ndarray:
+    """Median along the last axis: ``np.median(A, axis=-1)``, bit for bit.
+
+    ``np.median`` partitions at the middle and at the end (to catch NaNs),
+    which takes numpy's slow multi-kth path; one partition point takes its
+    vectorised selection.  Only the sign of a zero median may differ.
+    """
+    A = np.asarray(A, dtype=float)
+    h = A.shape[-1] // 2
+    part = np.partition(A, h, axis=-1)
+    med = part[..., h]
+    if A.shape[-1] % 2 == 0:
+        med = (part[..., :h].max(axis=-1) + med) / 2
+    # NaNs sort after every number, so any NaN lies at or beyond the partition point
+    return np.where(np.isnan(part[..., h:]).any(axis=-1), np.nan, med)
+
+
 def _is_singular(scatter: np.ndarray):
     """Whether a 2x2 scatter, or each of a stack of them, is (nearly) singular."""
     det = scatter[..., 0, 0] * scatter[..., 1, 1] - scatter[..., 0, 1] ** 2
@@ -412,7 +429,7 @@ def _finish_mcd(Z0, Z1, T, S, raw_det, exact, h: int) -> McdRows:
     q = _chi2_2_ppf(0.975)
     with np.errstate(divide="ignore", invalid="ignore"):
         d2 = _mahalanobis_rows(Z0, Z1, T, V)
-        c2 = np.median(d2, axis=1) / _chi2_2_ppf(0.5)
+        c2 = median_rows(d2) / _chi2_2_ppf(0.5)
         c2 = np.where((c2 > 0) & np.isfinite(c2), c2, 1.0)
         k, T_rw, S_rw = _weighted_moments(Z0, Z1, (d2 / c2[:, None] <= q).astype(float))
         S_rw /= (k - 1)[:, None, None]
@@ -454,13 +471,21 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
         dirs.append(diff[keep] / norms[keep, None])
     D = np.vstack(dirs)
 
-    proj = Z @ D.T  # (B, ndir)
-    med = np.median(proj, axis=0)
-    mad = 1.4826 * np.median(np.abs(proj - med), axis=0)
+    # one direction per row, so every median runs along contiguous memory;
+    # the deviations are formed in place, and the MAD is taken from them.
+    # The projections stay one GEMM: elementwise products round otherwise,
+    # and on tied clouds the weights follow the projections' last bits.
+    dev = np.ascontiguousarray((Z @ D.T).T)  # (ndir, B)
+    dev -= median_rows(dev)[:, None]
+    np.abs(dev, out=dev)
+    mad = 1.4826 * median_rows(dev)
     usable = mad > 0
     if not usable.any():
         raise SingularCovarianceError("all projection directions are degenerate")
-    out = np.max(np.abs(proj[:, usable] - med[usable]) / mad[usable], axis=1)
+    if not usable.all():
+        dev, mad = dev[usable], mad[usable]
+    dev /= mad[:, None]
+    out = dev.max(axis=0)
 
     cutoff = math.sqrt(_chi2_2_ppf(0.95))
     reject = math.sqrt(_chi2_2_ppf(0.999))
@@ -476,7 +501,7 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     # calibrate on the retained points only; rejected ones would drag the
     # median factor up under heavy contamination
     d2 = mahalanobis_sq(model, Z[w > 0.0])
-    c2 = float(np.median(d2) / _chi2_2_ppf(0.5))
+    c2 = float(median_rows(d2) / _chi2_2_ppf(0.5))
     return CovarianceModel(center, scatter * c2, "SDe", correction=c2)
 
 
@@ -620,7 +645,7 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
                 break
             Za0, Za1 = Z0[rows], Z1[rows]
             d = np.sqrt(_mahalanobis_rows(Za0, Za1, T[rows], G[rows]))
-            med = np.median(d, axis=1)
+            med = median_rows(d)
             med = np.where(med > 0, med, d.mean(axis=1))
             status = np.where(med > 0, 0, _COINCIDENT)
             s_init = med / math.sqrt(_chi2_2_ppf(0.5)) if it == 0 else s[rows]

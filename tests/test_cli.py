@@ -270,6 +270,16 @@ def test_simulate_reruns_a_finished_type1_plan_whole(tmp_path, capsys):
     assert {name: (out / name).read_bytes() for name in names} == first
 
 
+def test_simulate_type1_manifest_records_the_grid_that_ran(tmp_path, capsys):
+    # a type-I plan runs only the null grid point, whatever grid the file gives
+    plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="0.9, 1.1")
+    out = tmp_path / "out"
+    assert simulate(capsys, plan, out, "--workers", 1)[0] == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["plan"]["grid"], manifest["completed"]) == ([1.0], [0])
+    assert {p.grid_value for p in read_curve_csv(out / "curve.csv")} == {1.0}
+
+
 def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):
     curves = tmp_path / "curve.csv"
     curves.write_text("method,kind,cov,alpha,grid_value,rate\ndem,je,classic,0.05,1.0,abc\n")

@@ -1,0 +1,189 @@
+"""``robustcov.median_rows`` against ``np.median``, and Stahel-Donoho against
+the code it replaced.
+
+``stahel_donoho`` below is the shipped estimator as it stood before its
+medians went through ``median_rows`` and its projections were laid out one
+direction per row, frozen as the reference.  The arithmetic is unchanged,
+so centers, scatters and calibration factors must be exactly equal, and
+the failures must be the same.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import mcjoint as mj
+from mcjoint import robustcov as rc
+from mcjoint.errors import SingularCovarianceError, ValidationError
+from mcjoint.rng import task_rng
+from mcjoint.robustcov import CovarianceModel, _chi2_2_ppf, _is_singular, mahalanobis_sq, median_rows
+
+
+# ---------------------------------------------------------------------------
+# median_rows
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+@pytest.mark.parametrize("width", [999, 998, 41, 40])
+def test_median_rows_equals_np_median(width):
+    rng = np.random.default_rng(width)
+    A = rng.normal(size=(50, width))
+    assert_same_bits(median_rows(A), np.median(A, axis=-1))
+    tied = np.round(np.abs(A), 1)  # few distinct values, many ties
+    assert_same_bits(median_rows(tied), np.median(tied, axis=-1))
+    huge = rng.uniform(0.9, 1.0, size=(50, width)) * 1.7e308  # the middle pair's sum overflows
+    with np.errstate(over="ignore"):
+        assert_same_bits(median_rows(huge), np.median(huge, axis=-1))
+
+
+@pytest.mark.parametrize("width", [999, 998, 41, 40, 2, 1])
+def test_median_rows_1d(width):
+    a = np.random.default_rng(width).normal(size=width)
+    got = median_rows(a)
+    assert got.shape == ()
+    assert_same_bits(got, np.median(a))
+
+
+@pytest.mark.parametrize("width", [999, 998, 41, 40])
+def test_median_rows_nan_and_inf(width):
+    rng = np.random.default_rng(width + 1)
+    A = rng.normal(size=(12, width))
+    A[0, 3] = np.nan                      # one NaN
+    A[1, :] = np.nan                      # all NaN
+    A[2, : width // 2 + 1] = np.inf       # median at +inf
+    A[3, : width // 2 + 1] = -np.inf      # median at -inf
+    A[4, : width // 2] = -np.inf          # even widths: -inf and a finite value
+    A[4, width // 2:] = np.inf            # or -inf and +inf in the middle pair
+    A[5, ::7] = np.inf
+    A[6, ::5] = -np.inf
+    A[7, 1], A[7, 2] = np.inf, np.nan     # a NaN beside an inf
+    with np.errstate(invalid="ignore"):  # -inf + inf in the middle pair
+        got, want = median_rows(A), np.median(A, axis=-1)
+    assert_same_bits(got, want)
+    assert np.isnan(got[[0, 1, 7]]).all()
+    assert np.isnan(got[4]) == (width % 2 == 0)
+
+
+def test_median_rows_zero_median_may_differ_only_in_sign():
+    # np.median's choice among signed zeros follows its selection's
+    # arrangement; the value is the same
+    A = np.random.default_rng(3).choice([0.0, -0.0, 1.0, -1.0], size=(200, 41))
+    got, want = median_rows(A), np.median(A, axis=-1)
+    assert np.array_equal(got, want)
+    differs = np.signbit(got) != np.signbit(want)
+    assert (want[differs] == 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# frozen Stahel-Donoho reference
+# ---------------------------------------------------------------------------
+
+def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
+    """Projection-outlyingness weighted mean and covariance."""
+    Z = np.asarray(points, float)
+    if Z.ndim != 2 or Z.shape[1] != 2:
+        raise ValidationError("need a (B, 2) array")
+    B = len(Z)
+    if B < 10:
+        raise ValidationError("need at least 10 points")
+    rng = task_rng(seed)
+    theta = rng.uniform(0.0, np.pi, 1000)
+    dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
+    if B <= 200:
+        I, J = np.triu_indices(B, 1)
+        diff = Z[J] - Z[I]
+        norms = np.hypot(diff[:, 0], diff[:, 1])
+        keep = norms > 0
+        dirs.append(diff[keep] / norms[keep, None])
+    D = np.vstack(dirs)
+
+    proj = Z @ D.T  # (B, ndir)
+    med = np.median(proj, axis=0)
+    mad = 1.4826 * np.median(np.abs(proj - med), axis=0)
+    usable = mad > 0
+    if not usable.any():
+        raise SingularCovarianceError("all projection directions are degenerate")
+    out = np.max(np.abs(proj[:, usable] - med[usable]) / mad[usable], axis=1)
+
+    cutoff = math.sqrt(_chi2_2_ppf(0.95))
+    reject = math.sqrt(_chi2_2_ppf(0.999))
+    w = np.minimum(1.0, (cutoff / np.maximum(out, cutoff)) ** 2)
+    w[out > reject] = 0.0
+    sw = w.sum()
+    center = (w[:, None] * Z).sum(axis=0) / sw
+    diff = Z - center
+    scatter = (w[:, None] * diff).T @ diff / sw
+    if _is_singular(scatter):
+        raise SingularCovarianceError("weighted scatter is singular")
+    model = CovarianceModel(center, scatter, "SDe")
+    d2 = mahalanobis_sq(model, Z[w > 0.0])
+    c2 = float(np.median(d2) / _chi2_2_ppf(0.5))
+    return CovarianceModel(center, scatter * c2, "SDe", correction=c2)
+
+
+def _outcome(points, seed, fn):
+    try:
+        return fn(points, seed=seed)
+    except SingularCovarianceError as err:
+        return err
+
+
+def assert_same_sde(points, seed):
+    got, want = _outcome(points, seed, rc.stahel_donoho), _outcome(points, seed, stahel_donoho)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert np.array_equal(got.center, want.center)
+    assert np.array_equal(got.scatter, want.scatter)
+    assert got.correction == want.correction
+
+
+@pytest.mark.parametrize("precision, data_seed", [(None, 7), (None, 8), (2, 7), (2, 8)],
+                         ids=["continuous-7", "continuous-8", "tied-7", "tied-8"])
+@pytest.mark.parametrize("method", ["dem", "paba"])
+def test_sde_matches_reference_on_bootstrap_cloud(method, precision, data_seed):
+    # the covariance of the joint test on B=999 bootstrap clouds of n=40
+    # samples; 2 significant digits give ties and PaBa slope atoms
+    spec = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=precision, precision_y=precision,
+                            seed=data_seed)
+    cloud = mj.bootstrap(mj.generate(spec), method, B=999, seed=5).pairs
+    for seed in (0, 11):
+        assert_same_sde(cloud, seed)
+
+
+def test_sde_matches_reference_on_hemoglobin_cloud():
+    cloud = mj.bootstrap(mj.load_hemoglobin(), "dem", B=2000, seed=0).pairs
+    assert_same_sde(cloud, 0)
+
+
+def test_sde_matches_reference_with_pairwise_directions():
+    # B <= 200 adds every point-to-point direction to the random ones; in
+    # the second cloud 40 of 60 points share x = 0, and the two points at
+    # y = 5 give the direction (1, 0), whose MAD is 0, so only some
+    # directions are usable
+    rng = np.random.default_rng(4)
+    cloud = rng.normal(size=(60, 2)) @ np.array([[1.0, 0.3], [0.0, 0.5]])
+    assert_same_sde(cloud, 2)
+    partial = np.vstack([np.column_stack([np.zeros(40), np.arange(40.0)]),
+                         [(1.0, 5.0), (3.0, 5.0)], rng.normal(size=(18, 2))])
+    assert_same_sde(partial, 2)
+
+
+def test_sde_raises_the_reference_failures():
+    rng = np.random.default_rng(9)
+    coincident = rng.normal(size=(999, 2))
+    coincident[:600] = (1.0, 2.0)  # over half the points at one place: every MAD is 0
+    t = rng.uniform(3.0, 8.0, 999)
+    line = np.column_stack([t, 2.0 * t + 1.0])  # usable directions, collinear weighted scatter
+    for cloud, message in ((coincident, "all projection directions are degenerate"),
+                           (line, "weighted scatter is singular")):
+        with pytest.raises(SingularCovarianceError, match=message):
+            rc.stahel_donoho(cloud)
+        assert_same_sde(cloud, 0)
