@@ -85,6 +85,19 @@ def test_median_rows_zero_median_may_differ_only_in_sign():
 # frozen Stahel-Donoho reference
 # ---------------------------------------------------------------------------
 
+def directions(Z: np.ndarray, seed: int) -> np.ndarray:
+    rng = task_rng(seed)
+    theta = rng.uniform(0.0, np.pi, 1000)
+    dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
+    if len(Z) <= 200:
+        I, J = np.triu_indices(len(Z), 1)
+        diff = Z[J] - Z[I]
+        norms = np.hypot(diff[:, 0], diff[:, 1])
+        keep = norms > 0
+        dirs.append(diff[keep] / norms[keep, None])
+    return np.vstack(dirs)
+
+
 def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     """Projection-outlyingness weighted mean and covariance."""
     Z = np.asarray(points, float)
@@ -93,16 +106,7 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     B = len(Z)
     if B < 10:
         raise ValidationError("need at least 10 points")
-    rng = task_rng(seed)
-    theta = rng.uniform(0.0, np.pi, 1000)
-    dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
-    if B <= 200:
-        I, J = np.triu_indices(B, 1)
-        diff = Z[J] - Z[I]
-        norms = np.hypot(diff[:, 0], diff[:, 1])
-        keep = norms > 0
-        dirs.append(diff[keep] / norms[keep, None])
-    D = np.vstack(dirs)
+    D = directions(Z, seed)
 
     proj = Z @ D.T  # (B, ndir)
     med = np.median(proj, axis=0)
@@ -187,3 +191,40 @@ def test_sde_raises_the_reference_failures():
         with pytest.raises(SingularCovarianceError, match=message):
             rc.stahel_donoho(cloud)
         assert_same_sde(cloud, 0)
+
+
+def block_mads(cloud, seed):
+    """The MAD of every direction, in ``stahel_donoho``'s blocks of directions."""
+    proj = cloud @ directions(cloud, seed).T
+    mad = np.median(np.abs(proj - np.median(proj, axis=0)), axis=0)
+    k = rc._BLOCK_ELEMS // len(cloud)
+    return [mad[lo:lo + k] for lo in range(0, len(mad), k)]
+
+
+def test_sde_matches_reference_when_whole_blocks_are_degenerate():
+    # 101 of 200 points on the line x = 0, and 99 within 1e-3 of it on the
+    # line y = 0.25: every pair of the 99 gives the direction (+-1, 0),
+    # whose MAD is 0, and those pairs come last, so the last blocks of
+    # directions have no usable direction while the first ones do
+    rng = np.random.default_rng(6)
+    y = rng.uniform(-1.0, 1.0, 400)
+    y = y[np.abs(y - 0.25) > 0.2][:101]  # no pair with a line point is near (1, 0)
+    x = rng.uniform(0.1, 1.0, 99) * 1e-3 * rng.choice([-1.0, 1.0], 99)
+    cloud = np.vstack([np.column_stack([np.zeros(101), y]), np.column_stack([x, np.full(99, 0.25)])])
+    blocks = block_mads(cloud, 3)
+    assert (blocks[0] > 0).all() and (blocks[-1] == 0).all()
+    assert sum((b == 0).all() for b in blocks) > 1
+    assert not isinstance(_outcome(cloud, 3, stahel_donoho), Exception)
+    assert_same_sde(cloud, 3)
+
+
+@pytest.mark.parametrize("B", [150, 999])
+def test_sde_matches_reference_with_a_partial_last_block(B):
+    # 1000 random plus 11,175 pairwise directions at B = 150, and 1000
+    # random ones at B = 999: neither count is a multiple of the block
+    rng = np.random.default_rng(B)
+    cloud = rng.normal(size=(B, 2)) @ np.array([[1.0, 0.6], [0.0, 0.4]])
+    cloud[:7] += 8.0  # a few outliers
+    n_dirs = sum(len(b) for b in block_mads(cloud, 1))
+    assert n_dirs % (rc._BLOCK_ELEMS // B) != 0 and n_dirs > rc._BLOCK_ELEMS // B
+    assert_same_sde(cloud, 1)
