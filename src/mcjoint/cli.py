@@ -144,8 +144,8 @@ def cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
-    _write_csv(out / "ensemble.csv", [["intercept", "slope"]]
-               + [[repr(float(b0)), repr(float(b1))] for b0, b1 in ensemble.pairs])
+    # the csv writer writes a float as its repr
+    _write_csv(out / "ensemble.csv", [["intercept", "slope"]] + ensemble.pairs.tolist())
     print(f"{report.verdict_je} (JE p={report.je_pvalue:.4g}, CI verdict {report.verdict_ci})")
     return EXIT_OK if report.verdict_je == VALIDATED else EXIT_REJECTED
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import PairedSample
 from .errors import DegenerateDataError, InsufficientDataError, StartFailureError, ValidationError
-from .robustcov import median_rows
+from .robustcov import _BLOCK_ELEMS, median_rows
 
 
 TOL = 1e-10            # IRWLS stops once the slope moves less than this
@@ -41,6 +41,7 @@ MAX_ITER = 100         # refit budget of WDem and MDem
 MAX_ITER_MM = 500      # refit budget of the MMDem bisquare step
 HUBER_K = 1.345        # Huber cutoff of MDem (95% Gaussian efficiency)
 BISQUARE_C = 4.685     # Tukey bisquare cutoff of MMDem (95% Gaussian efficiency)
+_PABA_BLOCK_SLOPES = 2 * _BLOCK_ELEMS  # pairwise slopes PaBa forms and sorts per block of rows
 
 
 @dataclass(frozen=True)
@@ -347,12 +348,14 @@ def _pairwise_slopes(X, Y):
     """
     n = X.shape[1]
     I, J = np.triu_indices(n, 1)
-    dx = X[:, J] - X[:, I]
-    dy = Y[:, J] - Y[:, I]
+    dx = X[:, J]
+    dx -= X[:, I]
+    S = Y[:, J]
+    S -= Y[:, I]
     # IEEE division encodes the conventions directly: a tied x gives
     # sign(dy)*inf (dx is +0.0), an identical point gives nan (excluded)
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = dy / dx
+        S /= dx
     S[S == -1.0] = np.nan
     K = (S < -1.0).sum(axis=1)
     N = S.shape[1] - np.isnan(S).sum(axis=1)
@@ -367,20 +370,29 @@ def _rank_value(S, ranks):
 
 
 def batch_paba(X, Y) -> BatchFit:
-    """Vectorized shifted-median pairwise-slope fit over stacked samples."""
+    """Vectorized shifted-median pairwise-slope fit over stacked samples.
+
+    The slopes are formed, sorted and ranked ``_PABA_BLOCK_SLOPES // pairs``
+    rows at a time, so the (rows, pairs) temporaries of B=2000 bootstrap
+    rows never exist at once; each row's slopes do not depend on the others.
+    """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
-    S, N, K = _pairwise_slopes(X, Y)
-    odd = (N % 2) == 1
-    lo = np.where(odd, (N + 1) // 2, N // 2) + K
-    hi = np.where(odd, lo, lo + 1)
-    ok = (N >= 1) & (lo >= 1) & (hi <= N)
-    b1 = 0.5 * (_rank_value(S, lo) + _rank_value(S, hi))
+    m, n = X.shape
+    rows = max(1, _PABA_BLOCK_SLOPES // max(1, n * (n - 1) // 2))
+    b1 = np.empty(m)
+    ok = np.empty(m, dtype=bool)
+    for lo in range(0, m, rows):
+        S, N, K = _pairwise_slopes(X[lo:lo + rows], Y[lo:lo + rows])
+        odd = (N % 2) == 1
+        r_lo = np.where(odd, (N + 1) // 2, N // 2) + K
+        r_hi = np.where(odd, r_lo, r_lo + 1)
+        ok[lo:lo + rows] = (N >= 1) & (r_lo >= 1) & (r_hi <= N)
+        b1[lo:lo + rows] = 0.5 * (_rank_value(S, r_lo) + _rank_value(S, r_hi))
     ok &= np.isfinite(b1) & (b1 != 0.0)
     b1 = np.where(ok, b1, np.nan)
     with np.errstate(invalid="ignore"):
         b0 = median_rows(Y - b1[:, None] * X)
-    m = X.shape[0]
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), None, ~ok)
 
 

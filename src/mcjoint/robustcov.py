@@ -17,8 +17,10 @@ does not depend on the rows it is batched with.
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
 candidates (start subsets of any rows), and Stahel-Donoho takes its
-projection medians over blocks of directions.  Blocking changes no
-arithmetic, only where the temporaries live.
+projection medians over blocks of directions; above 200 points, where
+the directions are the 1000 random ones, it also forms the projections
+one GEMM per block, so the (B, directions) matrix never exists whole.
+Blocking changes no arithmetic, only where the temporaries live.
 
 All estimators rescale their scatter so that squared Mahalanobis distances
 of clean Gaussian data are approximately chi-square with 2 degrees of
@@ -320,11 +322,30 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
 def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int, bufs: list):
     """Raw MCD optimum of each row: center, scatter, determinant, exact-fit flag.
 
+    The elemental starts are drawn once; the rows are then searched
+    ``_MCD_BLOCK`` at a time by ``_search_rows``, all through the block
+    buffers ``bufs``.  A row's result does not depend on the rows searched
+    with it.
+    """
+    starts, rng = _elemental_starts(Z0.shape[1], seed, n_starts)
+    after_starts = rng.bit_generator.state
+    blocks = [_search_rows(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], starts, rng, after_starts,
+                           h, bufs)
+              for lo in range(0, len(Z0), _MCD_BLOCK)]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, rng: np.random.Generator,
+                 after_starts: dict, h: int, bufs: list):
+    """The MCD search of a block of rows from the elemental ``starts``.
+
     Every row runs the same search: two concentration steps from every
     elemental start, then the ``_MCD_KEEP`` lowest determinants iterated
     until none improves; a candidate that did not improve is not stepped
     again.  A row ends early, with an exact fit, as soon as a candidate's h
-    points are collinear.
+    points are collinear.  A singular elemental start grows by random
+    points, each row drawing from ``rng`` rewound to ``after_starts``, the
+    generator's state after the starts were drawn.
     """
     Z0, Z1 = np.ascontiguousarray(Z0), np.ascontiguousarray(Z1)
     m, B = Z0.shape
@@ -341,11 +362,8 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
         exact[rows[done]] = True
         return done
 
-    starts, rng = _elemental_starts(B, seed, n_starts)
-    after_starts = rng.bit_generator.state
     T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
-    # grow singular elemental subsets until their covariance is invertible;
-    # each row draws from the generator as it stood after the starts
+    # grow singular elemental subsets until their covariance is invertible
     grown = -1
     for r, j in zip(*np.nonzero(_is_singular(S))):
         if exact[r]:
@@ -405,21 +423,18 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
 def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRows:
     """FAST-MCD of every row of row-stacked coordinates ``Z0``/``Z1`` (m, B).
 
-    Rows are searched ``_MCD_BLOCK`` at a time, all through one set of
-    block buffers; a row's result does not depend on the rows searched
-    with it.  The concentration steps run in cache-sized blocks of
-    candidates whatever the row count, so the row blocks only bound the
-    per-candidate stacks (rows x starts): searching the 199 rows of an
-    MMDem bootstrap at once holds about 3 MB more.
+    One ``_mcd_search`` draws the elemental starts and searches the rows
+    ``_MCD_BLOCK`` at a time through one set of block buffers.  The
+    concentration steps run in cache-sized blocks of candidates whatever
+    the row count, so the row blocks only bound the per-candidate stacks
+    (rows x starts): searching the 199 rows of an MMDem bootstrap at once
+    holds about 3 MB more.
     """
-    m, B = Z0.shape
+    B = Z0.shape[1]
     if B < 10:
         raise ValidationError("need at least 10 points")
     h = (B + 3) // 2
-    bufs = _c_step_buffers(B, h)
-    blocks = [_mcd_search(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], seed, n_starts, h, bufs)
-              for lo in range(0, m, _MCD_BLOCK)]
-    T, S, raw_det, exact = (np.concatenate(part) for part in zip(*blocks))
+    T, S, raw_det, exact = _mcd_search(Z0, Z1, seed, n_starts, h, _c_step_buffers(B, h))
     return _finish_mcd(Z0, Z1, T, S, raw_det, exact, h)
 
 
@@ -516,18 +531,23 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
         dirs.append(diff[keep] / norms[keep, None])
     D = np.vstack(dirs)
 
-    # The projections stay one GEMM: elementwise products round otherwise,
-    # and on tied clouds the weights follow the projections' last bits.
-    # Blocks of directions are copied out one direction per row, so every
-    # median runs along contiguous memory in cache; the deviations are
-    # formed in place, and the MAD is taken from them.
-    P = Z @ D.T  # (B, ndir)
+    # The projections are GEMMs, Z @ D.T: elementwise products round
+    # otherwise, D @ Z.T too, and on tied clouds the weights follow the
+    # projections' last bits.  The random directions alone are projected
+    # block by block, Z @ D[lo:hi].T, equal to the columns of the whole
+    # product; with the pairwise ones it stays one product, because the BLAS
+    # may round a large product's last columns differently from a block's
+    # (OpenBLAS does at some direction counts).  Each block is copied out one
+    # direction per row, so every median runs along contiguous memory in
+    # cache; the deviations are formed in place, and the MAD is taken from
+    # them.
+    P = Z @ D.T if len(D) > _SDE_DIRS else None  # (B, ndir)
     k = max(1, min(len(D), _BLOCK_ELEMS // B))
     buf = np.empty((k, B))
     out = None
     for lo in range(0, len(D), k):
         dev = buf[:min(k, len(D) - lo)]
-        dev[...] = P[:, lo:lo + k].T
+        dev[...] = (Z @ D[lo:lo + k].T if P is None else P[:, lo:lo + k]).T
         dev -= median_rows(dev)[:, None]
         np.abs(dev, out=dev)
         mad = 1.4826 * median_rows(dev)

@@ -96,6 +96,11 @@ def render_box_ellipse(p: PlotPayload) -> str:
     def fmt(v):
         return f"{v:.2f}"
 
+    def pixels(xy):
+        """``px`` and ``py`` of every (x, y) row, in the same operation order, as Python floats."""
+        return zip((_ML + (xy[:, 0] - xmin) / (xmax - xmin) * pw).tolist(),
+                   (_MT + (ymax - xy[:, 1]) / (ymax - ymin) * ph).tolist())
+
     out = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -134,9 +139,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
         f'font-size="12" transform="rotate(-90 16 {_MT + ph / 2:.1f})">Slope</text>'
     )
 
-    marks = " ".join(
-        f'<circle cx="{fmt(px(x))}" cy="{fmt(py(y))}" r="1.5"/>' for x, y in pts
-    )
+    marks = " ".join(f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="1.5"/>' for X, Y in pixels(pts))
     out.append(f'<g fill="#4682b4" fill-opacity="0.35" stroke="none">{marks}</g>')
 
     iv = p.intervals
@@ -149,8 +152,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
     )
 
     for e, dash, tag in ((p.ellipse05, "", "ellipse05"), (p.ellipse01, ' stroke-dasharray="6,4"', "ellipse01")):
-        ring = ellipse_points(e)
-        d = "M " + " L ".join(f"{fmt(px(x))},{fmt(py(y))}" for x, y in ring) + " Z"
+        d = "M " + " L ".join(f"{X:.2f},{Y:.2f}" for X, Y in pixels(ellipse_points(e))) + " Z"
         out.append(
             f'<path d="{d}" fill="none" stroke="#b22222" stroke-width="1.4"{dash} '
             f'data-role="{tag}" data-center="{_sig6(e.center[0])},{_sig6(e.center[1])}" '

@@ -228,3 +228,30 @@ def test_sde_matches_reference_with_a_partial_last_block(B):
     n_dirs = sum(len(b) for b in block_mads(cloud, 1))
     assert n_dirs % (rc._BLOCK_ELEMS // B) != 0 and n_dirs > rc._BLOCK_ELEMS // B
     assert_same_sde(cloud, 1)
+
+
+@pytest.mark.parametrize("data_seed", [7, 8])
+def test_sde_matches_reference_on_tied_paba_cloud_at_b2000(data_seed):
+    # validate's default B on a 2-significant-digit sample: PaBa's slope
+    # atoms stack the cloud on few values, some directions' MADs are
+    # rounding noise, and the weights follow the projections' last bits
+    spec = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=2, precision_y=2, seed=data_seed)
+    cloud = mj.bootstrap(mj.generate(spec), "paba", B=2000, seed=5).pairs
+    for seed in (0, 11):
+        assert_same_sde(cloud, seed)
+
+
+@pytest.mark.parametrize("B", [201, 999, 2000, 4999])
+def test_block_projections_equal_the_columns_of_one_gemm(B):
+    # above 200 points stahel_donoho forms Z @ D[lo:hi].T per block of its
+    # 1000 random directions; each block must be bit for bit the matching
+    # columns of the whole Z @ D.T, which it replaced
+    rng = np.random.default_rng(B)
+    Z = rng.normal(size=(B, 2)) @ np.array([[1.0, 0.6], [0.0, 0.4]]) + (3.0, 1.0)
+    D = directions(Z, 4)
+    assert len(D) == rc._SDE_DIRS
+    whole = Z @ D.T
+    k = max(1, min(len(D), rc._BLOCK_ELEMS // B))
+    assert len(D) % k != 0  # a partial last block
+    for lo in range(0, len(D), k):
+        assert_same_bits(Z @ D[lo:lo + k].T, whole[:, lo:lo + k])
