@@ -11,11 +11,14 @@ and y error variances.  All iterative fits are deterministic and converge
 on the change in slope.
 
 Every fit runs through a batched engine operating on (m, n) row-stacked
-samples; the public single-sample functions are the m=1 case, and the
-bootstrap machinery reuses the same engine for speed.  The three iterative
-Deming fits (WDem, MDem, MMDem) share one IRWLS driver and differ only in
-their starting line and weight function; MMDem's robust covariance start
-is itself batched over rows (``robustcov.mcd_rows`` and ``s_rows``).
+samples.  A single-sample fit is the m=1 case: ``check_sample`` raises
+for samples no fit is tried on, and ``row_fit`` turns a row into a
+``RegressionFit`` or its exception.  A row's fit does not depend on the
+rows batched with it, so the bootstrap fits the full sample as row 0 of
+its resamples' batch.  The three iterative Deming fits (WDem, MDem,
+MMDem) share one IRWLS driver and differ only in their starting line and
+weight function; MMDem's robust covariance start is itself batched over
+rows (``robustcov.mcd_rows`` and ``s_rows``).
 
 ``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
 are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
@@ -400,72 +403,36 @@ def batch_paba(X, Y) -> BatchFit:
 # public single-sample API
 # ---------------------------------------------------------------------------
 
-def _single(batch_fn, s: PairedSample, cfg: DemingConfig, method: str) -> RegressionFit:
-    res = batch_fn(s.x[None, :], s.y[None, :], cfg)
-    if res.degenerate[0]:
-        raise DegenerateDataError(f"{method}: data admit no determinate fit")
-    fit = RegressionFit(
-        intercept=float(res.intercept[0]),
-        slope=float(res.slope[0]),
-        method=method,
-        iterations=int(res.iterations[0]),
-        converged=bool(res.converged[0]),
-        weights=None if res.weights is None else res.weights[0].copy(),
-    )
-    return fit
-
-
-def fit_deming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Closed-form Deming fit for a known error-variance ratio."""
+def _check_dem(s: PairedSample):
     if np.var(s.x) == 0.0:
         raise DegenerateDataError("dem: x has zero variance")
-    res = batch_dem(s.x[None, :], s.y[None, :], cfg)
-    if res.degenerate[0]:
-        raise DegenerateDataError("dem: slope indeterminate (s_xy = 0)")
-    return RegressionFit(float(res.intercept[0]), float(res.slope[0]), "dem", 1, True)
 
 
-def fit_wdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Weighted Deming: inverse squared estimated level as weight."""
+def _check_wdem(s: PairedSample):
     if (s.x <= 0).any() or (s.y <= 0).any():
         raise DegenerateDataError("wdem: requires positive measurements")
-    return _single(batch_wdem, s, cfg, "wdem")
 
 
-def fit_mdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Huber-weighted Deming; the weights hit both coordinates."""
-    return _single(batch_mdem, s, cfg, "mdem")
-
-
-def fit_mmdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Redescending (bisquare) Deming with robust covariance start."""
-    try:
-        return _single(batch_mmdem, s, cfg, "mmdem")
-    except DegenerateDataError:
-        _mm_start(s.x, s.y)  # raises the starters' failure when that was the cause
-        raise
-
-
-def fit_paba(s: PairedSample) -> RegressionFit:
-    """Passing-Bablok shifted-median fit."""
-    res = batch_paba(s.x[None, :], s.y[None, :])
-    if res.degenerate[0]:
-        raise DegenerateDataError("paba: no determinate pairwise-slope median")
-    return RegressionFit(float(res.intercept[0]), float(res.slope[0]), "paba", 1, True)
+def _explain_mmdem(s: PairedSample):
+    _mm_start(s.x, s.y)  # raises the starters' failure when that was the cause
 
 
 class _Method(NamedTuple):
     label: str
-    fit: Callable[[PairedSample, DemingConfig], RegressionFit]
     batch: Callable[..., BatchFit]          # (X, Y, cfg) over row-stacked samples
+    check: Optional[Callable[[PairedSample], None]]  # raises for a sample not worth fitting
+    no_fit: str                             # the message of a degenerate fit
+    explain: Optional[Callable[[PairedSample], None]]  # raises a degenerate fit's cause first
 
 
 _METHOD_TABLE = {
-    "dem": _Method("Dem", fit_deming, batch_dem),
-    "wdem": _Method("WDem", fit_wdeming, batch_wdem),
-    "mdem": _Method("MDem", fit_mdeming, batch_mdem),
-    "mmdem": _Method("MMDem", fit_mmdeming, batch_mmdem),
-    "paba": _Method("PaBa", lambda s, cfg: fit_paba(s), lambda X, Y, cfg: batch_paba(X, Y)),
+    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0)", None),
+    "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit", None),
+    "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit", None),
+    "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit",
+                     _explain_mmdem),
+    "paba": _Method("PaBa", lambda X, Y, cfg: batch_paba(X, Y), None,
+                    "paba: no determinate pairwise-slope median", None),
 }
 METHODS = tuple(_METHOD_TABLE)
 
@@ -477,14 +444,71 @@ def _method(method: str) -> _Method:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
 
 
+def check_sample(s: PairedSample, method: str):
+    """Raise what ``fit`` raises before it fits: Dem's zero-variance x and
+    WDem's non-positive measurements are DegenerateDataError."""
+    check = _method(method).check
+    if check is not None:
+        check(s)
+
+
+def row_fit(s: PairedSample, method: str, res: BatchFit) -> RegressionFit:
+    """The fit of the sample ``s`` from row 0 of the batched fit ``res``, as ``fit`` gives it.
+
+    A degenerate row raises DegenerateDataError; for MMDem, a failed
+    covariance start raises its StartFailureError instead.  A row's fit
+    does not depend on the rows batched with it, so ``bootstrap`` fits the
+    full sample as row 0 of its resamples' batch.
+    """
+    entry = _method(method)
+    if res.degenerate[0]:
+        if entry.explain is not None:
+            entry.explain(s)
+        raise DegenerateDataError(entry.no_fit)
+    return RegressionFit(
+        intercept=float(res.intercept[0]),
+        slope=float(res.slope[0]),
+        method=method,
+        iterations=int(res.iterations[0]),
+        converged=bool(res.converged[0]),
+        weights=None if res.weights is None else res.weights[0].copy(),
+    )
+
+
 def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
     """Dispatch by method name, one of ``METHODS``."""
-    return _method(method).fit(s, cfg)
+    check_sample(s, method)
+    return row_fit(s, method, batch_fit(s.x[None, :], s.y[None, :], method, cfg))
 
 
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:
     """Batched dispatch over row-stacked samples (bootstrap fast path)."""
     return _method(method).batch(X, Y, cfg)
+
+
+def fit_deming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
+    """Closed-form Deming fit for a known error-variance ratio."""
+    return fit(s, "dem", cfg)
+
+
+def fit_wdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
+    """Weighted Deming: inverse squared estimated level as weight."""
+    return fit(s, "wdem", cfg)
+
+
+def fit_mdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
+    """Huber-weighted Deming; the weights hit both coordinates."""
+    return fit(s, "mdem", cfg)
+
+
+def fit_mmdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
+    """Redescending (bisquare) Deming with robust covariance start."""
+    return fit(s, "mmdem", cfg)
+
+
+def fit_paba(s: PairedSample) -> RegressionFit:
+    """Passing-Bablok shifted-median fit."""
+    return fit(s, "paba")
 
 
 def paba_analytic_ci(s: PairedSample, alpha: float = 0.05):

@@ -15,7 +15,9 @@ import numpy as np
 
 from .dataset import PairedSample
 from .errors import ConvergenceError, EnsembleQualityError, ValidationError
-from .estimators import DemingConfig, RegressionFit, batch_fit, fit
+from .estimators import DemingConfig, RegressionFit, batch_fit, check_sample, row_fit
+# imported only for the traced benchmark run (bench/layers.py), which wraps ``resampling.fit``
+from .estimators import fit  # noqa: F401
 from .rng import task_rng
 
 MIN_REPLICATES = 199
@@ -84,26 +86,30 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
               B: int = 2000, seed=0) -> BootstrapEnsemble:
     """Pairs bootstrap: B resamples with replacement, each refit.
 
-    Non-convergent replicates are redrawn from their own substream up to
-    a total budget of 0.2*B redraws; every failed attempt counts toward
-    the ensemble quality limit of 5% of B.
+    The full sample is row 0 of the resamples' batch: it takes the
+    method's pre-checks and becomes ``point`` through ``row_fit``, so
+    ``point`` and every exception are what ``fit`` gives.  The ensemble
+    keeps rows 1..B.  Non-convergent replicates are redrawn from their own
+    substream up to a total budget of 0.2*B redraws; every failed attempt
+    counts toward the ensemble quality limit of 5% of B.
     """
     if B < MIN_REPLICATES:
         raise ValidationError(f"B must be >= {MIN_REPLICATES}")
-    point = fit(s, method, cfg)
-    if not point.converged:
-        raise ConvergenceError(f"{method}: full-sample fit did not converge")
+    check_sample(s, method)
     n = s.n
     path = _seed_path(seed)
     # all initial index rows come from one stream; replicate i redraws (if
     # its fit fails) from its own substream, so scheduling cannot matter
-    idx = task_rng(*path).integers(0, n, (B, n)).astype(np.intp)
-
-    X = s.x[idx]
-    Y = s.y[idx]
-    res = batch_fit(X, Y, method, cfg)
-    ok = res.converged & ~res.degenerate
-    pairs = np.column_stack([res.intercept, res.slope])
+    rows = np.empty((B + 1, n), dtype=np.intp)
+    rows[0] = np.arange(n)
+    rows[1:] = task_rng(*path).integers(0, n, (B, n))
+    res = batch_fit(s.x[rows], s.y[rows], method, cfg)
+    point = row_fit(s, method, res)
+    if not point.converged:
+        raise ConvergenceError(f"{method}: full-sample fit did not converge")
+    idx = rows[1:]
+    ok = (res.converged & ~res.degenerate)[1:]
+    pairs = np.column_stack([res.intercept[1:], res.slope[1:]])
 
     failed = int((~ok).sum())
     budget = int(REDRAW_FRACTION * B)

@@ -45,7 +45,7 @@ _ELLIPSE_POINTS = 181  # vertices of the plotted ellipse polyline
 _MCD_KEEP = 10         # lowest-determinant starts iterated to a fixed point
 _MCD_INITIAL_STEPS = 2  # concentration steps every start takes
 _MCD_MAX_STEPS = 60    # cap on the concentration steps of the kept starts
-_MCD_BLOCK = 8         # rows searched at once; bounds the (rows x starts) candidate stacks
+_MCD_BLOCK = 16        # rows searched at once; bounds the (rows x starts) candidate stacks
 _BLOCK_ELEMS = 1 << 15  # elements of one (candidates or directions, B) block; keeps it in L2
 _MCD_STARTS = 500      # random elemental starts of fast_mcd
 _S_MCD_STARTS = 120    # random elemental starts of the MCD the S-estimators start from
@@ -322,30 +322,103 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
 def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int, bufs: list):
     """Raw MCD optimum of each row: center, scatter, determinant, exact-fit flag.
 
-    The elemental starts are drawn once; the rows are then searched
-    ``_MCD_BLOCK`` at a time by ``_search_rows``, all through the block
-    buffers ``bufs``.  A row's result does not depend on the rows searched
-    with it.
+    The elemental starts are drawn once, and so are the random points that
+    grow singular starts: every row reads the same sequence, the draws of
+    the generator after the starts, extended as a row needs more.  The rows
+    are then searched ``_MCD_BLOCK`` at a time by ``_search_rows``, all
+    through the block buffers ``bufs``.  A row's result does not depend on
+    the rows searched with it.
     """
-    starts, rng = _elemental_starts(Z0.shape[1], seed, n_starts)
-    after_starts = rng.bit_generator.state
-    blocks = [_search_rows(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], starts, rng, after_starts,
-                           h, bufs)
+    B = Z0.shape[1]
+    starts, rng = _elemental_starts(B, seed, n_starts)
+    draws = rng.integers(0, B, size=64).tolist()
+    blocks = [_search_rows(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], starts, draws, rng, h, bufs)
               for lo in range(0, len(Z0), _MCD_BLOCK)]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, rng: np.random.Generator,
-                 after_starts: dict, h: int, bufs: list):
+class _Growth:
+    """One row's growth: its singular starts left (last first), the start
+    growing, its members (flat indices into the row-major (m, B)
+    coordinates) and the row's next position in the shared draws."""
+
+    __slots__ = ("row", "left", "start", "members", "next")
+
+    def __init__(self, row: int, starts: list, start_lists: list, B: int):
+        self.row, self.left, self.next = row, starts[::-1], 0
+        self.begin(start_lists, B)
+
+    def begin(self, start_lists: list, B: int):
+        self.start = self.left.pop()
+        self.members = [self.row * B + i for i in start_lists[self.start]]
+
+
+def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
+                   rng: np.random.Generator, h: int, T, S, det, best_T, best_S, exact):
+    """Grow each row's singular elemental starts by random points, all rows in lockstep.
+
+    A row takes its singular starts in order and reads the shared sequence
+    ``draws`` from its beginning through one pointer: each start adds the
+    next drawn point not already in it, until its scatter can be inverted
+    (it then replaces the start's stats in ``T``/``S``/``det``) or it holds
+    h collinear points (an exact fit, which ends the row).  Each step adds
+    one point to every growing row's current start, then takes the stats of
+    all subsets of one length in one ``_subset_stats`` call.  When the rows
+    have read all of ``draws``, ``rng`` extends it in place; array draws of
+    ``Generator.integers`` equal its scalar draws, so the sequence is the
+    one each row would draw alone.
+    """
+    B = Z0.shape[1]
+    flat0, flat1 = Z0.ravel(), Z1.ravel()
+    singular = {}
+    for r, j in zip(*np.nonzero(_is_singular(S))):
+        singular.setdefault(int(r), []).append(int(j))
+    start_lists = starts.tolist()
+    growing = [_Growth(r, js, start_lists, B) for r, js in singular.items()]
+    while growing:
+        by_length = {}
+        for g in growing:
+            base, p = g.row * B, g.next
+            while True:
+                if p == len(draws):
+                    draws.extend(rng.integers(0, B, size=len(draws)).tolist())
+                extra = base + draws[p]
+                p += 1
+                if extra not in g.members:
+                    break
+            g.members.append(extra)
+            g.next = p
+            by_length.setdefault(len(g.members), []).append(g)
+        growing = []
+        for length, group in by_length.items():
+            idx = [g.members for g in group]
+            Ti, Si, di = _subset_stats(flat0[idx], flat1[idx])
+            # _is_singular's test per subset, on Python floats: a step has few subsets
+            for k, (s00, s01, _, s11) in enumerate(Si.reshape(-1, 4).tolist()):
+                g = group[k]
+                half_trace = 0.5 * (s00 + s11)
+                if s00 * s11 - s01 * s01 > _REL_SINGULAR * half_trace * half_trace and half_trace > 0:
+                    T[g.row, g.start], S[g.row, g.start], det[g.row, g.start] = Ti[k], Si[k], di[k]
+                    if g.left:
+                        g.begin(start_lists, B)
+                        growing.append(g)
+                elif length >= h:
+                    # h collinear points: the objective's true minimum is 0
+                    best_T[g.row], best_S[g.row], exact[g.row] = Ti[k], Si[k], True
+                else:
+                    growing.append(g)
+
+
+def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
+                 rng: np.random.Generator, h: int, bufs: list):
     """The MCD search of a block of rows from the elemental ``starts``.
 
     Every row runs the same search: two concentration steps from every
     elemental start, then the ``_MCD_KEEP`` lowest determinants iterated
     until none improves; a candidate that did not improve is not stepped
     again.  A row ends early, with an exact fit, as soon as a candidate's h
-    points are collinear.  A singular elemental start grows by random
-    points, each row drawing from ``rng`` rewound to ``after_starts``, the
-    generator's state after the starts were drawn.
+    points are collinear.  Singular elemental starts first grow by the
+    random points of ``draws`` (``_grow_singular``), all rows in lockstep.
     """
     Z0, Z1 = np.ascontiguousarray(Z0), np.ascontiguousarray(Z1)
     m, B = Z0.shape
@@ -363,27 +436,7 @@ def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, rng: np.ran
         return done
 
     T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
-    # grow singular elemental subsets until their covariance is invertible
-    grown = -1
-    for r, j in zip(*np.nonzero(_is_singular(S))):
-        if exact[r]:
-            continue
-        if r != grown:
-            grown, rng.bit_generator.state = r, after_starts
-        members = list(starts[j])
-        while True:
-            extra = int(rng.integers(0, B))
-            if extra in members:
-                continue
-            members.append(extra)
-            Ti, Si, di = _subset_stats(Z0[r, members][None], Z1[r, members][None])
-            if not _is_singular(Si[0]):
-                T[r, j], S[r, j], det[r, j] = Ti[0], Si[0], di[0]
-                break
-            if len(members) >= h:
-                # h collinear points: the objective's true minimum is 0
-                best_T[r], best_S[r], exact[r] = Ti[0], Si[0], True
-                break
+    _grow_singular(Z0, Z1, starts, draws, rng, h, T, S, det, best_T, best_S, exact)
 
     rows = np.flatnonzero(~exact)
     T, S, det = T[rows], S[rows], det[rows]
@@ -424,11 +477,14 @@ def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRow
     """FAST-MCD of every row of row-stacked coordinates ``Z0``/``Z1`` (m, B).
 
     One ``_mcd_search`` draws the elemental starts and searches the rows
-    ``_MCD_BLOCK`` at a time through one set of block buffers.  The
-    concentration steps run in cache-sized blocks of candidates whatever
-    the row count, so the row blocks only bound the per-candidate stacks
-    (rows x starts): searching the 199 rows of an MMDem bootstrap at once
-    holds about 3 MB more.
+    ``_MCD_BLOCK`` at a time through one set of block buffers.  Inside a
+    block, the singular elemental starts of all rows grow in lockstep, one
+    random point per step, every row reading the same draws from its own
+    pointer (``_grow_singular``).  The concentration steps run in
+    cache-sized blocks of candidates whatever the row count, so the row
+    blocks only bound the per-candidate stacks (rows x starts) and the
+    growth's per-step overhead: searching the 200 rows of an MMDem
+    bootstrap at once holds about 3 MB more.
     """
     B = Z0.shape[1]
     if B < 10:
@@ -584,8 +640,15 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
 
 def _rho_bisquare(u: np.ndarray, c: float) -> np.ndarray:
     """v^2/2 - v^4/(2c^2) + v^6/(6c^4) at v = min(|u|, c), in Horner form."""
-    t = np.minimum(np.abs(u), c) ** 2
-    return t * (0.5 + t * (t / (6.0 * c ** 4) - 0.5 / (c * c)))
+    t = np.minimum(np.abs(u), c)
+    t *= t
+    # t * (0.5 + t * (t / (6c^4) - 0.5/c^2)), in place, in the same order
+    r = t / (6.0 * c ** 4)
+    r -= 0.5 / (c * c)
+    r *= t
+    r += 0.5
+    r *= t
+    return r
 
 
 def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
@@ -671,24 +734,29 @@ def _m_scale(d: np.ndarray, rho, b0: float, s: np.ndarray, run: np.ndarray):
     """Solve mean rho(d/s) = b0 per row by the multiplicative fixed point.
 
     ``s`` holds the starting scales; only rows with ``run`` set iterate.
-    Returns the scales and a failure code per row.
+    Returns the scales and a failure code per row.  A row's scale is
+    written back when it stops, so an iteration in which every row moves
+    on costs only the step itself.
     """
     s = s.copy()
     code = np.zeros(len(d), dtype=np.intp)
     rows = np.flatnonzero(run)
     d_run, s_run = d[rows], s[rows]
+    n = d.shape[1]
     for _ in range(_M_SCALE_MAX_ITER):
         if rows.size == 0:
             return s, code
-        val = rho(d_run / s_run[:, None]).sum(axis=1) / d.shape[1]
+        val = np.add.reduce(rho(d_run / s_run[:, None]), axis=1) / n
         zero = val <= 0.0
         s_new = s_run * np.sqrt(val / b0)
-        moving = ~zero & ~(np.abs(s_new - s_run) <= _M_SCALE_TOL * s_run)
-        s[rows] = s_new
-        code[rows[zero]] = _UNATTAINABLE
-        if not moving.all():
+        stop = zero | (np.abs(s_new - s_run) <= _M_SCALE_TOL * s_run)
+        if stop.any():
+            s[rows[stop]] = s_new[stop]
+            code[rows[zero]] = _UNATTAINABLE
+            moving = ~stop
             rows, d_run, s_new = rows[moving], d_run[moving], s_new[moving]
         s_run = s_new
+    s[rows] = s_run
     code[rows] = _UNSETTLED
     return s, code
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -142,7 +143,11 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
 
     Execution order never affects results: each (grid, replicate) task is
     seeded independently and records are reassembled by index.  The pool
-    has at most one worker per task.
+    has at most one worker per task.  Its workers are spawned, not forked:
+    each imports numpy afresh under the BLAS pin of ``import mcjoint``,
+    where a forked worker would inherit the BLAS threads of a caller that
+    imported numpy first.  As with any spawned pool, a calling script
+    must guard its entry point with ``if __name__ == "__main__":``.
     """
     workers = workers if workers is not None else default_workers()
     gis = list(grid_subset) if grid_subset is not None else list(range(len(plan.grid)))
@@ -153,7 +158,8 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
         for lo in range(0, plan.replicates, chunk):
             tasks.append((plan, gi, lo, min(lo + chunk, plan.replicates)))
     workers = min(workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
         results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
         for done, (gi, lo, chunk_recs) in enumerate(results, 1):
             records[gi][lo:lo + len(chunk_recs)] = chunk_recs

@@ -51,3 +51,23 @@ def test_replicate_records_do_not_depend_on_blas_threads():
     two = run(REPLICATE, OPENBLAS_NUM_THREADS="2")
     assert "'sde':" in one
     assert one == two
+
+
+# run_plan's pool in a script that loaded numpy (and its BLAS threads)
+# before mcjoint: spawned workers load their own numpy under the pin
+NUMPY_FIRST_PLAN = """
+import numpy
+import mcjoint as mj
+from mcjoint.simulation import SimulationPlan, run_plan
+gen = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=25)
+plan = SimulationPlan(generator=gen, methods=("dem", "mdem"), cov_methods=("classic", "sde"),
+                      replicates=50, B=199, master_seed=4)
+print(repr(run_plan(plan, workers=2)))
+print(repr(run_plan(plan, workers=1)))
+"""
+
+
+def test_pool_records_equal_serial_when_numpy_comes_first():
+    pooled, serial = run(NUMPY_FIRST_PLAN, OPENBLAS_NUM_THREADS="2").splitlines()
+    assert "'ok': True" in serial
+    assert pooled == serial

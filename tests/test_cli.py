@@ -180,12 +180,14 @@ def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch):
     sizes = []
+    starts = []
 
     class RecordingPool:
-        """Stands in for the process pool: records its size, runs tasks here."""
+        """Stands in for the process pool: records its size and start method, runs tasks here."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
+            starts.append(mp_context.get_start_method())
 
         def __enter__(self):
             return self
@@ -203,6 +205,9 @@ def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch)
     assert rc == 0
     # 64 workers get one-replicate chunks, so 50 replicates make 50 tasks
     assert sizes == [50]
+    # spawned workers import numpy under mcjoint's BLAS pin; forked ones
+    # would inherit the caller's BLAS threads
+    assert starts == ["spawn"]
 
 
 def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):

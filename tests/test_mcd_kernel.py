@@ -87,9 +87,10 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
     return starts, rng
 
 
-def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None):
+def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None, growths=None):
     """Raw MCD optimum of each row; ``kept_masks`` collects each kept step's
-    activity mask of the running rows (a probe; it changes nothing)."""
+    activity mask of the running rows, and ``growths`` the (row, final size,
+    exact) of each grown singular start (probes; they change nothing)."""
     m, B = Z0.shape
     best_T = np.empty((m, 2))
     best_S = np.empty((m, 2, 2))
@@ -126,6 +127,8 @@ def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None):
             if len(members) >= h:
                 best_T[r], best_S[r], exact[r] = Ti[0], Si[0], True
                 break
+        if growths is not None:
+            growths.append((r, len(members), bool(exact[r])))
 
     rows = np.flatnonzero(~exact)
     T, S, det = T[rows], S[rows], det[rows]
@@ -256,9 +259,9 @@ def test_mcd_search_matches_reference(name):
 
 
 def test_mcd_rows_matches_reference_across_blocks():
-    # 21 rows of n=40 with 120 starts: three row blocks; inside each, the
-    # 960 candidates of a full block fill one kernel block of 819 and part
-    # of the next, so kernel blocks mix rows
+    # 21 rows of n=40 with 120 starts: two row blocks, the second one
+    # short; inside each, the candidates of a full block fill kernel blocks
+    # of 819 and part of the next, so kernel blocks mix rows
     X, Y = mmdem_rows()
     B = X.shape[1]
     h = (B + 3) // 2
@@ -293,3 +296,80 @@ def test_c_step_matches_reference_on_shuffled_candidates(B):
     assert len(r) % max(1, rc._BLOCK_ELEMS // B) != 0
     got = rc._c_step(Z0, Z1, r, T[r, j], S[r, j], det[r, j], h, rc._c_step_buffers(B, h))
     assert_same_bits(got, tuple(w[r, j] for w in want))
+
+
+# ---------------------------------------------------------------------------
+# singular starts, grown in lockstep over rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("B", [10, 39, 40, 999, 2000])
+def test_array_draws_equal_scalar_draws(B):
+    # every row's growth reads one shared sequence drawn in arrays and
+    # extended on demand; the frozen reference draws it one scalar at a time
+    for seed in range(3):
+        rng = task_rng(seed)
+        state = rng.bit_generator.state
+        arrays = rng.integers(0, B, size=37).tolist() + rng.integers(0, B, size=64).tolist()
+        rng.bit_generator.state = state
+        assert arrays == [int(rng.integers(0, B)) for _ in range(101)]
+
+
+def tied_mmdem_rows(m):
+    """m bootstrap rows (after the full sample) of a 2-significant-digit n=40 sample."""
+    spec = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=2, precision_y=2, seed=4)
+    s = mj.generate(spec)
+    idx = np.vstack([np.arange(40), np.random.default_rng(2).integers(0, 40, (m - 1, 40))])
+    return s.x[idx], s.y[idx]
+
+
+def collinear_growth_rows():
+    """Rows of n=40 with 38 points on a line: their singular starts grow to
+    h = 21 collinear points (an exact fit) before the concentration steps."""
+    rng = np.random.default_rng(6)
+    X, Y = [], []
+    for _ in range(3):
+        t = rng.uniform(3.0, 8.0, 40)
+        u = 0.5 * t + 1.0
+        u[rng.choice(40, 2, replace=False)] += rng.normal(0.0, 1.0, 2)
+        X.append(t)
+        Y.append(u)
+    return np.array(X), np.array(Y)
+
+
+def search_both(X, Y, seed=0, n_starts=rc._S_MCD_STARTS):
+    B = X.shape[1]
+    h = (B + 3) // 2
+    grown = []
+    want = _mcd_search(X, Y, seed, n_starts, h, growths=grown)
+    assert_same_bits(rc._mcd_search(X, Y, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
+    return want, grown, h
+
+
+def test_lockstep_growth_matches_reference_on_tied_rows():
+    # a row count that is not a multiple of the row block
+    m = 2 * rc._MCD_BLOCK + 5
+    X, Y = tied_mmdem_rows(m)
+    assert m % rc._MCD_BLOCK
+    want, grown, _ = search_both(X, Y)
+    # many singular starts in every row, some needing several extra points
+    assert {r for r, _, _ in grown} == set(range(m))
+    assert max(size for _, size, _ in grown) >= 7
+    assert sum(size > 4 for _, size, _ in grown) > m
+
+
+def test_lockstep_growth_reaches_an_exact_fit():
+    (X, Y), (Xt, Yt) = collinear_growth_rows(), tied_mmdem_rows(4)
+    want, grown, h = search_both(np.vstack([X, Xt]), np.vstack([Y, Yt]))
+    grown_exact = {r for r, size, exact in grown if exact and size == h}
+    assert grown_exact == {0, 1, 2}
+    assert want[3][:3].all() and not want[3][3:].any()
+
+
+def test_mcd_rows_equals_one_row_calls():
+    (Xt, Yt), (Xc, Yc) = tied_mmdem_rows(rc._MCD_BLOCK + 3), collinear_growth_rows()
+    X, Y = np.vstack([Xt, Xc]), np.vstack([Yt, Yc])
+    got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
+    rows = [rc.mcd_rows(X[i:i + 1], Y[i:i + 1], seed=0, n_starts=rc._S_MCD_STARTS)
+            for i in range(len(X))]
+    assert_same_bits(got[:5], [np.concatenate(part) for part in zip(*(r[:5] for r in rows))])
+    assert got.singular.any() and not got.singular.all()

@@ -195,3 +195,48 @@ def test_failed_counter_and_quality_gate():
     s = PairedSample(x=x, y=y)
     with pytest.raises(mj.EnsembleQualityError):
         bootstrap(s, "dem", CFG, B=199, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# the full-sample fit, row 0 of the bootstrap batch
+# ---------------------------------------------------------------------------
+
+def point_samples():
+    spec = GeneratorSpec(xmin=3, xmax=8, n=40, sigmax=0.12, sigmay=0.12, seed=21)
+    tied = GeneratorSpec(xmin=3, xmax=8, n=40, sigmax=0.12, sigmay=0.12, precision_x=2,
+                         precision_y=2, seed=21)
+    return {"hemoglobin": mj.load_hemoglobin(), "continuous": generate(spec), "tied": generate(tied)}
+
+
+@pytest.mark.parametrize("method", mj.estimators.METHODS)
+def test_bootstrap_point_is_the_full_sample_fit(method):
+    for name, s in point_samples().items():
+        got = bootstrap(s, method, CFG, B=199, seed=0).point
+        want = mj.fit(s, method, CFG)
+        for field in ("intercept", "slope", "method", "iterations", "converged"):
+            assert getattr(got, field) == getattr(want, field), (name, field)
+        if want.weights is None:
+            assert got.weights is None
+        else:
+            assert got.weights.tobytes() == want.weights.tobytes(), name
+        assert (method in ("dem", "paba")) == (want.weights is None)
+
+
+@pytest.mark.parametrize("method, x, y", [
+    ("dem", [2.0] * 12, np.linspace(1.0, 4.0, 12)),
+    ("wdem", np.linspace(-1.0, 4.0, 12), np.linspace(1.0, 4.0, 12)),
+    ("mmdem", [1.0, 2.0, 3.0, 4.0], [1.1, 1.9, 3.2, 3.9]),
+])
+def test_bootstrap_raises_what_the_full_sample_fit_raises(method, x, y):
+    s = PairedSample(x=np.asarray(x, float), y=np.asarray(y, float))
+    with pytest.raises(mj.McjointError) as want:
+        mj.fit(s, method, CFG)
+    with pytest.raises(mj.McjointError) as got:
+        bootstrap(s, method, CFG, B=199, seed=0)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if method == "mmdem":
+        assert type(want.value) is mj.StartFailureError
+        assert "need at least 10 points" in str(want.value)
+    else:
+        assert type(want.value) is mj.DegenerateDataError
