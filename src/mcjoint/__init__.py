@@ -1,9 +1,9 @@
 """mcjoint: method comparison with a joint-ellipse validation test.
 
-Five Deming-family/Passing-Bablok regressions, pairs bootstrap with
-percentile/BCa/studentized intervals, robust covariance of the bootstrap
-coefficient cloud, the chi-square(2) joint test of (intercept, slope) =
-(0, 1), and the Monte Carlo machinery to study calibration and power.
+Five Deming-family/Passing-Bablok regressions, pairs bootstrap with BCa
+intervals, robust covariance of the bootstrap coefficient cloud, the
+chi-square(2) joint test of (intercept, slope) = (0, 1), and the Monte
+Carlo machinery to study calibration and power.
 
 Importing the package pins BLAS to one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1.  Every matrix here is two
@@ -40,17 +40,7 @@ from .errors import (
     StartFailureError,
     ValidationError,
 )
-from .estimators import (
-    DemingConfig,
-    RegressionFit,
-    fit,
-    fit_deming,
-    fit_mdeming,
-    fit_mmdeming,
-    fit_paba,
-    fit_wdeming,
-    paba_analytic_ci,
-)
+from .estimators import DemingConfig, RegressionFit, fit
 from .jetest import ValidationReport, ci_verdict, je_test, report_to_json, validate
 from .powerfit import (
     PowerLevel,
@@ -60,14 +50,7 @@ from .powerfit import (
     subbotin_density,
     type1_at_null,
 )
-from .resampling import (
-    BootstrapEnsemble,
-    IntervalPair,
-    bca_ci,
-    bootstrap,
-    percentile_ci,
-    studentized_ci,
-)
+from .resampling import BootstrapEnsemble, IntervalPair, bca_ci, bootstrap
 from .robustcov import (
     CovarianceModel,
     EllipseGeometry,
@@ -79,5 +62,5 @@ from .robustcov import (
     s_cov,
     stahel_donoho,
 )
-from .simulation import RejectionCurve, SimulationPlan, power_study, type1_study
+from .simulation import RejectionCurve, SimulationPlan, type1_study
 from .svgplot import PlotPayload, render_box_ellipse

@@ -4,16 +4,21 @@ Exit codes are verdict-coded so shell pipelines can branch on them:
 0 validated by the joint test, 3 rejected by the joint test, 2 usage or
 input error, 1 runtime failure.  All commands honor --seed and read no
 entropy from the clock or the environment.  Without --workers, simulate
-runs MCJOINT_THREADS worker processes (an integer; anything else is a
-usage error), or one per CPU; the pool never exceeds the number of tasks.
+runs MCJOINT_THREADS worker processes, or one per CPU; the flag and the
+variable must be an integer >= 1, anything else is a usage error.  Each
+simulate call starts one pool, which never exceeds the number of tasks,
+and streams the grid points through it; stderr shows the replicates done,
+their rate and an ETA.
 Each process runs BLAS on one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1, and a value set in the
 environment is kept.
 
 simulate exits 2, before it creates --out, when the plan file is missing,
 malformed or out of range, or fails its kind's check.  Only power plans
-resume, from the curve.csv and manifest.json saved after each grid point;
-unreadable ones exit 2 and are left as they are.  Type-I plans run whole.
+resume, from the curve.csv and manifest.json saved after each grid point
+as the stream yields it; unreadable or inconsistent ones (a completed
+index out of range or listed twice, or its points missing from curve.csv)
+exit 2 and are left as they are.  Type-I plans run whole.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import csv
 import io
 import json
 import sys
+import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,7 +51,9 @@ from .simulation import (
     aggregate_grid_point,
     check_power_plan,
     check_type1_plan,
+    check_workers,
     default_workers,
+    grid_point_size,
     plan_to_dict,
     read_curve_csv,
     run_plan,
@@ -233,19 +242,31 @@ def _write_type1_outputs(out: Path, table: Type1Table):
     _write_csv(out / "pp_data.csv", rows)
 
 
-def _chunk_progress(done, total):
-    print(f"  chunk {done}/{total}", file=sys.stderr)
+def _progress():
+    """A ``run_plan`` progress callback: replicates done, their rate and an ETA."""
+    start = time.monotonic()
+
+    def show(done, total):
+        rate = done / max(time.monotonic() - start, 1e-9)
+        print(f"  {done}/{total} replicates, {rate:.3g}/s, ETA {(total - done) / rate:.0f} s",
+              file=sys.stderr)
+
+    return show
 
 
 def _simulate_type1(plan: SimulationPlan, workers: int, out: Path):
     """Acceptance table at the null; always run whole, on the null grid point alone."""
-    table = type1_study(plan, workers=workers, progress=_chunk_progress)
+    table = type1_study(plan, workers=workers, progress=_progress())
     _write_type1_outputs(out, table)
     return table.plan, table.curve.points, [0]
 
 
 def _resume(plan: SimulationPlan, out: Path):
-    """Grid indices a saved run of this power plan completed, and their points."""
+    """Grid indices a saved run of this power plan completed, and their points.
+
+    Each completed index must be a grid index, listed once, whose points
+    are all in curve.csv; anything else raises ValidationError.
+    """
     manifest_path, curve_path = out / "manifest.json", out / "curve.csv"
     if not (manifest_path.exists() and curve_path.exists()):
         return [], []
@@ -254,28 +275,35 @@ def _resume(plan: SimulationPlan, out: Path):
         if saved.get("plan") != plan_to_dict(plan) or saved.get("kind") != "power":
             return [], []
         completed = list(saved.get("completed", []))
-        done_values = {plan.grid[gi] for gi in completed}
+        if any(type(gi) is not int or not 0 <= gi < len(plan.grid) for gi in completed):
+            raise ValueError(f"completed {completed} names an index outside the grid")
+        if len(set(completed)) < len(completed):
+            raise ValueError(f"completed {completed} lists an index twice")
+        per_value = Counter(plan.grid[gi] for gi in completed)
+        points = [p for p in read_curve_csv(curve_path) if p.grid_value in per_value]
+        size = grid_point_size(plan)
+        if Counter(p.grid_value for p in points) != {v: k * size for v, k in per_value.items()}:
+            raise ValueError(f"{curve_path} does not hold the points of completed {completed}")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
         raise ValidationError(f"cannot resume from {manifest_path}: "
                               f"{type(err).__name__}: {err}") from None
-    points = [p for p in read_curve_csv(curve_path) if p.grid_value in done_values]
     if completed:
         print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
     return completed, points
 
 
 def _simulate_power(plan: SimulationPlan, workers: int, out: Path):
-    """Rejection curve, saved after every grid point so a rerun resumes."""
+    """Rejection curve from one ``run_plan`` stream over the grid points not yet done.
+
+    Saved after every grid point the stream yields, so a rerun resumes.
+    """
     completed, points = _resume(plan, out)
-    for gi in range(len(plan.grid)):
-        if gi in completed:
-            continue
-        records = run_plan(plan, workers=workers, grid_subset=[gi])
-        points.extend(aggregate_grid_point(plan, gi, records[gi]))
+    todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
+    for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=_progress()):
+        points.extend(aggregate_grid_point(plan, gi, records))
         completed.append(gi)
         write_curve_csv(points, out / "curve.csv")
         write_manifest(out / "manifest.json", plan, completed, "power")
-        print(f"grid point {len(completed)}/{len(plan.grid)} done", file=sys.stderr)
     return plan, points, completed
 
 
@@ -289,7 +317,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     try:
         kind, plan, factor = parse_plan(Path(args.plan))
-        workers = args.workers if args.workers is not None else default_workers()
+        workers = default_workers() if args.workers is None else check_workers(args.workers,
+                                                                                 "--workers")
         if args.scale == "paper":
             plan = replace(plan, replicates=plan.replicates * factor)
         out.mkdir(parents=True, exist_ok=True)

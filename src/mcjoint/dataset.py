@@ -9,7 +9,7 @@ optional rounding to a fixed number of significant digits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -84,9 +84,6 @@ class GeneratorSpec:
             p = getattr(self, name)
             if p is not None and p not in PRECISION_CHOICES:
                 raise ValidationError(f"{name} must be in {PRECISION_CHOICES} or None")
-
-    def with_seed(self, seed: int) -> "GeneratorSpec":
-        return replace(self, seed=seed)
 
 
 def round_significant(values: np.ndarray, digits: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Five line fits are provided: classical errors-in-variables (Deming) with a
 known error-variance ratio, its inverse-squared-level weighted variant, two
 robustified variants (Huber weights, and Tukey bisquare with a robust
 covariance start), and the nonparametric pairwise-slope median estimator
-with its rank-based analytic confidence interval.
+(Passing-Bablok).  ``fit(s, method)`` fits one sample by method name.
 
 The variance ratio ``lam`` follows the Linnet convention: ratio of the x
 and y error variances.  All iterative fits are deterministic and converge
@@ -29,13 +29,12 @@ are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .dataset import PairedSample
-from .errors import DegenerateDataError, InsufficientDataError, StartFailureError, ValidationError
+from .errors import DegenerateDataError, StartFailureError, ValidationError
 from .robustcov import _BLOCK_ELEMS, median_rows
 
 
@@ -124,16 +123,6 @@ def _deming_residuals(X, Y, b0, b1, lam):
     d = X - xhat
     e = Y - (b0[:, None] + b1[:, None] * xhat)
     return d, e
-
-
-def deming_objective(x, y, b0, b1, lam=1.0):
-    """Sum of d_i^2 + lam * e_i^2 at the optimal decomposition.
-
-    This is the quantity the closed form minimizes; kept public so tests
-    can check the closed form against a grid search.
-    """
-    d, e = _deming_residuals(x[None, :], y[None, :], np.atleast_1d(float(b0)), np.atleast_1d(float(b1)), lam)
-    return float((d * d + lam * e * e).sum())
 
 
 def _huber_weight(Z, k):
@@ -484,63 +473,3 @@ def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> Reg
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:
     """Batched dispatch over row-stacked samples (bootstrap fast path)."""
     return _method(method).batch(X, Y, cfg)
-
-
-def fit_deming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Closed-form Deming fit for a known error-variance ratio."""
-    return fit(s, "dem", cfg)
-
-
-def fit_wdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Weighted Deming: inverse squared estimated level as weight."""
-    return fit(s, "wdem", cfg)
-
-
-def fit_mdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Huber-weighted Deming; the weights hit both coordinates."""
-    return fit(s, "mdem", cfg)
-
-
-def fit_mmdeming(s: PairedSample, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
-    """Redescending (bisquare) Deming with robust covariance start."""
-    return fit(s, "mmdem", cfg)
-
-
-def fit_paba(s: PairedSample) -> RegressionFit:
-    """Passing-Bablok shifted-median fit."""
-    return fit(s, "paba")
-
-
-def paba_analytic_ci(s: PairedSample, alpha: float = 0.05):
-    """Rank-based confidence intervals for the pairwise-slope fit.
-
-    The slope bounds are order statistics of the sorted slopes at ranks
-    derived from the Kendall-type variance, shifted by the same offset as
-    the estimator; the intercept bounds are the residual medians at the
-    opposite slope bounds.
-    """
-    from .resampling import IntervalPair
-
-    fitted = fit_paba(s)
-    S, N, K = _pairwise_slopes(s.x[None, :], s.y[None, :])
-    S, N, K = S[0], int(N[0]), int(K[0])
-    n = s.n
-    w = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
-    M1 = int(np.round((N - w) / 2.0))
-    M2 = N - M1 + 1
-    if M1 < 1 or M1 + K < 1 or M2 + K > N:
-        raise InsufficientDataError(
-            f"paba CI: sample too small for alpha={alpha} (N={N}, M1={M1})"
-        )
-    b_lo = float(S[M1 + K - 1])
-    b_hi = float(S[M2 + K - 1])
-    a_at_hi = float(median_rows(s.y - b_hi * s.x))
-    a_at_lo = float(median_rows(s.y - b_lo * s.x))
-    return IntervalPair(
-        slope_lo=b_lo,
-        slope_hi=b_hi,
-        int_lo=min(a_at_hi, a_at_lo),
-        int_hi=max(a_at_hi, a_at_lo),
-        level=1.0 - alpha,
-        kind="analytic",
-    )

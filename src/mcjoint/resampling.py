@@ -1,4 +1,4 @@
-"""Pairs bootstrap of any estimator with percentile, BCa, and bootstrap-t CIs.
+"""Pairs bootstrap of any estimator, and its BCa confidence interval.
 
 Replicate i always draws from substream i of the given seed, so ensembles
 are bit-identical however the replicates are scheduled, and a failed
@@ -24,7 +24,6 @@ MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
 REDRAW_FRACTION = 0.2
 _NORMAL = NormalDist()
-_INNER_MAX_REFITS = 20  # refits per replicate of the inner delete-d jackknife
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class IntervalPair:
     level: float
     kind: str
     fallback: bool = False
-    dropped: int = 0
 
     def __post_init__(self):
         if self.slope_lo > self.slope_hi or self.int_lo > self.int_hi:
@@ -159,16 +157,6 @@ def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
 # confidence intervals
 # ---------------------------------------------------------------------------
 
-def percentile_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
-    """Empirical alpha/2 and 1-alpha/2 quantiles (type-7 interpolation)."""
-    lo, hi = np.quantile(e.pairs, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
-    return IntervalPair(
-        slope_lo=float(lo[1]), slope_hi=float(hi[1]),
-        int_lo=float(lo[0]), int_hi=float(hi[0]),
-        level=1.0 - alpha, kind="percentile",
-    )
-
-
 def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
     """Adjusted quantile levels from the bias and acceleration constants."""
     out = []
@@ -218,75 +206,3 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
         int_lo=float(bounds[0, 0]), int_hi=float(bounds[0, 1]),
         level=1.0 - alpha, kind="bca", fallback=fallback,
     )
-
-
-def _delete_d_groups(n: int):
-    """Contiguous index groups for the inner delete-d jackknife.
-
-    Group count is capped so each replicate costs at most ``_INNER_MAX_REFITS``
-    refits; the remainder spills into slightly larger groups.
-    """
-    g = min(_INNER_MAX_REFITS, n)
-    d, r = divmod(n, g)
-    groups, start = [], 0
-    for i in range(g):
-        size = d + (1 if i < r else 0)
-        groups.append(np.arange(start, start + size))
-        start += size
-    return groups
-
-
-def _inner_se(e: BootstrapEnsemble, col: int) -> np.ndarray:
-    """Delete-d jackknife SE of each replicate's estimate."""
-    n = e.sample.n
-    groups = _delete_d_groups(n)
-    g = len(groups)
-    # one batched fit per distinct deleted-group size
-    by_size = {}
-    for j, grp in enumerate(groups):
-        by_size.setdefault(len(grp), []).append((j, grp))
-    B = e.B
-    est = np.full((B, g), np.nan)
-    for size, members in by_size.items():
-        sel = np.array([np.delete(np.arange(n), grp) for _, grp in members])
-        stack = np.concatenate([e.indices[:, s] for s in sel])  # (B*len(members), n-size)
-        res = batch_fit(e.sample.x[stack], e.sample.y[stack], e.method, e.cfg)
-        vals = (res.intercept if col == 0 else res.slope).reshape(len(members), B)
-        ok = (res.converged & ~res.degenerate).reshape(len(members), B)
-        for k, (j, _) in enumerate(members):
-            est[:, j] = np.where(ok[k], vals[k], np.nan)
-    d_bar = n / g
-    mean = np.nanmean(est, axis=1, keepdims=True)
-    var = (n - d_bar) / (d_bar * g) * np.nansum((est - mean) ** 2, axis=1)
-    return np.sqrt(var)
-
-
-def studentized_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
-    """Bootstrap-t interval with inner delete-d jackknife SEs.
-
-    Replicates whose inner SE is zero (or undefined) are dropped from the
-    pivot distribution and counted in ``dropped``.
-    """
-    theta = np.array([e.point.intercept, e.point.slope])
-    bounds = np.empty((2, 2))
-    dropped = 0
-    for col in range(2):
-        vals = e.pairs[:, col]
-        se_outer = float(vals.std(ddof=1))
-        if se_outer == 0.0:
-            bounds[col] = (theta[col], theta[col])
-            continue
-        se_inner = _inner_se(e, col)
-        good = np.isfinite(se_inner) & (se_inner > 0.0)
-        dropped += int((~good).sum())
-        if good.sum() < MIN_REPLICATES // 2:
-            raise EnsembleQualityError("too few replicates with a usable inner SE")
-        t = (vals[good] - theta[col]) / se_inner[good]
-        q_lo, q_hi = np.quantile(t, [alpha / 2.0, 1.0 - alpha / 2.0])
-        bounds[col] = (theta[col] - q_hi * se_outer, theta[col] - q_lo * se_outer)
-    return IntervalPair(
-        slope_lo=float(bounds[1, 0]), slope_hi=float(bounds[1, 1]),
-        int_lo=float(bounds[0, 0]), int_hi=float(bounds[0, 1]),
-        level=1.0 - alpha, kind="studentized", dropped=dropped,
-    )
-

@@ -7,6 +7,10 @@ interval verdicts and the joint-test p-values per covariance method, plus
 diagnostics (largest slope atom, covariance failures).  Seeds derive from
 (master seed, grid index, replicate index), so serial and parallel runs
 produce bit-identical results.
+
+``run_plan`` is the one runner of both plan kinds: one worker pool per
+call, and a stream of (grid index, records) that yields each grid point
+as soon as its last replicate is in.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,47 +129,59 @@ def _worker(args):
     return gi, lo, [evaluate_replicate(plan, gi, ri) for ri in range(lo, hi)]
 
 
+def check_workers(value, name: str) -> int:
+    """``value`` as a worker count: an integer >= 1, else ValidationError naming ``name``."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 def default_workers() -> int:
     """MCJOINT_THREADS when set, else the CPU count."""
     env = os.environ.get("MCJOINT_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValidationError(f"MCJOINT_THREADS must be an integer, got {env!r}") from None
+    return check_workers(env, "MCJOINT_THREADS") if env else (os.cpu_count() or 1)
 
 
 def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
              grid_subset: Optional[Iterable[int]] = None,
-             progress=None) -> Dict[int, List[Dict]]:
-    """Evaluate the plan; returns records[grid_index] = list over replicates.
+             progress=None) -> Iterator[Tuple[int, List[Dict]]]:
+    """Evaluate the plan; yields (grid index, records over replicates) per grid point.
+
+    One pool serves every requested grid point.  Its tasks are chunks of
+    replicates in grid order, mapped in that order, so a grid point is
+    yielded as soon as its last chunk returns, in the order of
+    ``grid_subset``.  ``progress(done, total)`` counts replicates after
+    every chunk.
 
     Execution order never affects results: each (grid, replicate) task is
-    seeded independently and records are reassembled by index.  The pool
-    has at most one worker per task.  Its workers are spawned, not forked:
-    each imports numpy afresh under the BLAS pin of ``import mcjoint``,
-    where a forked worker would inherit the BLAS threads of a caller that
-    imported numpy first.  As with any spawned pool, a calling script
-    must guard its entry point with ``if __name__ == "__main__":``.
+    seeded independently.  The pool has at most one worker per task.  Its
+    workers are spawned, not forked: each imports numpy afresh under the
+    BLAS pin of ``import mcjoint``, where a forked worker would inherit the
+    BLAS threads of a caller that imported numpy first.  As with any
+    spawned pool, a calling script must guard its entry point with
+    ``if __name__ == "__main__":``.
     """
-    workers = workers if workers is not None else default_workers()
+    workers = default_workers() if workers is None else check_workers(workers, "workers")
     gis = list(grid_subset) if grid_subset is not None else list(range(len(plan.grid)))
-    records: Dict[int, List[Dict]] = {gi: [None] * plan.replicates for gi in gis}
-    chunk = max(1, plan.replicates // max(1, 4 * workers))
-    tasks = []
-    for gi in gis:
-        for lo in range(0, plan.replicates, chunk):
-            tasks.append((plan, gi, lo, min(lo + chunk, plan.replicates)))
+    chunk = max(1, plan.replicates // (4 * workers))
+    tasks = [(plan, gi, lo, min(lo + chunk, plan.replicates))
+             for gi in gis for lo in range(0, plan.replicates, chunk)]
     workers = min(workers, len(tasks))
+    total, done, records = len(gis) * plan.replicates, 0, []
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_worker, tasks) if pool else map(_worker, tasks)
-        for done, (gi, lo, chunk_recs) in enumerate(results, 1):
-            records[gi][lo:lo + len(chunk_recs)] = chunk_recs
+        for gi, lo, chunk_recs in pool.map(_worker, tasks) if pool else map(_worker, tasks):
+            records.extend(chunk_recs)
+            done += len(chunk_recs)
             if progress:
-                progress(done, len(tasks))
-    return records
+                progress(done, total)
+            if lo + len(chunk_recs) == plan.replicates:
+                yield gi, records
+                records = []
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +211,14 @@ class RejectionCurve:
     points: List[CurvePoint]
     atom_fraction: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
 
-    def series(self, method: str, kind: str, cov: str, alpha: float):
-        """(grid, rate, se) arrays for one verdict family."""
-        sel = [p for p in self.points
-               if p.method == method and p.kind == kind and p.cov == cov and p.alpha == alpha]
-        sel.sort(key=lambda p: p.grid_value)
-        return (np.array([p.grid_value for p in sel]),
-                np.array([p.rate for p in sel]),
-                np.array([p.se for p in sel]))
-
 
 def _binom_se(rate: float, m: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / m)) if m > 0 else float("nan")
+
+
+def grid_point_size(plan: SimulationPlan) -> int:
+    """How many curve points ``aggregate_grid_point`` makes for one grid point."""
+    return len(plan.methods) * (len(CI_VERDICTS) + len(plan.cov_methods) * len(plan.je_alphas))
 
 
 def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) -> List[CurvePoint]:
@@ -263,10 +275,6 @@ class Type1Table:
     curve: RejectionCurve
     je_pvalues: Dict[Tuple[str, str], np.ndarray]
 
-    def acceptance(self, method: str, kind: str, cov: str, alpha: float) -> float:
-        _, rate, _ = self.curve.series(method, kind, cov, alpha)
-        return float(1.0 - rate[0])
-
     def pp_curve(self, method: str, cov: str):
         """Empirical rejection of the joint test vs nominal alpha."""
         p = self.je_pvalues[(method, cov)]
@@ -292,7 +300,7 @@ def type1_study(plan: SimulationPlan, workers: Optional[int] = None, progress=No
     """Null-hypothesis calibration: one grid point at the true null."""
     check_type1_plan(plan)
     plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
-    records = run_plan(plan, workers=workers, progress=progress)
+    records = dict(run_plan(plan, workers=workers, progress=progress))
     curve = aggregate_curve(plan, records)
     pvals: Dict[Tuple[str, str], np.ndarray] = {}
     for method in plan.methods:
@@ -301,13 +309,6 @@ def type1_study(plan: SimulationPlan, workers: Optional[int] = None, progress=No
                     if r[method]["ok"] and r[method]["je"][cov] is not None]
             pvals[(method, cov)] = np.array(vals)
     return Type1Table(plan, curve, pvals)
-
-
-def power_study(plan: SimulationPlan, workers: Optional[int] = None, progress=None) -> RejectionCurve:
-    """Rejection-rate curve over the grid; the other parameter sits at null."""
-    check_power_plan(plan)
-    records = run_plan(plan, workers=workers, progress=progress)
-    return aggregate_curve(plan, records)
 
 
 # ---------------------------------------------------------------------------

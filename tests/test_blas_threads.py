@@ -62,8 +62,8 @@ from mcjoint.simulation import SimulationPlan, run_plan
 gen = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=25)
 plan = SimulationPlan(generator=gen, methods=("dem", "mdem"), cov_methods=("classic", "sde"),
                       replicates=50, B=199, master_seed=4)
-print(repr(run_plan(plan, workers=2)))
-print(repr(run_plan(plan, workers=1)))
+print(repr(dict(run_plan(plan, workers=2))))
+print(repr(dict(run_plan(plan, workers=1))))
 """
 
 

@@ -170,24 +170,37 @@ def test_simulate_unknown_kind_exits_2(tmp_path, capsys):
 
 
 def test_simulate_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MCJOINT_THREADS", "abc")
+    # the flag and the variable go through one check: an integer >= 1
     plan = write_plan(tmp_path / "plan.cfg")
-    rc, _, err = simulate(capsys, plan, tmp_path / "out")
-    assert rc == 2
-    assert_one_line_error(err)
-    assert "MCJOINT_THREADS" in err
+    for env, flag, named in [("abc", None, "MCJOINT_THREADS"), ("0", None, "MCJOINT_THREADS"),
+                             ("-2", None, "MCJOINT_THREADS"), (None, -3, "--workers"),
+                             (None, 0, "--workers")]:
+        if env is None:
+            monkeypatch.delenv("MCJOINT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MCJOINT_THREADS", env)
+        extra = () if flag is None else ("--workers", flag)
+        rc, _, err = simulate(capsys, plan, tmp_path / "out", *extra)
+        assert rc == 2, (env, flag)
+        assert_one_line_error(err)
+        assert named in err and "integer >= 1" in err
+        assert not (tmp_path / "out").exists()
+    # a valid flag overrides the variable, which is then not read
+    monkeypatch.setenv("MCJOINT_THREADS", "abc")
+    assert simulate(capsys, plan, tmp_path / "out", "--workers", 1)[0] == 0
 
 
-def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch):
-    sizes = []
-    starts = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """(size, start method) of every pool ``run_plan`` constructs; tasks run here."""
+    pools = []
 
     class RecordingPool:
-        """Stands in for the process pool: records its size and start method, runs tasks here."""
+        """Stands in for the process pool.  Its ``map`` is lazy and keeps task
+        order, as the pool's does, so a task runs when its result is asked for."""
 
         def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-            starts.append(mp_context.get_start_method())
+            pools.append((max_workers, mp_context.get_start_method()))
 
         def __enter__(self):
             return self
@@ -199,15 +212,49 @@ def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch)
             return map(fn, tasks)
 
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_simulate_caps_the_pool_at_the_task_count(tmp_path, capsys, monkeypatch, recording_pool):
     monkeypatch.setenv("MCJOINT_THREADS", "64")
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0")
     rc, _, _ = simulate(capsys, plan, tmp_path / "out")
     assert rc == 0
-    # 64 workers get one-replicate chunks, so 50 replicates make 50 tasks
-    assert sizes == [50]
-    # spawned workers import numpy under mcjoint's BLAS pin; forked ones
-    # would inherit the caller's BLAS threads
-    assert starts == ["spawn"]
+    # 64 workers get one-replicate chunks, so 50 replicates make 50 tasks;
+    # spawned workers import numpy under mcjoint's BLAS pin, where forked
+    # ones would inherit the caller's BLAS threads
+    assert recording_pool == [(50, "spawn")]
+
+
+def test_simulate_power_plan_starts_one_pool(tmp_path, capsys, recording_pool):
+    plan = write_plan(tmp_path / "plan.cfg", grid="0.98, 1.0, 1.02")
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 2)
+    assert rc == 0
+    assert recording_pool == [(2, "spawn")]
+    assert len(read_curve_csv(tmp_path / "out" / "curve.csv")) == 3 * 5
+    # one progress line per chunk of replicates, with a rate and an ETA
+    lines = err.strip().splitlines()
+    assert lines[-1].startswith("  150/150 replicates, ") and lines[-1].endswith(", ETA 0 s")
+    assert all(" replicates, " in line and "/s, ETA " in line for line in lines)
+
+
+def test_simulate_saves_each_grid_point_before_the_next_runs(tmp_path, capsys, monkeypatch,
+                                                            recording_pool):
+    plan = write_plan(tmp_path / "plan.cfg", grid="0.98, 1.0, 1.02")
+    out = tmp_path / "out"
+    seen = {}
+    evaluate = simulation.evaluate_replicate
+
+    def spy(plan, gi, ri):
+        if ri == 0 and gi > 0:
+            manifest = json.loads((out / "manifest.json").read_text())
+            seen[gi] = (manifest["completed"],
+                        sorted({p.grid_value for p in read_curve_csv(out / "curve.csv")}))
+        return evaluate(plan, gi, ri)
+
+    monkeypatch.setattr(simulation, "evaluate_replicate", spy)
+    assert simulate(capsys, plan, out, "--workers", 2)[0] == 0
+    assert seen == {1: ([0], [0.98]), 2: ([0, 1], [0.98, 1.0])}
 
 
 def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):
@@ -246,20 +293,49 @@ def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):
     assert {name: (full / name).read_bytes() for name in want} == want
 
 
-@pytest.mark.parametrize("corrupt", ["manifest", "curve"])
-def test_simulate_unreadable_resume_files_exit_2_and_stay(tmp_path, capsys, corrupt):
-    plan = write_plan(tmp_path / "plan.cfg")
+@pytest.fixture(scope="module")
+def finished_power_run(tmp_path_factory):
+    """The plan file and saved files of a finished two-point power run."""
+    base = tmp_path_factory.mktemp("finished")
+    plan = write_plan(base / "plan.cfg")
+    assert cli.main(["simulate", "--plan", str(plan), "--out", str(base / "out"),
+                     "--workers", "1"]) == 0
+    return plan, {name: (base / "out" / name).read_bytes() for name in ("curve.csv", "manifest.json")}
+
+
+@pytest.mark.parametrize("corrupt", ["manifest", "curve", "index-below-grid", "index-above-grid",
+                                     "index-twice", "index-not-int", "curve-header-only",
+                                     "curve-point-missing", "curve-rows-twice"])
+def test_simulate_unreadable_resume_files_exit_2_and_stay(tmp_path, capsys, corrupt,
+                                                         finished_power_run):
+    # a finished run's files, then corrupted
+    plan, files = finished_power_run
     out = tmp_path / "out"
     out.mkdir()
-    _, parsed, _ = cli.parse_plan(plan)
-    simulation.write_manifest(out / "manifest.json", parsed, [0], "power")
-    (out / "curve.csv").write_text("method,kind\ndem,je\n")
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    points = read_curve_csv(out / "curve.csv")
+    completed = {"index-below-grid": [-1], "index-above-grid": [0, 2], "index-twice": [0, 0],
+                 "index-not-int": [0, 1.0]}.get(corrupt)
+    if completed is not None:
+        manifest = json.loads(files["manifest.json"])
+        manifest["completed"] = completed
+        (out / "manifest.json").write_text(json.dumps(manifest))
     if corrupt == "manifest":
         (out / "manifest.json").write_text('{"kind": "power", "plan":')
+    if corrupt == "curve":
+        (out / "curve.csv").write_text("method,kind\ndem,je\n")
+    if corrupt == "curve-header-only":
+        write_curve_csv([], out / "curve.csv")
+    if corrupt == "curve-point-missing":
+        write_curve_csv(points[1:], out / "curve.csv")
+    if corrupt == "curve-rows-twice":
+        write_curve_csv(points + [p for p in points if p.grid_value == 1.02], out / "curve.csv")
     before = {f.name: f.read_bytes() for f in out.iterdir()}
     rc, _, err = simulate(capsys, plan, out, "--workers", 1)
     assert rc == 2
     assert_one_line_error(err)
+    assert "cannot resume" in err or "unreadable curve file" in err
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 

@@ -1,6 +1,7 @@
 """Generator, CSV ingestion, and rounding behavior."""
 
 import decimal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_reproducible_bitwise():
     spec = GeneratorSpec(n=50, seed=42, **SHORT)
     a, b = generate(spec), generate(spec)
     assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-    c = generate(spec.with_seed(43))
+    c = generate(replace(spec, seed=43))
     assert c.x.tobytes() != a.x.tobytes()
 
 

@@ -8,13 +8,23 @@ from hypothesis import strategies as st
 import mcjoint as mj
 from mcjoint import estimators as est
 from mcjoint.dataset import GeneratorSpec, PairedSample, generate, round_significant
-from mcjoint.estimators import HUBER_K, DemingConfig, deming_objective, fit
+from mcjoint.estimators import HUBER_K, DemingConfig, fit
 
 CFG = DemingConfig()
 
 
 def sample(x, y):
     return PairedSample(x=np.asarray(x, float), y=np.asarray(y, float))
+
+
+def deming_objective(x, y, b0, b1, lam=1.0):
+    """Sum of d_i^2 + lam * e_i^2 at the optimal decomposition of each point.
+
+    Point i's residual r = y - b0 - b1 x splits into x and y errors d and e;
+    the split that minimizes d^2 + lam e^2 leaves lam r^2 / (1 + lam b1^2).
+    """
+    r = np.asarray(y) - b0 - b1 * np.asarray(x)
+    return float((lam * r * r / (1.0 + lam * b1 * b1)).sum())
 
 
 def line_sample(slope, intercept, n=12, seed=0, noise=0.0):
@@ -28,14 +38,14 @@ def line_sample(slope, intercept, n=12, seed=0, noise=0.0):
 
 def test_deming_identity_line():
     s = line_sample(1.0, 0.0)
-    f = mj.fit_deming(s)
+    f = fit(s, "dem")
     assert f.slope == pytest.approx(1.0, abs=1e-12)
     assert f.intercept == pytest.approx(0.0, abs=1e-12)
     assert f.iterations == 1 and f.converged
 
 
 def test_deming_exact_affine():
-    f = mj.fit_deming(line_sample(2.0, 3.0))
+    f = fit(line_sample(2.0, 3.0), "dem")
     assert f.slope == pytest.approx(2.0, abs=1e-10)
     assert f.intercept == pytest.approx(3.0, abs=1e-10)
 
@@ -45,7 +55,7 @@ def test_deming_matches_grid_search_oracle():
     x = np.array([1.0, 2.0, 3.5, 5.0, 7.0]) + rng.normal(0, 0.3, 5)
     y = 1.4 * x + 0.7 + rng.normal(0, 0.3, 5)
     s = sample(x, y)
-    f = mj.fit_deming(s, CFG)
+    f = fit(s, "dem", CFG)
     # brute force over a fine (intercept, slope) grid around the answer
     b0g = np.linspace(f.intercept - 0.3, f.intercept + 0.3, 241)
     b1g = np.linspace(f.slope - 0.3, f.slope + 0.3, 241)
@@ -66,7 +76,7 @@ def test_deming_minimizes_objective_any_lambda(lam):
     x = rng.uniform(1, 10, 20)
     y = 1.6 * x + 0.5 + rng.normal(0, 0.5, 20)
     s = sample(x, y)
-    f = mj.fit_deming(s, DemingConfig(lam=lam))
+    f = fit(s, "dem", DemingConfig(lam=lam))
     base = deming_objective(s.x, s.y, f.intercept, f.slope, lam)
     # profile intercept out; scan the slope finely around the answer
     for b1 in np.linspace(f.slope - 0.2, f.slope + 0.2, 4001):
@@ -77,13 +87,13 @@ def test_deming_minimizes_objective_any_lambda(lam):
 def test_deming_degenerate_sxy_zero():
     s = sample([1, 1, 2, 2], [1, 2, 1, 2])  # s_xy = 0, s_yy = s_xx
     with pytest.raises(mj.DegenerateDataError):
-        mj.fit_deming(s)
+        fit(s, "dem")
 
 
 def test_deming_symmetry_under_swap():
     s = line_sample(1.8, -0.5, noise=0.4, seed=3)
-    f_xy = mj.fit_deming(s)
-    f_yx = mj.fit_deming(sample(s.y, s.x))
+    f_xy = fit(s, "dem")
+    f_yx = fit(sample(s.y, s.x), "dem")
     assert f_xy.slope == pytest.approx(1.0 / f_yx.slope, abs=1e-10)
     # fitted lines coincide: y = a + b x  <=>  x = -a/b + y/b
     assert f_yx.intercept == pytest.approx(-f_xy.intercept / f_xy.slope, abs=1e-9)
@@ -93,7 +103,7 @@ def test_deming_symmetry_under_swap():
 
 def test_wdem_exact_identity_two_iterations():
     s = line_sample(1.0, 0.0)
-    f = mj.fit_wdeming(s)
+    f = fit(s, "wdem")
     assert f.slope == pytest.approx(1.0, abs=1e-12)
     assert f.intercept == pytest.approx(0.0, abs=1e-12)
     assert f.iterations <= 2 and f.converged
@@ -119,21 +129,21 @@ def test_wdem_low_value_outlier_pulls_fit():
     x = np.append(x, 0.05)
     y = np.append(y, 1.2)
     s = sample(x, y)
-    dem = mj.fit_deming(s).slope
-    wdem = mj.fit_wdeming(s).slope
-    mdem = mj.fit_mdeming(s).slope
+    dem = fit(s, "dem").slope
+    wdem = fit(s, "wdem").slope
+    mdem = fit(s, "mdem").slope
     assert abs(wdem - dem) > abs(mdem - dem)
 
 
 def test_wdem_requires_positive_values():
     with pytest.raises(mj.DegenerateDataError):
-        mj.fit_wdeming(sample([-1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]))
+        fit(sample([-1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "wdem")
 
 
 # -- M-Deming ----------------------------------------------------------------
 
 def test_mdem_exact_identity_all_weights_one():
-    f = mj.fit_mdeming(line_sample(1.0, 0.0))
+    f = fit(line_sample(1.0, 0.0), "mdem")
     assert f.slope == pytest.approx(1.0, abs=1e-12)
     assert f.intercept == pytest.approx(0.0, abs=1e-12)
     assert f.weights is not None and np.all(f.weights == 1.0)
@@ -141,7 +151,7 @@ def test_mdem_exact_identity_all_weights_one():
 
 def test_mdem_hemoglobin_anchor():
     s = mj.load_hemoglobin()
-    f = mj.fit_mdeming(s)
+    f = fit(s, "mdem")
     assert f.converged
     assert f.slope == pytest.approx(0.92743, abs=0.02)
     assert f.intercept == pytest.approx(0.10586, abs=0.02)
@@ -149,7 +159,7 @@ def test_mdem_hemoglobin_anchor():
 
 def test_mdem_weights_bounded_and_unit_for_small_residuals():
     s = line_sample(1.2, 0.3, n=30, noise=0.2, seed=9)
-    f = mj.fit_mdeming(s)
+    f = fit(s, "mdem")
     assert np.all((0.0 <= f.weights) & (f.weights <= 1.0))
     # recompute standardized residuals at the fit; small ones have weight 1
     from mcjoint.estimators import _deming_residuals, _robust_scale
@@ -171,8 +181,8 @@ def test_mdem_resists_gross_outlier():
         mid = int(np.argmin(np.abs(x - x.mean())))
         y[mid] *= 10.0
         s = sample(x, y)
-        dem = mj.fit_deming(s).slope
-        mdem = mj.fit_mdeming(s).slope
+        dem = fit(s, "dem").slope
+        mdem = fit(s, "mdem").slope
         hits += abs(mdem - 1.0) < abs(dem - 1.0)
     assert hits >= 95
 
@@ -187,24 +197,24 @@ def test_mmdem_resists_leverage_outlier():
         y[0] *= 10.0
         s = sample(x, y)
         try:
-            mm = mj.fit_mmdeming(s).slope
+            mm = fit(s, "mmdem").slope
         except mj.McjointError:
             continue
-        hits += abs(mm - 1.0) < abs(mj.fit_deming(s).slope - 1.0)
+        hits += abs(mm - 1.0) < abs(fit(s, "dem").slope - 1.0)
     assert hits >= 45
 
 
 # -- MM-Deming ---------------------------------------------------------------
 
 def test_mmdem_exact_affine():
-    f = mj.fit_mmdeming(line_sample(2.0, 3.0))
+    f = fit(line_sample(2.0, 3.0), "mmdem")
     assert f.slope == pytest.approx(2.0, abs=1e-9)
     assert f.intercept == pytest.approx(3.0, abs=1e-9)
     assert f.converged
 
 
 def test_mmdem_hemoglobin_in_reported_band():
-    f = mj.fit_mmdeming(mj.load_hemoglobin())
+    f = fit(mj.load_hemoglobin(), "mmdem")
     assert f.converged
     assert 0.83 <= f.slope <= 0.99
 
@@ -221,10 +231,10 @@ def test_mmdem_resists_clustered_contamination():
         y = np.concatenate([y, rng.normal(3.0, 0.05, k)])
         s = sample(x, y)
         try:
-            mm = mj.fit_mmdeming(s).slope
+            mm = fit(s, "mmdem").slope
         except mj.McjointError:
             continue
-        md = mj.fit_mdeming(s).slope
+        md = fit(s, "mdem").slope
         hits += abs(mm - 1.0) < abs(md - 1.0)
     assert hits >= 80
 
@@ -318,7 +328,7 @@ def test_batch_mmdem_matches_per_row_reference(mm_rows):
 def test_fit_mmdeming_start_failure(mm_rows):
     X, Y, _ = mm_rows
     with pytest.raises(mj.StartFailureError, match="^both covariance starters failed: "):
-        mj.fit_mmdeming(sample(X[COINCIDENT], Y[COINCIDENT]))
+        fit(sample(X[COINCIDENT], Y[COINCIDENT]), "mmdem")
 
 
 def test_mmdem_bootstrap_repeatable_and_equal_to_single_fits():
@@ -328,7 +338,7 @@ def test_mmdem_bootstrap_repeatable_and_equal_to_single_fits():
     np.testing.assert_array_equal(a.pairs, b.pairs)
     np.testing.assert_array_equal(a.indices, b.indices)
     for pair, idx in zip(a.pairs, a.indices):
-        f = mj.fit_mmdeming(sample(s.x[idx], s.y[idx]))
+        f = fit(sample(s.x[idx], s.y[idx]), "mmdem")
         assert (f.intercept, f.slope) == (pair[0], pair[1])
 
 
@@ -336,13 +346,13 @@ def test_mmdem_bootstrap_repeatable_and_equal_to_single_fits():
 
 def test_paba_hemoglobin_exact():
     s = mj.load_hemoglobin()
-    f = mj.fit_paba(s)
+    f = fit(s, "paba")
     assert round(f.slope, 5) == 0.90625
     assert round(f.intercept, 5) == 0.24844
 
 
 def test_paba_exact_identity():
-    f = mj.fit_paba(line_sample(1.0, 0.0))
+    f = fit(line_sample(1.0, 0.0), "paba")
     assert f.slope == 1.0
     assert f.intercept == pytest.approx(0.0, abs=1e-12)
 
@@ -387,9 +397,9 @@ def test_paba_equals_bruteforce_oracle_small_n():
         expected = _paba_oracle(x, y)
         if expected is None:
             with pytest.raises(mj.McjointError):
-                mj.fit_paba(sample(x, y))
+                fit(sample(x, y), "paba")
             continue
-        f = mj.fit_paba(sample(x, y))
+        f = fit(sample(x, y), "paba")
         assert f.intercept == expected[0] and f.slope == expected[1]
         checked += 1
     assert checked > 300
@@ -397,36 +407,7 @@ def test_paba_equals_bruteforce_oracle_small_n():
 
 def test_paba_all_x_identical_degenerate():
     with pytest.raises(mj.DegenerateDataError):
-        mj.fit_paba(sample([2, 2, 2, 2], [1, 2, 3, 4]))
-
-
-def test_paba_analytic_ci_hemoglobin_upper_bound():
-    ci = mj.paba_analytic_ci(mj.load_hemoglobin(), alpha=0.05)
-    assert f"{ci.slope_hi:.5f}" == "1.00000"
-
-
-def test_paba_analytic_ci_exact_identity_zero_width():
-    s = line_sample(1.0, 0.0)
-    ci = mj.paba_analytic_ci(s, alpha=0.05)
-    assert ci.slope_lo == 1.0 and ci.slope_hi == 1.0
-
-
-def test_paba_analytic_ci_too_small_sample():
-    s = sample([1.0, 2.0, 3.0], [1.0, 2.1, 2.9])
-    with pytest.raises(mj.InsufficientDataError):
-        mj.paba_analytic_ci(s, alpha=0.05)
-
-
-@pytest.mark.slow
-def test_paba_analytic_ci_coverage():
-    covered = 0
-    trials = 1000
-    for seed in range(trials):
-        s = generate(GeneratorSpec(xmin=3, xmax=8, n=50, slope=1.1, intercept=0.0,
-                                   sigmax=0.12, sigmay=0.12, seed=seed))
-        ci = mj.paba_analytic_ci(s, alpha=0.05)
-        covered += ci.slope_lo <= 1.1 <= ci.slope_hi
-    assert 0.92 <= covered / trials <= 0.98
+        fit(sample([2, 2, 2, 2], [1, 2, 3, 4]), "paba")
 
 
 # -- shared properties -------------------------------------------------------
@@ -473,7 +454,7 @@ def test_paba_matches_oracle_hypothesis(seed):
     a, b = expected
     if b == 0.0:
         return
-    f = mj.fit_paba(sample(x, y))
+    f = fit(sample(x, y), "paba")
     assert f.slope == b and f.intercept == a
 
 
@@ -489,8 +470,8 @@ def test_deming_affine_equivariance_hypothesis(seed, p, q, q_sign, r, t, t_sign)
     x = rng.uniform(1.0, 10.0, n)
     y = rng.uniform(0.5, 2.0) * x + rng.normal(0.0, 0.5, n)
     lam = float(rng.choice([0.25, 1.0, 4.0]))
-    f0 = mj.fit_deming(sample(x, y), DemingConfig(lam))
-    f1 = mj.fit_deming(sample(p + q * x, r + t * y), DemingConfig(lam * q**2 / t**2))
+    f0 = fit(sample(x, y), "dem", DemingConfig(lam))
+    f1 = fit(sample(p + q * x, r + t * y), "dem", DemingConfig(lam * q**2 / t**2))
     b = t / q * f0.slope
     a = r + t * f0.intercept - b * p
     assert f1.slope == pytest.approx(b, rel=1e-9)
@@ -508,8 +489,8 @@ def test_paba_swap_symmetry_hypothesis(seed):
     y = rng.uniform(0.5, 2.0) * x + rng.normal(0.0, 0.5, n)
     _, N, _ = est._pairwise_slopes(x[None, :], y[None, :])
     assume(N[0] % 2 == 1)
-    f = mj.fit_paba(sample(x, y))
-    g = mj.fit_paba(sample(y, x))
+    f = fit(sample(x, y), "paba")
+    g = fit(sample(y, x), "paba")
     assert g.slope == pytest.approx(1.0 / f.slope, rel=1e-12)
     assert g.intercept == pytest.approx(-f.intercept / f.slope, abs=1e-9 * (abs(f.intercept / f.slope) + 10.0))
 
@@ -526,12 +507,12 @@ def test_paba_affine_equivariance_hypothesis(seed, p, k):
     y = (np.round(8.0 * rng.uniform(0.5, 2.0) * x) + rng.integers(-4, 5, n)) / 8.0
     mapped = sample(p + q * x, p + q * y)
     try:
-        f0 = mj.fit_paba(sample(x, y))
+        f0 = fit(sample(x, y), "paba")
     except mj.DegenerateDataError:
         with pytest.raises(mj.DegenerateDataError):
-            mj.fit_paba(mapped)
+            fit(mapped, "paba")
         return
-    f1 = mj.fit_paba(mapped)
+    f1 = fit(mapped, "paba")
     assert f1.slope == f0.slope
     a = p + q * f0.intercept - f0.slope * p
     assert f1.intercept == pytest.approx(a, abs=1e-9 * (abs(p) + abs(q * f0.intercept) + abs(f0.slope * p) + 1.0))

@@ -13,8 +13,6 @@ from mcjoint.resampling import (
     _bca_levels,
     bca_ci,
     bootstrap,
-    percentile_ci,
-    studentized_ci,
 )
 
 CFG = DemingConfig()
@@ -74,31 +72,29 @@ def test_hemoglobin_paba_slope_atom_at_one():
     assert frac_at_one > 0.02   # a visible accumulation point, not noise
 
 
-# -- percentile --------------------------------------------------------------
+# -- percentile, BCa's fallback ----------------------------------------------
 
 def test_percentile_quantile_formula():
-    # 999 synthetic slope values 1..999 -> type-7 bounds 25.95 and 974.05
+    # 999 synthetic values 1..999, all above the point estimate 0, so BCa
+    # falls back to the percentile interval: type-7 bounds 25.95 and 974.05
     pairs = np.column_stack([np.arange(1.0, 1000.0), np.arange(1.0, 1000.0)])
     e = BootstrapEnsemble(pairs=pairs, jack=np.full((10, 2), np.nan),
-                          point=mj.RegressionFit(500.0, 500.0, "dem"),
+                          point=mj.RegressionFit(0.0, 0.0, "dem"),
                           failed=0, method="dem", indices=np.zeros((999, 10), dtype=int),
                           sample=identity_sample(10), cfg=CFG, seed=(0,))
-    iv = percentile_ci(e, alpha=0.05)
+    iv = bca_ci(e, alpha=0.05)
+    assert iv.fallback
     assert iv.slope_lo == pytest.approx(25.95, abs=1e-9)
     assert iv.slope_hi == pytest.approx(974.05, abs=1e-9)
+    assert iv.int_lo == pytest.approx(25.95, abs=1e-9)
+    assert iv.int_hi == pytest.approx(974.05, abs=1e-9)
 
 
 def test_percentile_degenerate_zero_width():
     e = bootstrap(identity_sample(), "paba", CFG, B=199, seed=0)
-    iv = percentile_ci(e, 0.05)
+    iv = bca_ci(e, 0.05)
+    assert iv.fallback
     assert iv.slope_lo == iv.slope_hi == 1.0
-
-
-def test_percentile_monotone_nesting(clean_ensemble):
-    wide = percentile_ci(clean_ensemble, alpha=0.01)
-    narrow = percentile_ci(clean_ensemble, alpha=0.10)
-    assert wide.slope_lo <= narrow.slope_lo <= narrow.slope_hi <= wide.slope_hi
-    assert wide.int_lo <= narrow.int_lo <= narrow.int_hi <= wide.int_hi
 
 
 # -- BCa ---------------------------------------------------------------------
@@ -139,11 +135,18 @@ def test_bca_reduces_to_percentile_with_injected_constants():
 
 
 def test_bca_symmetric_ensemble_close_to_percentile(clean_ensemble):
-    p = percentile_ci(clean_ensemble, 0.05)
+    p_lo, p_hi = np.quantile(clean_ensemble.slopes, [0.025, 0.975])
     b = bca_ci(clean_ensemble, 0.05)
-    width = p.slope_hi - p.slope_lo
-    assert abs(b.slope_lo - p.slope_lo) < 0.35 * width
-    assert abs(b.slope_hi - p.slope_hi) < 0.35 * width
+    width = p_hi - p_lo
+    assert abs(b.slope_lo - p_lo) < 0.35 * width
+    assert abs(b.slope_hi - p_hi) < 0.35 * width
+
+
+def test_bca_monotone_nesting(clean_ensemble):
+    wide = bca_ci(clean_ensemble, alpha=0.01)
+    narrow = bca_ci(clean_ensemble, alpha=0.10)
+    assert wide.slope_lo <= narrow.slope_lo <= narrow.slope_hi <= wide.slope_hi
+    assert wide.int_lo <= narrow.int_lo <= narrow.int_hi <= wide.int_hi
 
 
 def test_bca_fallback_flag_for_one_sided_ensemble():
@@ -156,35 +159,18 @@ def test_bca_fallback_flag_for_one_sided_ensemble():
 def test_bca_contains_point_estimate_hemoglobin():
     s = mj.load_hemoglobin()
     e = bootstrap(s, "paba", CFG, B=999, seed=11)
-    for iv in (bca_ci(e, 0.05), percentile_ci(e, 0.05)):
-        assert iv.slope_lo <= e.point.slope <= iv.slope_hi
-        assert iv.int_lo <= e.point.intercept <= iv.int_hi
-
-
-# -- studentized -------------------------------------------------------------
-
-def test_studentized_degenerate_zero_width():
-    e = bootstrap(identity_sample(), "dem", CFG, B=199, seed=0)
-    iv = studentized_ci(e, 0.05)
-    assert iv.slope_lo == iv.slope_hi == 1.0
-
-
-def test_studentized_close_to_percentile_for_gaussian(clean_ensemble):
-    p = percentile_ci(clean_ensemble, 0.05)
-    t = studentized_ci(clean_ensemble, 0.05)
-    width = p.slope_hi - p.slope_lo
-    assert abs((t.slope_hi - t.slope_lo) - width) < 0.5 * width
-    assert t.slope_lo <= clean_ensemble.point.slope <= t.slope_hi
+    iv = bca_ci(e, 0.05)
+    assert iv.slope_lo <= e.point.slope <= iv.slope_hi
+    assert iv.int_lo <= e.point.intercept <= iv.int_hi
 
 
 # -- invariants ---------------------------------------------------------------
 
 def test_interval_bounds_ordered(clean_ensemble):
-    for kind, ci in (("percentile", percentile_ci), ("bca", bca_ci), ("studentized", studentized_ci)):
-        iv = ci(clean_ensemble, 0.05)
-        assert iv.slope_lo <= iv.slope_hi
-        assert iv.int_lo <= iv.int_hi
-        assert iv.kind == kind
+    iv = bca_ci(clean_ensemble, 0.05)
+    assert iv.slope_lo <= iv.slope_hi
+    assert iv.int_lo <= iv.int_hi
+    assert iv.kind == "bca"
 
 
 def test_failed_counter_and_quality_gate():

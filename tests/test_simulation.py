@@ -2,6 +2,7 @@
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from mcjoint.dataset import GeneratorSpec
 from mcjoint.simulation import (
     SimulationPlan,
     aggregate_curve,
+    check_power_plan,
     curve_rows,
     evaluate_replicate,
     read_curve_csv,
     run_plan,
     type1_study,
-    power_study,
     write_curve_csv,
 )
 
@@ -29,6 +30,19 @@ def small_plan(**kw):
                 master_seed=99)
     base.update(kw)
     return SimulationPlan(**base)
+
+
+def power_curve(plan, workers):
+    """The rejection curve of a power plan over its whole grid."""
+    check_power_plan(plan)
+    return aggregate_curve(plan, dict(run_plan(plan, workers=workers)))
+
+
+def series(curve, method, kind, cov, alpha):
+    """(grid, rate) arrays of one verdict family, in grid order."""
+    sel = sorted((p.grid_value, p.rate) for p in curve.points
+                 if (p.method, p.kind, p.cov, p.alpha) == (method, kind, cov, alpha))
+    return np.array([g for g, _ in sel]), np.array([r for _, r in sel])
 
 
 def test_plan_validation():
@@ -50,12 +64,24 @@ def test_plan_validation():
 
 def test_serial_parallel_identical():
     plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50, methods=("dem", "paba"))
-    serial = run_plan(plan, workers=1)
-    parallel = run_plan(plan, workers=2)
+    serial = dict(run_plan(plan, workers=1))
+    parallel = dict(run_plan(plan, workers=2))
     assert serial == parallel
     c1 = aggregate_curve(plan, serial)
     c2 = aggregate_curve(plan, parallel)
     assert curve_rows(c1.points) == curve_rows(c2.points)
+
+
+def test_run_plan_streams_grid_points_in_request_order():
+    plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50)
+    counts = []
+    got = list(run_plan(plan, workers=1, grid_subset=[2, 0],
+                        progress=lambda done, total: counts.append((done, total))))
+    assert [gi for gi, _ in got] == [2, 0]
+    assert all(len(recs) == 50 for _, recs in got)
+    assert counts == sorted(counts) and counts[-1] == (100, 100)
+    # a grid point's records do not depend on the other points requested
+    assert dict(got)[0] == dict(run_plan(plan, workers=1, grid_subset=[0]))[0]
 
 
 def test_mmdem_replicates_repeatable_serial_and_spawned():
@@ -74,8 +100,8 @@ def test_same_datasets_across_method_sets():
     # with more methods sees the identical data, so shared columns agree
     p1 = small_plan(methods=("dem",))
     p2 = small_plan(methods=("dem", "paba"))
-    r1 = run_plan(p1, workers=1)
-    r2 = run_plan(p2, workers=1)
+    r1 = dict(run_plan(p1, workers=1))
+    r2 = dict(run_plan(p2, workers=1))
     for rec1, rec2 in zip(r1[0], r2[0]):
         assert rec1["dem"] == rec2["dem"]
 
@@ -88,7 +114,8 @@ def test_type1_study_requires_null_generator():
 
 def test_type1_study_reasonable_acceptance():
     table = type1_study(small_plan(replicates=60, methods=("dem",)), workers=2)
-    acc = table.acceptance("dem", "ci_total", "", 0.05)
+    _, rate = series(table.curve, "dem", "ci_total", "", 0.05)
+    acc = 1.0 - rate[0]
     assert 0.7 <= acc <= 1.0
     nom, emp = table.pp_curve("dem", "classic")
     assert emp[0] <= emp[-1]  # empirical rejection grows with nominal alpha
@@ -99,25 +126,26 @@ def test_power_study_extreme_slopes_reject():
     plan = small_plan(grid=(0.5, 1.0, 2.0), replicates=50,
                       generator=GeneratorSpec(xmin=3, xmax=8, n=30,
                                               sigmax=0.12, sigmay=0.12))
-    curve = power_study(plan, workers=2)
-    grid, rate, se = curve.series("dem", "ci_total", "", 0.05)
+    curve = power_curve(plan, workers=2)
+    grid, rate = series(curve, "dem", "ci_total", "", 0.05)
+    assert list(grid) == [0.5, 1.0, 2.0]
     assert rate[0] > 0.9 and rate[-1] > 0.9
     assert rate[1] < 0.4
-    grid, rate, _ = curve.series("dem", "je", "classic", 0.01)
+    grid, rate = series(curve, "dem", "je", "classic", 0.01)
     assert rate[0] > 0.9 and rate[-1] > 0.9
 
 
 def test_power_study_needs_other_param_at_null():
     with pytest.raises(mj.ValidationError):
-        power_study(small_plan(
+        power_curve(small_plan(
             grid=(0.9, 1.0, 1.1),
             generator=GeneratorSpec(xmin=3, xmax=8, n=25, intercept=0.5,
-                                    sigmax=0.12, sigmay=0.12)))
+                                    sigmax=0.12, sigmay=0.12)), workers=1)
 
 
 def test_binomial_se_formula():
     plan = small_plan(grid=(0.8, 1.0, 1.25), replicates=50)
-    curve = power_study(plan, workers=1)
+    curve = power_curve(plan, workers=1)
     for p in curve.points:
         if np.isfinite(p.rate):
             assert p.se == pytest.approx(
@@ -126,7 +154,7 @@ def test_binomial_se_formula():
 
 def test_curve_csv_roundtrip(tmp_path):
     plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50)
-    curve = power_study(plan, workers=1)
+    curve = power_curve(plan, workers=1)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve.points, path)
     points = read_curve_csv(path)
@@ -144,12 +172,10 @@ def test_atom_fraction_diagnostic_tracks_precision():
                                 precision_x=2, precision_y=2),
         replicates=50)
     smooth = small_plan(methods=("paba",), replicates=50)
-    atom_rough = power_study(_with_grid(rough), workers=1).atom_fraction["paba"]
-    atom_smooth = power_study(_with_grid(smooth), workers=1).atom_fraction["paba"]
+    atom_rough = power_curve(_with_grid(rough), workers=1).atom_fraction["paba"]
+    atom_smooth = power_curve(_with_grid(smooth), workers=1).atom_fraction["paba"]
     assert np.nanmean(atom_rough) > 2 * np.nanmean(atom_smooth)
 
 
 def _with_grid(plan):
-    from dataclasses import replace
-
     return replace(plan, grid=(0.95, 1.0, 1.05))
