@@ -243,13 +243,19 @@ def _write_type1_outputs(out: Path, table: Type1Table):
 
 
 def _progress():
-    """A ``run_plan`` progress callback: replicates done, their rate and an ETA."""
-    start = time.monotonic()
+    """A ``run_plan`` progress callback: replicates done, their rate and an ETA.
+
+    Rate and ETA count from the first callback on, so the pool's start-up
+    is not taken for work; the first line has neither.
+    """
+    first = []
 
     def show(done, total):
-        rate = done / max(time.monotonic() - start, 1e-9)
-        print(f"  {done}/{total} replicates, {rate:.3g}/s, ETA {(total - done) / rate:.0f} s",
-              file=sys.stderr)
+        now = time.monotonic()
+        first[:] = first or (now, done)
+        speed = (done - first[1]) / (now - first[0]) if now > first[0] else 0.0
+        rate, eta = (f"{speed:.3g}", f"{(total - done) / speed:.0f}") if speed else ("-", "-")
+        print(f"  {done}/{total} replicates, {rate}/s, ETA {eta} s", file=sys.stderr)
 
     return show
 

@@ -53,6 +53,7 @@ _S_MAX_ITER = 200      # S fixed-point iterations before giving up
 _S_TOL = 1e-10         # relative scale shift that ends the S fixed point
 _M_SCALE_MAX_ITER = 200  # M-scale iterations before giving up
 _M_SCALE_TOL = 1e-12   # relative scale step that ends the M-scale iteration
+_NEWTON_SLOPE = 0.5    # least q/v at which the M-scale takes a Newton step
 _SDE_DIRS = 1000       # random projection directions of Stahel-Donoho
 
 
@@ -638,17 +639,18 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
 # S-estimators (bisquare, and translated bisquare for the fallback)
 # ---------------------------------------------------------------------------
 
+def _rho_upsi_bisquare(u: np.ndarray, c: float):
+    """rho(u) and u psi(u) = u^2 w(u) of the bisquare at u >= 0, from t = min(u, c)^2.
+
+    rho = t/2 - t^2/(2c^2) + t^3/(6c^4), in Horner form, and u psi = t (1 - t/c^2)^2.
+    """
+    t = np.minimum(u, c) ** 2
+    g = 1.0 - t / (c * c)
+    return t * (0.5 + t * (t / (6.0 * c ** 4) - 0.5 / (c * c))), t * g * g
+
+
 def _rho_bisquare(u: np.ndarray, c: float) -> np.ndarray:
-    """v^2/2 - v^4/(2c^2) + v^6/(6c^4) at v = min(|u|, c), in Horner form."""
-    t = np.minimum(np.abs(u), c)
-    t *= t
-    # t * (0.5 + t * (t / (6c^4) - 0.5/c^2)), in place, in the same order
-    r = t / (6.0 * c ** 4)
-    r -= 0.5 / (c * c)
-    r *= t
-    r += 0.5
-    r *= t
-    return r
+    return _rho_upsi_bisquare(np.abs(u), c)[0]
 
 
 def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
@@ -690,23 +692,24 @@ _ROCKE_CONSTANTS = (1.2436729193400209, 1.2040739113407952, 0.8161408610557107)
 
 
 class SEstimator(NamedTuple):
-    """An S-estimator: its name, rho and weight functions, and scale target b0."""
+    """An S-estimator: its name, rho(u) with u psi(u) at u >= 0, weight function and target b0."""
 
     name: str
-    rho: Callable[[np.ndarray], np.ndarray]
+    rho_upsi: Callable[[np.ndarray], tuple]
     weight: Callable[[np.ndarray], np.ndarray]
     b0: float
 
 
 S_BISQUARE = SEstimator(
     "Sest",
-    rho=lambda u: _rho_bisquare(u, _BISQUARE_S_CONSTANTS[0]),
+    rho_upsi=lambda u: _rho_upsi_bisquare(u, _BISQUARE_S_CONSTANTS[0]),
     weight=lambda u: _weight_bisquare(u, _BISQUARE_S_CONSTANTS[0]),
     b0=_BISQUARE_S_CONSTANTS[1],
 )
 S_ROCKE = SEstimator(
     "Rocke",
-    rho=lambda u: _rho_translated(u, *_ROCKE_CONSTANTS[:2]),
+    rho_upsi=lambda u: (_rho_translated(u, *_ROCKE_CONSTANTS[:2]),
+                        u * u * _weight_translated(u, *_ROCKE_CONSTANTS[:2])),
     weight=lambda u: _weight_translated(u, *_ROCKE_CONSTANTS[:2]),
     b0=_ROCKE_CONSTANTS[2],
 )
@@ -730,25 +733,30 @@ def s_start(Z0: np.ndarray, Z1: np.ndarray) -> McdRows:
     return mcd_rows(Z0, Z1, seed=0, n_starts=_S_MCD_STARTS)
 
 
-def _m_scale(d: np.ndarray, rho, b0: float, s: np.ndarray, run: np.ndarray):
-    """Solve mean rho(d/s) = b0 per row by the multiplicative fixed point.
+def _m_scale(d: np.ndarray, rho_upsi, b0: float, s: np.ndarray, run: np.ndarray):
+    """Solve mean rho(d/s) = b0 per row by a safeguarded Newton step in log s.
 
-    ``s`` holds the starting scales; only rows with ``run`` set iterate.
-    Returns the scales and a failure code per row.  A row's scale is
-    written back when it stops, so an iteration in which every row moves
-    on costs only the step itself.
+    With u = d/s, v = mean rho(u) and q = mean u psi(u), the slope of v in
+    -log s, a row steps to s exp((v - b0)/q) where q >= v/2, and otherwise
+    takes the fixed-point step s sqrt(v/b0): rows near breakdown, which the
+    fixed point cannot settle, so still fail as unsettled.  ``s`` holds the
+    starting scales; only rows with ``run`` set iterate.  Returns the scales
+    and a failure code per row.  A row's scale is written back when it
+    stops, so an iteration in which every row moves on costs only the step.
     """
     s = s.copy()
     code = np.zeros(len(d), dtype=np.intp)
     rows = np.flatnonzero(run)
     d_run, s_run = d[rows], s[rows]
-    n = d.shape[1]
+    target = d.shape[1] * b0  # sums over the row stand for the means
     for _ in range(_M_SCALE_MAX_ITER):
         if rows.size == 0:
             return s, code
-        val = np.add.reduce(rho(d_run / s_run[:, None]), axis=1) / n
+        r, g = rho_upsi(d_run / s_run[:, None])
+        val, q = np.add.reduce(r, axis=1), np.add.reduce(g, axis=1)
         zero = val <= 0.0
-        s_new = s_run * np.sqrt(val / b0)
+        step = np.where(q >= _NEWTON_SLOPE * val, (val - target) / q, 0.5 * np.log(val / target))
+        s_new = s_run * np.exp(step)
         stop = zero | (np.abs(s_new - s_run) <= _M_SCALE_TOL * s_run)
         if stop.any():
             s[rows[stop]] = s_new[stop]
@@ -765,11 +773,12 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
     """S-estimates of location and scatter of every row, from its MCD start.
 
     Each row iterates: distances under the current determinant-one shape,
-    the M-scale s solving mean rho(d/s) = b0, weights w(d/s), and the
-    weighted mean and shape; it stops once s moves by at most
-    ``_S_TOL`` relative.  Returns centers (m, 2), scatters (m, 2, 2) and a
-    failure per row: None where the row converged, otherwise the exception
-    ``_s_fixed_point`` raises for it.
+    the M-scale s solving mean rho(d/s) = b0 (``_m_scale``, from the
+    previous s after the first step), weights w(d/s), and the weighted
+    mean and shape; it stops once s moves by at most ``_S_TOL`` relative.
+    Returns centers (m, 2), scatters (m, 2, 2) and a failure per row: None
+    where the row converged, otherwise the exception ``_s_fixed_point``
+    raises for it.
     """
     m = len(Z0)
     T = start.center.copy()
@@ -788,7 +797,7 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
             med = np.where(med > 0, med, d.mean(axis=1))
             status = np.where(med > 0, 0, _COINCIDENT)
             s_init = med / math.sqrt(_chi2_2_ppf(0.5)) if it == 0 else s[rows]
-            s_new, scale_status = _m_scale(d, est.rho, est.b0, s_init, status == 0)
+            s_new, scale_status = _m_scale(d, est.rho_upsi, est.b0, s_init, status == 0)
             status = np.where(status == 0, scale_status, status)
             w = est.weight(d / s_new[:, None])
             sw, T_new, C = _weighted_moments(Za0, Za1, w)

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
 
@@ -236,6 +237,19 @@ def test_simulate_power_plan_starts_one_pool(tmp_path, capsys, recording_pool):
     lines = err.strip().splitlines()
     assert lines[-1].startswith("  150/150 replicates, ") and lines[-1].endswith(", ETA 0 s")
     assert all(" replicates, " in line and "/s, ETA " in line for line in lines)
+
+
+def test_progress_rate_counts_from_the_first_callback(capsys, monkeypatch):
+    # the pool's start-up, before the first chunk returns, is not work done
+    ticks = iter([10.0, 12.0, 14.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    show = cli._progress()
+    for done in (6, 26, 100):
+        show(done, 100)
+    assert capsys.readouterr().err.splitlines() == [
+        "  6/100 replicates, -/s, ETA - s",
+        "  26/100 replicates, 10/s, ETA 7 s",
+        "  100/100 replicates, 23.5/s, ETA 0 s"]
 
 
 def test_simulate_saves_each_grid_point_before_the_next_runs(tmp_path, capsys, monkeypatch,

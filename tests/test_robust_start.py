@@ -4,7 +4,9 @@
 ``_finish_mcd`` below are the per-row implementations the batched MCD and
 S engines replaced, frozen as the reference.  The batched engines sum in
 another order, so they must agree within 1e-10 * max(|v|, 1), and exactly
-on which rows fail and why.
+on which rows fail and why.  ``_m_scale`` takes the batched solver's
+safeguarded Newton step, since this checks the batching, not the
+algorithm; test_m_scale.py checks the step against the fixed point.
 """
 
 import math
@@ -228,14 +230,21 @@ def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
     return np.where(np.abs(u) <= c, (1.0 - t) ** 2, 0.0)
 
 
-def _m_scale(d: np.ndarray, rho, b0: float, s_init: float) -> float:
-    """Solve mean rho(d/s) = b0 by the multiplicative fixed point."""
+def _m_scale(d: np.ndarray, rho, weight, b0: float, s_init: float) -> float:
+    """Solve mean rho(d/s) = b0 by a Newton step in log s where q >= v/2.
+
+    v = mean rho(u) and q = mean u^2 w(u) at u = d/s; elsewhere the step
+    is the multiplicative fixed point s sqrt(v/b0).
+    """
     s = s_init
     for _ in range(200):
-        val = float(np.mean(rho(d / s)))
+        u = d / s
+        val = float(np.mean(rho(u)))
         if val <= 0.0:
             raise SingularCovarianceError("scale target unattainable (all distances zero)")
-        s_new = s * math.sqrt(val / b0)
+        q = float(np.mean(u * u * weight(u)))
+        step = (val - b0) / q if q >= 0.5 * val else 0.5 * math.log(val / b0)
+        s_new = s * math.exp(step)
         if abs(s_new - s) <= 1e-12 * s:
             return s_new
         s = s_new
@@ -260,7 +269,7 @@ def _s_fixed_point(Z: np.ndarray, rho, weight, b0: float, estimator: str, max_it
             med = float(np.mean(d))
         if med <= 0:
             raise SingularCovarianceError("over half of the points coincide with the center")
-        s_new = _m_scale(d, rho, b0, med / math.sqrt(_chi2_2_ppf(0.5)) if s is None else s)
+        s_new = _m_scale(d, rho, weight, b0, med / math.sqrt(_chi2_2_ppf(0.5)) if s is None else s)
         w = weight(d / s_new)
         sw = w.sum()
         if sw <= 0 or (w > 0).sum() < 3:
