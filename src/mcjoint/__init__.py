@@ -33,7 +33,6 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     EnsembleQualityError,
-    InsufficientDataError,
     McjointError,
     NoSolutionError,
     SingularCovarianceError,

@@ -13,12 +13,17 @@ Each process runs BLAS on one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1, and a value set in the
 environment is kept.
 
-simulate exits 2, before it creates --out, when the plan file is missing,
-malformed or out of range, or fails its kind's check.  Only power plans
-resume, from the curve.csv and manifest.json saved after each grid point
-as the stream yields it; unreadable or inconsistent ones (a completed
-index out of range or listed twice, or its points missing from curve.csv)
-exit 2 and are left as they are.  Type-I plans run whole.
+Every command exits 2 with one line when --out names a path that cannot
+be made a directory, such as an existing file.  validate exits 2, before
+it creates --out, on a negative --seed and on an --input it cannot read
+(missing, a directory, or not text); fit-power does so on a --target
+outside (0, 1).  simulate exits 2, before it creates --out, when the plan
+file is missing, malformed or out of range (a negative master_seed too),
+or fails its kind's check.  Only power plans resume, from the curve.csv
+and manifest.json saved after each grid point as the stream yields it;
+unreadable or inconsistent ones (a completed index out of range or listed
+twice, or its points missing from curve.csv) exit 2 and are left as they
+are.  Type-I plans run whole.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .dataset import GeneratorSpec, read_csv
 from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
-from .powerfit import fit_rejection_curve, invert_for_power, type1_at_null
+from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_at_null
 from .resampling import MIN_REPLICATES
 from .robustcov import COV_METHODS
 from .simulation import (
@@ -115,6 +120,16 @@ def _write_csv(path: Path, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _out_dir(path) -> Path:
+    """The --out directory ``path``, made with its parents; ValidationError when it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValidationError(f"cannot make --out a directory: {err}") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -126,20 +141,17 @@ def _validate_config(args) -> DemingConfig:
             raise ValidationError(f"{flag} must be in (0, 1), got {alpha}")
     if args.b < MIN_REPLICATES:
         raise ValidationError(f"--b must be >= {MIN_REPLICATES}, got {args.b}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     return DemingConfig(lam=args.lam)
 
 
 def cmd_validate(args) -> int:
     path = Path(args.input)
     if not path.exists():
-        print(f"mcjoint: input file not found: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _validate_config(args)
-        sample = read_csv(path)
-    except ValidationError as err:
-        print(f"mcjoint: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError(f"input file not found: {path}")
+    cfg = _validate_config(args)
+    sample = read_csv(path)
     try:
         report, ensemble = validate(
             sample, args.method, cfg,
@@ -149,8 +161,7 @@ def cmd_validate(args) -> int:
     except McjointError as err:
         print(f"mcjoint: validation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
     # the csv writer writes a float as its repr
@@ -320,19 +331,16 @@ _PLAN_KINDS = {"type1": (check_type1_plan, _simulate_type1),
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
+    kind, plan, factor = parse_plan(Path(args.plan))
+    workers = default_workers() if args.workers is None else check_workers(args.workers, "--workers")
+    if args.scale == "paper":
+        plan = replace(plan, replicates=plan.replicates * factor)
+    out = _out_dir(args.out)
+    _, runner = _PLAN_KINDS[kind]
     try:
-        kind, plan, factor = parse_plan(Path(args.plan))
-        workers = default_workers() if args.workers is None else check_workers(args.workers,
-                                                                                 "--workers")
-        if args.scale == "paper":
-            plan = replace(plan, replicates=plan.replicates * factor)
-        out.mkdir(parents=True, exist_ok=True)
-        _, runner = _PLAN_KINDS[kind]
         plan, points, completed = runner(plan, workers, out)
-    except ValidationError as err:
-        print(f"mcjoint: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValidationError:
+        raise
     except McjointError as err:
         print(f"mcjoint: simulation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
@@ -349,25 +357,19 @@ def cmd_simulate(args) -> int:
 def cmd_fit_power(args) -> int:
     path = Path(args.curves)
     if not path.exists():
-        print(f"mcjoint: curve file not found: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        points = read_curve_csv(path)
-    except ValidationError as err:
-        print(f"mcjoint: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError(f"curve file not found: {path}")
+    if not 0.0 < args.target < 1.0:
+        raise ValidationError(f"--target must be in (0, 1), got {args.target}")
+    points = read_curve_csv(path)
     groups = {}
     for p in points:
         if p.kind in ("ci_total", "je") and np.isfinite(p.rate):
             groups.setdefault((p.method, p.kind, p.cov, p.alpha), []).append(p)
-    fitable = {k: v for k, v in groups.items() if len(v) >= 8}
+    fitable = {k: v for k, v in groups.items() if len(v) >= MIN_POINTS}
     if not fitable:
         sizes = {k: len(v) for k, v in groups.items()}
-        print(f"mcjoint: no series has the minimum 8 grid points (got {sizes})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ValidationError(f"no series has the minimum {MIN_POINTS} grid points (got {sizes})")
+    out = _out_dir(args.out)
     rows = [["method", "kind", "cov", "alpha",
              "p80_lci", "p80_est", "p80_uci", "t1_lci", "t1_est", "t1_uci", "note"]]
     for (method, kind, cov, alpha), pts in sorted(fitable.items()):
@@ -390,8 +392,13 @@ def cmd_fit_power(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ValidationError it raises is a usage error, one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ValidationError as err:
+        print(f"mcjoint: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

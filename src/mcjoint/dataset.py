@@ -144,11 +144,14 @@ def read_csv(path) -> PairedSample:
 
     Column 1 is the reference method (x), column 2 the test method (y).
     Blank lines are ignored.  Parse failures report the offending row and
-    column.
+    column; a file that cannot be opened or decoded raises ValidationError.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    try:
+        with path.open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"{path}: unreadable: {type(err).__name__}: {err}") from None
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = rows[0]

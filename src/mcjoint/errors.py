@@ -29,9 +29,5 @@ class EnsembleQualityError(McjointError):
     """Too many bootstrap replicates failed to converge."""
 
 
-class InsufficientDataError(McjointError):
-    """Sample too small for the requested confidence level."""
-
-
 class NoSolutionError(McjointError):
     """Curve inversion target outside the attainable range."""

@@ -22,8 +22,7 @@ rows (``robustcov.mcd_rows`` and ``s_rows``).
 
 ``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
 are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
-``HUBER_K`` and ``BISQUARE_C`` (formerly the config fields ``tol``,
-``max_iter``, ``max_iter_mm``, ``huber_k`` and ``bisquare_c``).
+``HUBER_K`` and ``BISQUARE_C``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .dataset import PairedSample
 from .errors import DegenerateDataError, StartFailureError, ValidationError
-from .robustcov import _BLOCK_ELEMS, median_rows
+from .robustcov import _BLOCK_ELEMS, _weight_bisquare, _weighted_moments, median_rows
 
 
 TOL = 1e-10            # IRWLS stops once the slope moves less than this
@@ -66,7 +65,6 @@ class RegressionFit:
     method: str
     iterations: int = 1
     converged: bool = True
-    weights: Optional[np.ndarray] = None
 
     @property
     def label(self) -> str:
@@ -81,7 +79,6 @@ class BatchFit(NamedTuple):
     slope: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
-    weights: Optional[np.ndarray]
     degenerate: np.ndarray
 
 
@@ -96,14 +93,9 @@ def _weighted_deming(X, Y, W, lam):
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
     with an indeterminate slope (s_xy = 0) get ok=False.
     """
-    sw = W.sum(axis=1)
-    xm = (W * X).sum(axis=1) / sw
-    ym = (W * Y).sum(axis=1) / sw
-    cx = X - xm[:, None]
-    cy = Y - ym[:, None]
-    sxx = (W * cx * cx).sum(axis=1) / sw
-    syy = (W * cy * cy).sum(axis=1) / sw
-    sxy = (W * cx * cy).sum(axis=1) / sw
+    sw, T, C = _weighted_moments(X, Y, W)
+    xm, ym = T[:, 0], T[:, 1]
+    sxx, syy, sxy = C[:, 0, 0] / sw, C[:, 1, 1] / sw, C[:, 0, 1] / sw
     t = lam * syy - sxx
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = (t + np.sqrt(t * t + 4.0 * lam * sxy * sxy)) / (2.0 * lam * sxy)
@@ -129,13 +121,6 @@ def _huber_weight(Z, k):
     return k / np.maximum(np.abs(Z), k)
 
 
-def _bisquare_weight(Z, c):
-    u = Z / c
-    w = (1.0 - u * u)
-    w = np.where(np.abs(u) < 1.0, w * w, 0.0)
-    return w
-
-
 def _robust_scale(R):
     """1.4826 * median(|r|) per row, with mean(|r|) fallback when zero.
 
@@ -156,7 +141,7 @@ def batch_dem(X, Y, cfg: DemingConfig) -> BatchFit:
     Y = np.asarray(Y, float)
     b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
     m = X.shape[0]
-    return BatchFit(b0, b1, ok, np.ones(m, dtype=int), None, ~ok)
+    return BatchFit(b0, b1, ok, np.ones(m, dtype=int), ~ok)
 
 
 def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
@@ -173,7 +158,6 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     iters = np.ones(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     degenerate = ~ok
-    weights = np.ones_like(X)
     active = np.flatnonzero(ok)
     for _ in range(max_iter):
         if active.size == 0:
@@ -190,7 +174,6 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
         if (~ok).any():
             degenerate[active[~ok]] = True
         delta = np.abs(nb1 - b1[active])
-        weights[active] = Wa
         b0[active] = nb0
         b1[active] = nb1
         iters[active] += 1
@@ -199,7 +182,7 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
         active = active[ok & ~done]
     degenerate |= ~np.isfinite(b1) | ~np.isfinite(b0)
     converged &= ~degenerate
-    return BatchFit(b0, b1, converged, iters, weights, degenerate)
+    return BatchFit(b0, b1, converged, iters, degenerate)
 
 
 def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
@@ -272,7 +255,7 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     def weight_fn(rows, Xa, Ya, b0, b1):
         d, e = _deming_residuals(Xa, Ya, b0, b1, lam)
         s = sigma[rows, None]
-        W = _bisquare_weight(d / s, BISQUARE_C) * _bisquare_weight(e / s, BISQUARE_C)
+        W = _weight_bisquare(d / s, BISQUARE_C) * _weight_bisquare(e / s, BISQUARE_C)
         return W, (W.sum(axis=1) <= 0.0) | ((W > 0.0).sum(axis=1) < 3)
 
     res = _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER_MM, (b0, b1, started & ~final))
@@ -385,7 +368,7 @@ def batch_paba(X, Y) -> BatchFit:
     b1 = np.where(ok, b1, np.nan)
     with np.errstate(invalid="ignore"):
         b0 = median_rows(Y - b1[:, None] * X)
-    return BatchFit(b0, b1, ok, np.ones(m, dtype=int), None, ~ok)
+    return BatchFit(b0, b1, ok, np.ones(m, dtype=int), ~ok)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +443,6 @@ def row_fit(s: PairedSample, method: str, res: BatchFit) -> RegressionFit:
         method=method,
         iterations=int(res.iterations[0]),
         converged=bool(res.converged[0]),
-        weights=None if res.weights is None else res.weights[0].copy(),
     )
 
 

@@ -72,7 +72,6 @@ class ValidationReport:
     verdict_je: str
     ellipse05: EllipseGeometry
     ellipse01: EllipseGeometry
-    h0: Tuple[float, float]
     method: str
     B: int
     seed: Tuple[int, ...]
@@ -116,7 +115,6 @@ def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
         verdict_je=jt.verdict,
         ellipse05=e05,
         ellipse01=e01,
-        h0=H0,
         method=method,
         B=B,
         seed=ensemble.seed,
@@ -166,7 +164,7 @@ def report_to_dict(r: ValidationReport) -> Dict:
             "converged": r.fit.converged,
         },
         "intervals": {
-            "kind": r.intervals.kind,
+            "kind": "bca",
             "level": r.intervals.level,
             "int_lo": r.intervals.int_lo,
             "int_hi": r.intervals.int_hi,
@@ -189,7 +187,7 @@ def report_to_dict(r: ValidationReport) -> Dict:
         "verdict_je": r.verdict_je,
         "ellipse05": _ellipse_dict(r.ellipse05),
         "ellipse01": _ellipse_dict(r.ellipse01),
-        "h0": list(r.h0),
+        "h0": list(H0),
         "B": r.B,
         "seed": list(r.seed),
     })

@@ -99,13 +99,8 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
     g[:, 0] = f / a
     g[:, 1] = f * (1.0 / b + digamma(1.0 / b) / (b * b) - ub * log_u)
     g[:, 2] = f * (b * ub - 1.0) / s
-    at_peak = u == 0.0
-    if b > 1.0:
-        dmu_mag = np.where(at_peak, 0.0, f * b * np.where(u > 0, u, 1.0) ** (b - 1.0) / s)
-    elif b == 1.0:
-        dmu_mag = f * b / s
-    else:
-        dmu_mag = np.where(at_peak, np.inf, f * b * np.where(u > 0, u, 1.0) ** (b - 1.0) / s)
+    with np.errstate(divide="ignore"):
+        dmu_mag = f * b * u ** (b - 1.0) / s  # at the peak: 0 for b > 1, inf for b < 1
     g[:, 3] = np.where(x >= mu, dmu_mag, -dmu_mag)
     return g
 

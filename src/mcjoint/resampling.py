@@ -2,7 +2,9 @@
 
 Replicate i always draws from substream i of the given seed, so ensembles
 are bit-identical however the replicates are scheduled, and a failed
-replicate redraws from its own substream only.
+replicate redraws from its own substream only.  One rule bounds the
+failures: an ensemble whose failed fits, first draws and redraws
+together, exceed 5% of B raises EnsembleQualityError.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .rng import task_rng
 
 MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
-REDRAW_FRACTION = 0.2
 _NORMAL = NormalDist()
 
 
@@ -35,7 +36,6 @@ class IntervalPair:
     int_lo: float
     int_hi: float
     level: float
-    kind: str
     fallback: bool = False
 
     def __post_init__(self):
@@ -87,9 +87,10 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     The full sample is row 0 of the resamples' batch: it takes the
     method's pre-checks and becomes ``point`` through ``row_fit``, so
     ``point`` and every exception are what ``fit`` gives.  The ensemble
-    keeps rows 1..B.  Non-convergent replicates are redrawn from their own
-    substream up to a total budget of 0.2*B redraws; every failed attempt
-    counts toward the ensemble quality limit of 5% of B.
+    keeps rows 1..B.  Replicates whose fit fails are redrawn from their own
+    substream, round after round, until every one has a fit; every failed
+    fit counts, and once more than 5% of B have failed the ensemble raises
+    EnsembleQualityError before the next round.
     """
     if B < MIN_REPLICATES:
         raise ValidationError(f"B must be >= {MIN_REPLICATES}")
@@ -106,31 +107,20 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     if not point.converged:
         raise ConvergenceError(f"{method}: full-sample fit did not converge")
     idx = rows[1:]
-    ok = (res.converged & ~res.degenerate)[1:]
     pairs = np.column_stack([res.intercept[1:], res.slope[1:]])
-
-    failed = int((~ok).sum())
-    budget = int(REDRAW_FRACTION * B)
+    pending = np.flatnonzero(~(res.converged & ~res.degenerate)[1:])
+    failed = pending.size
     redraw_rngs = {}
-    pending = np.flatnonzero(~ok)
-    while pending.size and budget > 0:
-        take = pending[: min(budget, pending.size)]
-        for i in take:
+    while pending.size and failed <= MAX_FAIL_FRACTION * B:
+        for i in pending:
             if i not in redraw_rngs:
                 redraw_rngs[i] = task_rng(*path, int(i))
             idx[i] = redraw_rngs[i].integers(0, n, n)
-        budget -= take.size
-        r2 = batch_fit(s.x[idx[take]], s.y[idx[take]], method, cfg)
+        r2 = batch_fit(s.x[idx[pending]], s.y[idx[pending]], method, cfg)
         good = r2.converged & ~r2.degenerate
-        pairs[take] = np.column_stack([r2.intercept, r2.slope])
-        ok[take] = good
+        pairs[pending] = np.column_stack([r2.intercept, r2.slope])
         failed += int((~good).sum())
-        pending = np.flatnonzero(~ok)
-
-    if pending.size:
-        raise EnsembleQualityError(
-            f"{method}: {pending.size} replicates unrecoverable after redraw budget"
-        )
+        pending = pending[~good]
     if failed > MAX_FAIL_FRACTION * B:
         raise EnsembleQualityError(
             f"{method}: {failed} failed replicates exceeds {MAX_FAIL_FRACTION:.0%} of B={B}"
@@ -204,5 +194,5 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
     return IntervalPair(
         slope_lo=float(bounds[1, 0]), slope_hi=float(bounds[1, 1]),
         int_lo=float(bounds[0, 0]), int_hi=float(bounds[0, 1]),
-        level=1.0 - alpha, kind="bca", fallback=fallback,
+        level=1.0 - alpha, fallback=fallback,
     )

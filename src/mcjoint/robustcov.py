@@ -649,10 +649,6 @@ def _rho_upsi_bisquare(u: np.ndarray, c: float):
     return t * (0.5 + t * (t / (6.0 * c ** 4) - 0.5 / (c * c))), t * g * g
 
 
-def _rho_bisquare(u: np.ndarray, c: float) -> np.ndarray:
-    return _rho_upsi_bisquare(np.abs(u), c)[0]
-
-
 def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
     t = (u / c) ** 2
     return np.where(np.abs(u) <= c, (1.0 - t) ** 2, 0.0)

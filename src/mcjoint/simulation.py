@@ -31,8 +31,8 @@ import numpy as np
 
 from .dataset import GeneratorSpec, generate
 from .errors import McjointError, ValidationError
-from .estimators import METHODS, DemingConfig
-from .jetest import je_test
+from .estimators import METHODS
+from .jetest import H0, je_test
 from .resampling import MIN_REPLICATES, bca_ci, bootstrap
 from .robustcov import COV_METHODS
 
@@ -43,7 +43,7 @@ CI_VERDICTS = {
     "ci_total": lambda e: not (e["int_ok"] and e["slope_ok"]),
 }
 
-_NULL_LINE = {"slope": 1.0, "intercept": 0.0}  # the null line; a plan's grid varies one of them
+_NULL_LINE = {"slope": H0[1], "intercept": H0[0]}  # the null line; a plan's grid varies one of them
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class SimulationPlan:
     ci_alpha: float = 0.05
     je_alphas: Tuple[float, ...] = (0.05, 0.01)
     master_seed: int = 0
-    cfg: DemingConfig = field(default_factory=DemingConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -69,6 +68,8 @@ class SimulationPlan:
         object.__setattr__(self, "je_alphas", tuple(self.je_alphas))
         if not self.methods:
             raise ValidationError("methods must not be empty")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.replicates < 50:
             raise ValidationError("need at least 50 replicates per grid point")
         if self.B < MIN_REPLICATES:
@@ -102,15 +103,15 @@ def evaluate_replicate(plan: SimulationPlan, gi: int, ri: int) -> Dict:
     for mi, method in enumerate(plan.methods):
         entry: Dict = {"ok": False, "je": {}}
         try:
-            ens = bootstrap(sample, method, plan.cfg, B=plan.B,
+            ens = bootstrap(sample, method, B=plan.B,
                             seed=(plan.master_seed, 1, gi, ri, mi))
             iv = bca_ci(ens, plan.ci_alpha)
         except McjointError:
             rec[method] = entry
             continue
         entry["ok"] = True
-        entry["int_ok"] = bool(iv.int_lo <= 0.0 <= iv.int_hi)
-        entry["slope_ok"] = bool(iv.slope_lo <= 1.0 <= iv.slope_hi)
+        entry["int_ok"] = bool(iv.int_lo <= H0[0] <= iv.int_hi)
+        entry["slope_ok"] = bool(iv.slope_lo <= H0[1] <= iv.slope_hi)
         _, counts = np.unique(ens.slopes, return_counts=True)
         entry["atom"] = float(counts.max() / ens.B)
         for ci_idx, cov in enumerate(plan.cov_methods):
@@ -359,16 +360,13 @@ def read_curve_csv(path) -> List[CurvePoint]:
         raise ValidationError(f"unreadable curve file {path}: {type(err).__name__}: {err}") from None
 
 
-# fields no plan file sets: the per-replicate generator seed and the Deming config
-_NOT_SAVED = ("seed", "cfg")
-
-
 def plan_to_dict(plan: SimulationPlan) -> Dict:
-    """The plan's fields as JSON values, tuples as lists, in field order."""
+    """The plan's fields as JSON values, tuples as lists, in field order; the
+    generator's per-replicate seed, which no plan file sets, is left out."""
     def plain(value):
         if is_dataclass(value):
             return {f.name: plain(getattr(value, f.name))
-                    for f in fields(value) if f.name not in _NOT_SAVED}
+                    for f in fields(value) if f.name != "seed"}
         return list(value) if isinstance(value, tuple) else value
 
     return plain(plan)

@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .jetest import ValidationReport
+from .jetest import H0, ValidationReport
 from .resampling import BootstrapEnsemble, IntervalPair
 from .robustcov import EllipseGeometry, ellipse_points
 
@@ -45,7 +45,7 @@ def payload_from_report(report: ValidationReport, ensemble: BootstrapEnsemble) -
         ellipse05=report.ellipse05,
         ellipse01=report.ellipse01,
         intervals=report.intervals,
-        h0=report.h0,
+        h0=H0,
         center=(float(report.cov.center[0]), float(report.cov.center[1])),
         title=f"{report.label} [{report.fit.label}, cov {report.cov_method}]".strip(),
     )

@@ -1,15 +1,19 @@
 """Command-line contract: exit codes, artifacts, resume, scale, input errors."""
 
+import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mcjoint as mj
 from mcjoint import cli, simulation
 from mcjoint.dataset import GeneratorSpec, hemoglobin_path
-from mcjoint.simulation import read_curve_csv, write_curve_csv
+from mcjoint.powerfit import MIN_POINTS, SubbotinParams, invert_for_power, subbotin_density
+from mcjoint.simulation import CurvePoint, read_curve_csv, write_curve_csv
 
 ARTIFACTS = ("report.json", "plot.svg", "ensemble.csv")
 CONTINUOUS = GeneratorSpec(xmin=3.0, xmax=8.0, n=40, seed=(0, 1))
@@ -94,15 +98,27 @@ def test_validate_non_numeric_csv_exits_2_and_leaves_no_directory(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def write_unusable_paths(tmp_path):
+    """A directory, a file that is not UTF-8 text, and a plain file, by name."""
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "latin-1.csv").write_bytes("r\xe9f,test\n1,1\n2,2\n3,3\n".encode("latin-1"))
+    (tmp_path / "a-file").write_text("")
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--ci-alpha", 0), ("--ci-alpha", 1.5), ("--je-alpha", 1.5), ("--lam", 0), ("--b", 10),
+    ("--seed", -1), ("--input", "a-directory"), ("--input", "latin-1.csv"), ("--out", "a-file"),
 ])
 def test_validate_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
+    write_unusable_paths(tmp_path)
+    if flag in ("--input", "--out"):
+        value = tmp_path / value
     rc, _, err = run(capsys, "validate", "--input", hemoglobin_path(), "--out", tmp_path / "out",
                      "--method", "dem", "--cov", "classic", "--b", 199, flag, value)
     assert rc == 2
     assert_one_line_error(err)
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "a-file").read_text() == ""
 
 
 def test_validate_singular_scatter_on_ties_exits_1(tmp_path, capsys):
@@ -136,7 +152,7 @@ def test_simulate_malformed_plan_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("b", 100), ("ci_alpha", 0), ("je_alphas", "0.05, 1.5"), ("je_alphas", ","),
-    ("methods", ","), ("paper_factor", 0), ("je_alphas", "0.05, abc"),
+    ("methods", ","), ("paper_factor", 0), ("je_alphas", "0.05, abc"), ("master_seed", -1),
 ])
 def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", **{key: value})
@@ -159,6 +175,15 @@ def test_simulate_plan_failing_its_kind_check_exits_2(tmp_path, capsys, generato
     assert_one_line_error(err)
     assert "malformed plan" in err and reason in err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_out_naming_a_file_exits_2(tmp_path, capsys):
+    plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0")
+    (tmp_path / "out").write_text("")
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert (tmp_path / "out").read_text() == ""
 
 
 def test_simulate_unknown_kind_exits_2(tmp_path, capsys):
@@ -373,6 +398,53 @@ def test_simulate_type1_manifest_records_the_grid_that_ran(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["plan"]["grid"], manifest["completed"]) == ([1.0], [0])
     assert {p.grid_value for p in read_curve_csv(out / "curve.csv")} == {1.0}
+
+
+# acceptance bumps of two fittable series; the third has one grid point too few.
+# No grid value sits on a peak: there the fit can stall once the shape dips below 1.
+POWER_SERIES = {("dem", "je", "classic", 0.05): (SubbotinParams(0.084, 2.0, 0.05, 1.0), 10),
+                ("paba", "ci_total", "", 0.05): (SubbotinParams(0.1, 1.5, 0.06, 1.01), 9),
+                ("dem", "je", "classic", 0.01): (SubbotinParams(0.084, 2.0, 0.05, 1.0), MIN_POINTS - 1)}
+
+
+def write_power_curve(path):
+    points = []
+    for (method, kind, cov, alpha), (params, size) in POWER_SERIES.items():
+        grid = np.linspace(0.88, 1.12, size)
+        rate = 1.0 - subbotin_density(grid, params)
+        points += [CurvePoint(method, kind, cov, alpha, float(g), float(r), 0.01, 200, 0, 200)
+                   for g, r in zip(grid, rate)]
+    write_curve_csv(points, path)
+    return path
+
+
+def test_fit_power_tabulates_each_fittable_series(tmp_path, capsys):
+    curves = write_power_curve(tmp_path / "curve.csv")
+    rc, out, _ = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 0 and out == f"wrote {tmp_path / 'out' / 'power_table.csv'}\n"
+    with (tmp_path / "out" / "power_table.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fittable = sorted(key for key, (_, size) in POWER_SERIES.items() if size >= MIN_POINTS)
+    assert [(r["method"], r["kind"], r["cov"], float(r["alpha"])) for r in rows] == fittable
+    for row, key in zip(rows, fittable):
+        params = POWER_SERIES[key][0]
+        want = invert_for_power(replace(params, converged=True)).estimate
+        assert float(row["p80_est"]) == pytest.approx(want, abs=1e-6)
+        assert row["note"] == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--target", 0), ("--target", 1), ("--target", -0.2),
+                                         ("--out", "a-file")])
+def test_fit_power_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
+    curves = write_power_curve(tmp_path / "curve.csv")
+    write_unusable_paths(tmp_path)
+    if flag == "--out":
+        value = tmp_path / value
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out", flag, value)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "a-file").read_text() == ""
 
 
 def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):

@@ -18,8 +18,8 @@ from mcjoint.robustcov import (
     _chi2_2_ppf,
     _chi2_2_sf,
     _chi2_4_cdf,
-    _rho_bisquare,
     _rho_translated,
+    _rho_upsi_bisquare,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -72,6 +72,10 @@ def _rayleigh_expect(fn) -> float:
     """E[fn(|z|)] for bivariate standard normal z."""
     val, _ = integrate.quad(lambda r: fn(r) * r * np.exp(-r * r / 2.0), 0.0, np.inf)
     return val
+
+
+def _rho_bisquare(u: np.ndarray, c: float) -> np.ndarray:
+    return _rho_upsi_bisquare(np.abs(u), c)[0]
 
 
 def _solve_bisquare(bdp=0.5):

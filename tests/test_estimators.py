@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mcjoint as mj
 from mcjoint import estimators as est
 from mcjoint.dataset import GeneratorSpec, PairedSample, generate, round_significant
-from mcjoint.estimators import HUBER_K, DemingConfig, fit
+from mcjoint.estimators import DemingConfig, fit
 
 CFG = DemingConfig()
 
@@ -146,7 +146,6 @@ def test_mdem_exact_identity_all_weights_one():
     f = fit(line_sample(1.0, 0.0), "mdem")
     assert f.slope == pytest.approx(1.0, abs=1e-12)
     assert f.intercept == pytest.approx(0.0, abs=1e-12)
-    assert f.weights is not None and np.all(f.weights == 1.0)
 
 
 def test_mdem_hemoglobin_anchor():
@@ -155,19 +154,6 @@ def test_mdem_hemoglobin_anchor():
     assert f.converged
     assert f.slope == pytest.approx(0.92743, abs=0.02)
     assert f.intercept == pytest.approx(0.10586, abs=0.02)
-
-
-def test_mdem_weights_bounded_and_unit_for_small_residuals():
-    s = line_sample(1.2, 0.3, n=30, noise=0.2, seed=9)
-    f = fit(s, "mdem")
-    assert np.all((0.0 <= f.weights) & (f.weights <= 1.0))
-    # recompute standardized residuals at the fit; small ones have weight 1
-    from mcjoint.estimators import _deming_residuals, _robust_scale
-    d, e = _deming_residuals(s.x[None], s.y[None],
-                             np.array([f.intercept]), np.array([f.slope]), CFG.lam)
-    sd, se_ = _robust_scale(d), _robust_scale(e)
-    small = (np.abs(d[0] / sd[0]) < HUBER_K) & (np.abs(e[0] / se_[0]) < HUBER_K)
-    assert np.all(f.weights[small] == 1.0)
 
 
 def test_mdem_resists_gross_outlier():
@@ -240,7 +226,15 @@ def test_mmdem_resists_clustered_contamination():
 
 
 # The per-row engine MMDem ran on before it joined the shared IRWLS driver,
-# kept as the reference the batched engine must reproduce bit for bit.
+# kept as the reference the batched engine must reproduce bit for bit, with
+# the bisquare weight it had then.
+
+def _bisquare_weight(Z, c):
+    u = Z / c
+    w = (1.0 - u * u)
+    w = np.where(np.abs(u) < 1.0, w * w, 0.0)
+    return w
+
 
 def _mmdem_single_reference(x, y, lam=1.0):
     X, Y = x[None, :], y[None, :]
@@ -249,18 +243,17 @@ def _mmdem_single_reference(x, y, lam=1.0):
         d, e = est._deming_residuals(X, Y, pre.intercept, pre.slope, lam)
         spread = float(np.std(x) + np.std(y))
         if float(np.hypot(d, e).mean()) <= 1e-12 * max(spread, 1.0):
-            return float(pre.intercept[0]), float(pre.slope[0]), 1, True, np.ones_like(x)
+            return float(pre.intercept[0]), float(pre.slope[0]), 1, True
     b0, b1 = est._mm_start(x, y)
     B0 = np.array([b0])
     B1 = np.array([b1])
     d, e = est._deming_residuals(X, Y, B0, B1, lam)
     sigma = float(np.hypot(d, e).mean())
     if sigma == 0.0:
-        return b0, b1, 1, True, np.ones_like(x)
-    w = np.ones_like(x)
+        return b0, b1, 1, True
     for it in range(1, 501):
         d, e = est._deming_residuals(X, Y, B0, B1, lam)
-        w = (est._bisquare_weight(d / sigma, 4.685) * est._bisquare_weight(e / sigma, 4.685))[0]
+        w = (_bisquare_weight(d / sigma, 4.685) * _bisquare_weight(e / sigma, 4.685))[0]
         if w.sum() <= 0.0 or (w > 0).sum() < 3:
             raise mj.DegenerateDataError("all points rejected by the bisquare weights")
         nb0, nb1, ok = est._weighted_deming(X, Y, w[None, :], lam)
@@ -269,8 +262,8 @@ def _mmdem_single_reference(x, y, lam=1.0):
         delta = abs(nb1[0] - B1[0])
         B0, B1 = nb0, nb1
         if delta < 1e-10:
-            return float(B0[0]), float(B1[0]), it, True, w
-    return float(B0[0]), float(B1[0]), 500, False, w
+            return float(B0[0]), float(B1[0]), it, True
+    return float(B0[0]), float(B1[0]), 500, False
 
 
 def _batch_mmdem_reference(X, Y, lam=1.0):
@@ -278,14 +271,13 @@ def _batch_mmdem_reference(X, Y, lam=1.0):
     b0, b1 = np.zeros(m), np.zeros(m)
     conv = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
-    weights = np.ones_like(X)
     degen = np.zeros(m, dtype=bool)
     for i in range(m):
         try:
-            b0[i], b1[i], iters[i], conv[i], weights[i] = _mmdem_single_reference(X[i], Y[i], lam)
+            b0[i], b1[i], iters[i], conv[i] = _mmdem_single_reference(X[i], Y[i], lam)
         except (mj.StartFailureError, mj.DegenerateDataError):
             degen[i] = True
-    return est.BatchFit(b0, b1, conv, iters, weights, degen)
+    return est.BatchFit(b0, b1, conv, iters, degen)
 
 
 COLLINEAR, TIED, COINCIDENT = -3, -2, -1
@@ -317,7 +309,7 @@ def test_batch_mmdem_matches_per_row_reference(mm_rows):
     got = est.batch_mmdem(X, Y, CFG)
     np.testing.assert_array_equal(got.degenerate, ref.degenerate)
     ok = ~ref.degenerate
-    for field in ("intercept", "slope", "converged", "iterations", "weights"):
+    for field in ("intercept", "slope", "converged", "iterations"):
         np.testing.assert_array_equal(getattr(got, field)[ok], getattr(ref, field)[ok], err_msg=field)
     # the fixture reaches the screen, the iteration and the start failure
     assert got.iterations[COLLINEAR] == 1 and got.converged[COLLINEAR]

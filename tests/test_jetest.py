@@ -98,14 +98,11 @@ def test_je_singular_scatter_guidance():
 
 
 def test_ci_verdict_containment_and_boundary():
-    ok = IntervalPair(slope_lo=0.9, slope_hi=1.1, int_lo=-1.0, int_hi=1.0,
-                      level=0.95, kind="bca")
+    ok = IntervalPair(slope_lo=0.9, slope_hi=1.1, int_lo=-1.0, int_hi=1.0, level=0.95)
     assert ci_verdict(ok) == VALIDATED
-    boundary = IntervalPair(slope_lo=0.82, slope_hi=1.0, int_lo=-0.3, int_hi=0.7,
-                            level=0.95, kind="bca")
+    boundary = IntervalPair(slope_lo=0.82, slope_hi=1.0, int_lo=-0.3, int_hi=0.7, level=0.95)
     assert ci_verdict(boundary) == VALIDATED  # endpoint on the null counts
-    bad = IntervalPair(slope_lo=0.83, slope_hi=0.98, int_lo=-0.3, int_hi=0.7,
-                       level=0.95, kind="bca")
+    bad = IntervalPair(slope_lo=0.83, slope_hi=0.98, int_lo=-0.3, int_hi=0.7, level=0.95)
     assert ci_verdict(bad) == REJECTED
 
 

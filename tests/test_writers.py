@@ -185,7 +185,7 @@ def constant_payload():
     # every extent collapses to one point: both paddings fall back to 1e-6
     e = EllipseGeometry(center=np.array([1.5, 0.75]), semi_axes=np.array([0.0, 0.0]),
                         rotation=0.0, level=9.21)
-    iv = IntervalPair(slope_lo=0.75, slope_hi=0.75, int_lo=1.5, int_hi=1.5, level=0.95, kind="bca")
+    iv = IntervalPair(slope_lo=0.75, slope_hi=0.75, int_lo=1.5, int_hi=1.5, level=0.95)
     return PlotPayload(points=np.tile([1.5, 0.75], (40, 1)), ellipse05=e, ellipse01=e,
                        intervals=iv, h0=(1.5, 0.75), center=(1.5, 0.75), title="constant")
 
