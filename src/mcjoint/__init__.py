@@ -5,6 +5,12 @@ intervals, robust covariance of the bootstrap coefficient cloud, the
 chi-square(2) joint test of (intercept, slope) = (0, 1), and the Monte
 Carlo machinery to study calibration and power.
 
+``import mcjoint`` loads numpy, the package and a few light standard
+modules, nothing more.  The process pool (multiprocessing,
+concurrent.futures) loads with the first ``run_plan`` that starts one
+(more than one worker), and scipy with the first rejection-curve fit
+(``fit-power``).
+
 Importing the package pins BLAS to one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1.  Every matrix here is two
 columns wide, so BLAS threads only compete with the simulation's worker

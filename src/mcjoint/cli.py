@@ -29,7 +29,6 @@ are.  Type-I plans run whole.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import json
@@ -199,6 +198,8 @@ def parse_plan(path: Path):
 
     Keys left out or blank take the dataclasses' defaults.
     """
+    import configparser  # only simulate reads a plan file; validate never loads it
+
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValidationError(f"plan file not found: {path}")

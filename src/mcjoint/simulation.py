@@ -18,10 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -147,6 +145,14 @@ def default_workers() -> int:
     return check_workers(env, "MCJOINT_THREADS") if env else (os.cpu_count() or 1)
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` spawned processes; the pool machinery loads here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
 def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
              grid_subset: Optional[Iterable[int]] = None,
              progress=None) -> Iterator[Tuple[int, List[Dict]]]:
@@ -164,7 +170,9 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
     BLAS pin of ``import mcjoint``, where a forked worker would inherit the
     BLAS threads of a caller that imported numpy first.  As with any
     spawned pool, a calling script must guard its entry point with
-    ``if __name__ == "__main__":``.
+    ``if __name__ == "__main__":``.  multiprocessing and concurrent.futures
+    are imported only when a pool starts (``workers > 1``), so
+    ``import mcjoint`` and serial runs never load them.
     """
     workers = default_workers() if workers is None else check_workers(workers, "workers")
     gis = list(grid_subset) if grid_subset is not None else list(range(len(plan.grid)))
@@ -173,8 +181,7 @@ def run_plan(plan: SimulationPlan, workers: Optional[int] = None,
              for gi in gis for lo in range(0, plan.replicates, chunk)]
     workers = min(workers, len(tasks))
     total, done, records = len(gis) * plan.replicates, 0, []
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext() as pool:
+    with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         for gi, lo, chunk_recs in pool.map(_worker, tasks) if pool else map(_worker, tasks):
             records.extend(chunk_recs)
             done += len(chunk_recs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -49,6 +48,12 @@ def payload_from_report(report: ValidationReport, ensemble: BootstrapEnsemble) -
         center=(float(report.cov.center[0]), float(report.cov.center[1])),
         title=f"{report.label} [{report.fit.label}, cov {report.cov_method}]".strip(),
     )
+
+
+def _escape(text: str) -> str:
+    """``text`` as XML character data: ``&``, ``>`` and ``<`` as entities, in
+    the order of ``xml.sax.saxutils.escape``, without loading xml.sax."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _sig6(v: float) -> str:
@@ -110,7 +115,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
     if p.title:
         out.append(
             f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(p.title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(p.title)}</text>'
         )
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, artifacts, resume, scale, input errors."""
 
+import concurrent.futures
 import csv
 import json
 import xml.etree.ElementTree as ET
@@ -237,7 +238,9 @@ def recording_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    # run_plan imports the pool class when it starts a pool, so the stand-in
+    # replaces it where that import finds it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 

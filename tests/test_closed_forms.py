@@ -111,11 +111,22 @@ def test_rocke_constants_match_solver():
 
 # -- import footprint ---------------------------------------------------------
 
+# besides scipy, which only fit-power needs: modules that only the SVG title
+# escape (xml.sax, which pulls in urllib, http, email, ssl and socket) or a
+# process pool would load
+_OFF_IMPORT_PATH = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
+                    "multiprocessing", "concurrent.futures")
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, mcjoint, mcjoint.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+            f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
+            f"for p in {_OFF_IMPORT_PATH!r})))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    scipy_modules, off_path = out.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert off_path == "[]"

@@ -142,6 +142,11 @@ def test_validate_stage_label_on_error():
         validate(s, "paba", CFG, cov_method="mcd", B=499, seed=0)
 
 
+def test_validate_rejects_a_negative_seed():
+    with pytest.raises(mj.ValidationError, match="stage fit: seeds must be >= 0"):
+        validate(mj.load_hemoglobin(), "dem", CFG, cov_method="classic", B=199, seed=-1)
+
+
 def test_report_json_six_significant_digits():
     s = mj.load_hemoglobin()
     report, _ = validate(s, "paba", CFG, cov_method="classic", B=499, seed=3)

@@ -40,6 +40,12 @@ def test_bootstrap_rejects_small_B(clean_sample):
         bootstrap(clean_sample, "dem", CFG, B=100, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, (0, -1)])
+def test_bootstrap_rejects_a_negative_seed(clean_sample, seed):
+    with pytest.raises(mj.ValidationError, match="seeds must be >= 0"):
+        bootstrap(clean_sample, "dem", CFG, B=199, seed=seed)
+
+
 def test_bit_reproducible(clean_sample):
     a = bootstrap(clean_sample, "mdem", CFG, B=299, seed=9)
     b = bootstrap(clean_sample, "mdem", CFG, B=299, seed=9)

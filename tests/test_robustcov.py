@@ -193,6 +193,12 @@ def test_gaussian_calibration_fraction(method):
     assert 0.03 <= frac <= 0.08, (method, frac)
 
 
+@pytest.mark.parametrize("method", ["mcd", "sde"])
+def test_seeded_estimators_reject_a_negative_seed(method):
+    with pytest.raises(mj.ValidationError, match="seeds must be >= 0"):
+        estimate_cov(gaussian_cloud(200, 3), method, seed=-1)
+
+
 def test_sest_calibration_fraction():
     Z = gaussian_cloud(5000, 41)
     m = s_cov(Z)
