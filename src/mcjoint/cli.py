@@ -119,6 +119,12 @@ def _write_csv(path: Path, rows) -> None:
     _atomic_write(path, buf.getvalue())
 
 
+def _pairs_csv(pairs: np.ndarray) -> str:
+    """ensemble.csv's text as ``csv.writer`` writes it, in one format pass:
+    the header, then each (intercept, slope) row as two float reprs, CRLF-terminated."""
+    return "intercept,slope\r\n" + ("%r,%r\r\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+
+
 def _out_dir(path) -> Path:
     """The --out directory ``path``, made with its parents; ValidationError when it cannot be."""
     out = Path(path)
@@ -163,8 +169,7 @@ def cmd_validate(args) -> int:
     out = _out_dir(args.out)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
-    # the csv writer writes a float as its repr
-    _write_csv(out / "ensemble.csv", [["intercept", "slope"]] + ensemble.pairs.tolist())
+    _atomic_write(out / "ensemble.csv", _pairs_csv(ensemble.pairs))
     print(f"{report.verdict_je} (JE p={report.je_pvalue:.4g}, CI verdict {report.verdict_ci})")
     return EXIT_OK if report.verdict_je == VALIDATED else EXIT_REJECTED
 

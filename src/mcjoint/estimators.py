@@ -18,7 +18,11 @@ rows batched with it, so the bootstrap fits the full sample as row 0 of
 its resamples' batch.  The three iterative Deming fits (WDem, MDem,
 MMDem) share one IRWLS driver and differ only in their starting line and
 weight function; MMDem's robust covariance start is itself batched over
-rows (``robustcov.mcd_rows`` and ``s_rows``).
+rows (``robustcov.mcd_rows`` and ``s_rows``).  ``_iterate_weighted``
+allocates its (m, n) work arrays once per call, and each step, weight
+function and weighted-moment pass writes into their leading rows in
+place of new temporaries: the same operations on the same values in the
+same order, so a row's fit is bit for bit what per-step temporaries give.
 
 ``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
 are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
@@ -86,14 +90,15 @@ class BatchFit(NamedTuple):
 # batched weighted Deming closed form
 # ---------------------------------------------------------------------------
 
-def _weighted_deming(X, Y, W, lam):
+def _weighted_deming(X, Y, W, lam, scratch=None):
     """Closed-form weighted Deming slope/intercept per row.
 
     Minimizes sum(w * (d^2 + lam * e^2)) at the optimal decomposition,
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
-    with an indeterminate slope (s_xy = 0) get ok=False.
+    with an indeterminate slope (s_xy = 0) get ok=False.  ``scratch`` is
+    the moments' three work arrays of X's shape (``_weighted_moments``).
     """
-    sw, T, C = _weighted_moments(X, Y, W)
+    sw, T, C = _weighted_moments(X, Y, W, scratch)
     xm, ym = T[:, 0], T[:, 1]
     sxx, syy, sxy = C[:, 0, 0] / sw, C[:, 1, 1] / sw, C[:, 0, 1] / sw
     t = lam * syy - sxx
@@ -104,34 +109,43 @@ def _weighted_deming(X, Y, W, lam):
     return b0, b1, ok
 
 
-def _deming_levels(X, Y, b0, b1, lam):
-    """Optimal true-level estimates under the Deming error geometry."""
-    return (X + lam * b1[:, None] * (Y - b0[:, None])) / (1.0 + lam * b1[:, None] ** 2)
+def _deming_residuals(X, Y, b0, b1, lam, out=None):
+    """Per-point (d, e) residuals of the optimal decomposition.
 
-
-def _deming_residuals(X, Y, b0, b1, lam):
-    """Per-point (d, e) residuals of the optimal decomposition."""
-    xhat = _deming_levels(X, Y, b0, b1, lam)
-    d = X - xhat
-    e = Y - (b0[:, None] + b1[:, None] * xhat)
+    The optimal true level is xhat = (X + lam b1 (Y - b0)) / (1 + lam b1^2);
+    d = X - xhat and e = Y - (b0 + b1 xhat).  ``out`` is a pair of arrays
+    of X's shape that take d and e (xhat is formed in e's), else new ones.
+    """
+    d, e = (np.empty_like(X), np.empty_like(X)) if out is None else out
+    b0c, b1c = b0[:, None], b1[:, None]
+    xhat = np.subtract(Y, b0c, out=e)
+    xhat *= lam * b1c
+    xhat += X
+    xhat /= 1.0 + lam * b1c ** 2
+    np.subtract(X, xhat, out=d)
+    xhat *= b1c
+    xhat += b0c
+    np.subtract(Y, xhat, out=e)
     return d, e
 
 
-def _huber_weight(Z, k):
-    return k / np.maximum(np.abs(Z), k)
+def _huber_weight(U, k):
+    """Huber weights k / max(u, k) of the absolute scaled residuals U, in U."""
+    return np.divide(k, np.maximum(U, k, out=U), out=U)
 
 
-def _robust_scale(R):
-    """1.4826 * median(|r|) per row, with mean(|r|) fallback when zero.
+def _robust_scale(A, scratch):
+    """1.4826 * median(|r|) per row of A = |r|, with mean(|r|) fallback when zero.
 
     A zero result means every residual in the row is exactly zero; the
     caller treats that as a perfect fit (weight one), so zeros map to inf
-    to make r/scale collapse to 0.
+    to make r/scale collapse to 0.  The scale is positive or inf, so
+    |r|/scale is |r/scale| bit for bit.  ``scratch`` is ``median_rows``' copy of A.
     """
-    s = 1.4826 * median_rows(np.abs(R))
+    s = 1.4826 * median_rows(A, scratch)
     zero = s == 0.0
     if zero.any():
-        s = np.where(zero, np.abs(R).mean(axis=1), s)
+        s = np.where(zero, A.mean(axis=1), s)
     return np.where(s > 0.0, s, np.inf)
 
 
@@ -149,28 +163,44 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
 
     ``start`` is the starting line per row, ``(b0, b1, ok)``; rows with
     ``ok`` False are not iterated and come back degenerate.
-    ``weight_fn(rows, Xa, Ya, b0, b1)`` gets the indices and data of the
-    active rows and returns their per-point weights plus a boolean mask of
-    rows to flag degenerate.
+    ``weight_fn(rows, Xa, Ya, b0, b1, W, scratch)`` gets the indices and
+    data of the k active rows, writes their per-point weights into the
+    (k, n) array ``W`` and returns a boolean mask of rows to flag
+    degenerate; ``scratch`` is three more (k, n) arrays it may overwrite.
+
+    Each call allocates six (m, n) buffers once, for the active rows' data,
+    weights and scratch; a step works in their leading k rows, which are
+    C-contiguous, so every row sum adds the values a new array would hold
+    in the same order, and a row's fit is that of per-step temporaries.
+    The data are gathered again only when rows have left.
     """
-    m, _ = X.shape
+    m, n = X.shape
     b0, b1, ok = start
     iters = np.ones(m, dtype=int)
     converged = np.zeros(m, dtype=bool)
     degenerate = ~ok
     active = np.flatnonzero(ok)
+    work = np.empty((6, m, n))
+    held = 0  # the active rows only shrink, so the buffers hold them while their count stands
     for _ in range(max_iter):
-        if active.size == 0:
+        k = active.size
+        if k == 0:
             break
-        Xa, Ya = X[active], Y[active]
-        Wa, bad = weight_fn(active, Xa, Ya, b0[active], b1[active])
+        Xa, Ya, Wa, *scratch = work[:, :k]
+        if k != held:
+            np.take(X, active, axis=0, out=Xa, mode="clip")
+            np.take(Y, active, axis=0, out=Ya, mode="clip")
+        bad = weight_fn(active, Xa, Ya, b0[active], b1[active], Wa, scratch)
         if bad.any():
             degenerate[active[bad]] = True
-            keep = ~bad
-            active, Xa, Ya, Wa = active[keep], Xa[keep], Ya[keep], Wa[keep]
+            active = active[~bad]
             if active.size == 0:
                 break
-        nb0, nb1, ok = _weighted_deming(Xa, Ya, Wa, lam)
+            work[:3, :active.size] = work[:3, :k][:, ~bad]
+            k = active.size
+            Xa, Ya, Wa, *scratch = work[:, :k]
+        held = k
+        nb0, nb1, ok = _weighted_deming(Xa, Ya, Wa, lam, scratch)
         if (~ok).any():
             degenerate[active[~ok]] = True
         delta = np.abs(nb1 - b1[active])
@@ -190,12 +220,15 @@ def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
 
-    def weight_fn(rows, Xa, Ya, b0, b1):
-        level = 0.5 * (Xa + (Ya - b0[:, None]) / b1[:, None])
+    def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
+        level = np.subtract(Ya, b0[:, None], out=W)  # 0.5 * (x + (y - b0) / b1)
+        level /= b1[:, None]
+        level += Xa
+        level *= 0.5
         bad = (level <= 0.0).any(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            W = 1.0 / (level * level)
-        return W, bad
+            np.divide(1.0, np.multiply(level, level, out=W), out=W)
+        return bad
 
     start = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
     return _iterate_weighted(X, Y, cfg.lam, weight_fn, MAX_ITER, start)
@@ -207,12 +240,14 @@ def batch_mdem(X, Y, cfg: DemingConfig) -> BatchFit:
     Y = np.asarray(Y, float)
     lam = cfg.lam
 
-    def weight_fn(rows, Xa, Ya, b0, b1):
-        d, e = _deming_residuals(Xa, Ya, b0, b1, lam)
-        sd = _robust_scale(d)
-        se = _robust_scale(e)
-        W = _huber_weight(d / sd[:, None], HUBER_K) * _huber_weight(e / se[:, None], HUBER_K)
-        return W, np.zeros(len(Xa), dtype=bool)
+    def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
+        d, e, part = scratch
+        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (d, e)):
+            np.abs(r, out=r)
+            r /= _robust_scale(r, part)[:, None]
+            _huber_weight(r, HUBER_K)
+        np.multiply(d, e, out=W)
+        return np.zeros(len(rows), dtype=bool)
 
     start = _weighted_deming(X, Y, np.ones_like(X), lam)
     return _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER, start)
@@ -252,11 +287,14 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     sigma = _mean_distance(X, Y, b0, b1, lam)
     final |= started & (sigma == 0.0)  # the start itself fits exactly
 
-    def weight_fn(rows, Xa, Ya, b0, b1):
-        d, e = _deming_residuals(Xa, Ya, b0, b1, lam)
+    def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
+        d, e, _ = scratch
         s = sigma[rows, None]
-        W = _weight_bisquare(d / s, BISQUARE_C) * _weight_bisquare(e / s, BISQUARE_C)
-        return W, (W.sum(axis=1) <= 0.0) | ((W > 0.0).sum(axis=1) < 3)
+        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (d, e)):
+            r /= s
+            _weight_bisquare(r, BISQUARE_C, out=r)
+        np.multiply(d, e, out=W)
+        return (W.sum(axis=1) <= 0.0) | ((W > 0.0).sum(axis=1) < 3)
 
     res = _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER_MM, (b0, b1, started & ~final))
     # a covariance start is no fit, so the refits alone count as iterations

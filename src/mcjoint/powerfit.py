@@ -83,7 +83,12 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
 
     Away from the peak this is the gradient of the one-sided form carried
     back by symmetry (a sign on the location component); at the peak each
-    component takes its one-sided limit from above.
+    component takes its one-sided limit from above, except location's.
+    Its one-sided limits there are +-f b u^(b-1) / s: both 0 for shape > 1,
+    but +-f/s at shape 1 and +-inf below it, where the curve has a cusp.
+    So a point on the peak takes their mean, 0, at any shape, and a fit
+    whose location sits on a grid value goes on when its shape dips to 1
+    or below.
     """
     from scipy.special import digamma
 
@@ -99,8 +104,8 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
     g[:, 0] = f / a
     g[:, 1] = f * (1.0 / b + digamma(1.0 / b) / (b * b) - ub * log_u)
     g[:, 2] = f * (b * ub - 1.0) / s
-    with np.errstate(divide="ignore"):
-        dmu_mag = f * b * u ** (b - 1.0) / s  # at the peak: 0 for b > 1, inf for b < 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmu_mag = np.where(u > 0.0, f * b * u ** (b - 1.0) / s, 0.0)
     g[:, 3] = np.where(x >= mu, dmu_mag, -dmu_mag)
     return g
 

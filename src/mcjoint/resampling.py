@@ -55,10 +55,7 @@ class BootstrapEnsemble:
     jack: np.ndarray            # (n, 2), NaN rows for failed leave-one-out fits
     point: RegressionFit
     failed: int
-    method: str
     indices: np.ndarray         # (B, n) resample index matrix
-    sample: PairedSample
-    cfg: DemingConfig
     seed: Tuple[int, ...]
 
     @property
@@ -128,8 +125,7 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
 
     jack = _jackknife(s, method, cfg)
     return BootstrapEnsemble(
-        pairs=pairs, jack=jack, point=point, failed=failed, method=method,
-        indices=idx, sample=s, cfg=cfg, seed=path,
+        pairs=pairs, jack=jack, point=point, failed=failed, indices=idx, seed=path,
     )
 
 

@@ -99,21 +99,28 @@ def _chi2_4_cdf(x: float) -> float:
     return 1.0 - math.exp(-0.5 * x) * (1.0 + 0.5 * x)
 
 
-def median_rows(A: np.ndarray) -> np.ndarray:
+def median_rows(A: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Median along the last axis: ``np.median(A, axis=-1)``, bit for bit.
 
     ``np.median`` partitions at the middle and at the end (to catch NaNs),
     which takes numpy's slow multi-kth path; one partition point takes its
     vectorised selection.  Only the sign of a zero median may differ.
+    The partition runs on a copy of ``A``: in ``scratch`` when given (an
+    array of A's shape, overwritten), else in a new array.  A median is an
+    order statistic, so where the copy lives cannot change it.
     """
     A = np.asarray(A, dtype=float)
     h = A.shape[-1] // 2
-    part = np.partition(A, h, axis=-1)
+    part = np.empty_like(A) if scratch is None else scratch
+    np.copyto(part, A)
+    part.partition(h, axis=-1)
     med = part[..., h]
     if A.shape[-1] % 2 == 0:
         med = (part[..., :h].max(axis=-1) + med) / 2
-    # NaNs sort after every number, so any NaN lies at or beyond the partition point
-    return np.where(np.isnan(part[..., h:]).any(axis=-1), np.nan, med)
+    # NaNs sort after every number, so a row's NaN lies at or beyond its
+    # partition point; one pass over the whole array rules them all out first
+    nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
+    return np.where(nan, np.nan, med)
 
 
 def _is_singular(scatter: np.ndarray):
@@ -514,18 +521,25 @@ def fast_mcd(points: np.ndarray, seed: int = 0) -> CovarianceModel:
                            singular=bool(r.singular[0]), raw_det=float(r.raw_det[0]))
 
 
-def _weighted_moments(Z0: np.ndarray, Z1: np.ndarray, w: np.ndarray):
+def _weighted_moments(Z0: np.ndarray, Z1: np.ndarray, w: np.ndarray, scratch=None):
     """Per row: the weight total, the weighted mean, and the weighted sums of
-    centered cross products (the scatter before normalisation)."""
+    centered cross products (the scatter before normalisation).
+
+    The products are formed in three C-contiguous arrays of w's shape:
+    ``scratch`` when given (overwritten), else new ones.  Either way each
+    row sum adds the same contiguous values in the same order.
+    """
+    a, b, c = np.empty((3,) + w.shape) if scratch is None else scratch
     sw = w.sum(axis=1)
-    T = np.stack([(w * Z0).sum(axis=1), (w * Z1).sum(axis=1)], axis=-1) / sw[:, None]
-    D0 = Z0 - T[:, 0, None]
-    D1 = Z1 - T[:, 1, None]
-    wD0 = w * D0
+    T = np.stack([np.multiply(w, Z0, out=a).sum(axis=1),
+                  np.multiply(w, Z1, out=a).sum(axis=1)], axis=-1) / sw[:, None]
+    D0 = np.subtract(Z0, T[:, 0, None], out=a)
+    D1 = np.subtract(Z1, T[:, 1, None], out=b)
+    wD0 = np.multiply(w, D0, out=c)
     C = np.empty((len(w), 2, 2))
-    C[:, 0, 0] = (wD0 * D0).sum(axis=1)
-    C[:, 1, 1] = (w * D1 * D1).sum(axis=1)
-    C[:, 0, 1] = C[:, 1, 0] = (wD0 * D1).sum(axis=1)
+    C[:, 0, 0] = np.multiply(wD0, D0, out=a).sum(axis=1)
+    C[:, 1, 1] = np.multiply(np.multiply(w, D1, out=a), D1, out=a).sum(axis=1)
+    C[:, 0, 1] = C[:, 1, 0] = np.multiply(wD0, D1, out=b).sum(axis=1)
     return sw, T, C
 
 
@@ -649,9 +663,15 @@ def _rho_upsi_bisquare(u: np.ndarray, c: float):
     return t * (0.5 + t * (t / (6.0 * c ** 4) - 0.5 / (c * c))), t * g * g
 
 
-def _weight_bisquare(u: np.ndarray, c: float) -> np.ndarray:
-    t = (u / c) ** 2
-    return np.where(np.abs(u) <= c, (1.0 - t) ** 2, 0.0)
+def _weight_bisquare(u: np.ndarray, c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(1 - (u/c)^2)^2 where |u| <= c, else 0; in ``out`` (which may be ``u``) when given."""
+    far = ~(np.abs(u) <= c)
+    t = np.divide(u, c, out=out)
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.square(t, out=t)
+    t[far] = 0.0
+    return t
 
 
 # Tuning constant c and scale target b0 = E[rho(|z|)] of the bisquare

@@ -102,9 +102,10 @@ def render_box_ellipse(p: PlotPayload) -> str:
         return f"{v:.2f}"
 
     def pixels(xy):
-        """``px`` and ``py`` of every (x, y) row, in the same operation order, as Python floats."""
-        return zip((_ML + (xy[:, 0] - xmin) / (xmax - xmin) * pw).tolist(),
-                   (_MT + (ymax - xy[:, 1]) / (ymax - ymin) * ph).tolist())
+        """``px`` and ``py`` of every (x, y) row, in the same operation order,
+        as a tuple of Python floats: x0, y0, x1, y1, ..."""
+        return tuple(np.column_stack([_ML + (xy[:, 0] - xmin) / (xmax - xmin) * pw,
+                                      _MT + (ymax - xy[:, 1]) / (ymax - ymin) * ph]).ravel().tolist())
 
     out = []
     out.append(
@@ -144,7 +145,7 @@ def render_box_ellipse(p: PlotPayload) -> str:
         f'font-size="12" transform="rotate(-90 16 {_MT + ph / 2:.1f})">Slope</text>'
     )
 
-    marks = " ".join(f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="1.5"/>' for X, Y in pixels(pts))
+    marks = " ".join(['<circle cx="%.2f" cy="%.2f" r="1.5"/>'] * len(pts)) % pixels(pts)
     out.append(f'<g fill="#4682b4" fill-opacity="0.35" stroke="none">{marks}</g>')
 
     iv = p.intervals
@@ -157,7 +158,8 @@ def render_box_ellipse(p: PlotPayload) -> str:
     )
 
     for e, dash, tag in ((p.ellipse05, "", "ellipse05"), (p.ellipse01, ' stroke-dasharray="6,4"', "ellipse01")):
-        d = "M " + " L ".join(f"{X:.2f},{Y:.2f}" for X, Y in pixels(ellipse_points(e))) + " Z"
+        outline = ellipse_points(e)
+        d = "M " + " L ".join(["%.2f,%.2f"] * len(outline)) % pixels(outline) + " Z"
         out.append(
             f'<path d="{d}" fill="none" stroke="#b22222" stroke-width="1.4"{dash} '
             f'data-role="{tag}" data-center="{_sig6(e.center[0])},{_sig6(e.center[1])}" '

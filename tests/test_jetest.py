@@ -80,14 +80,11 @@ def test_je_affine_invariance_classic():
 def _ens(pairs):
     """Minimal ensemble stand-in for covariance-level tests."""
     from mcjoint.resampling import BootstrapEnsemble
-    from mcjoint.dataset import PairedSample
 
-    x = np.linspace(1, 9, 10)
     return BootstrapEnsemble(
         pairs=np.asarray(pairs, float), jack=np.full((10, 2), np.nan),
-        point=mj.RegressionFit(0.0, 1.0, "dem"), failed=0, method="dem",
-        indices=np.zeros((len(pairs), 10), dtype=int),
-        sample=PairedSample(x=x, y=x.copy()), cfg=CFG, seed=(0,),
+        point=mj.RegressionFit(0.0, 1.0, "dem"), failed=0,
+        indices=np.zeros((len(pairs), 10), dtype=int), seed=(0,),
     )
 
 

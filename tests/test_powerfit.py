@@ -81,6 +81,41 @@ def test_gradient_limit_at_peak():
     assert g_at_mu[3] == 0.0  # location gradient limit vanishes for shape > 1
 
 
+@pytest.mark.parametrize("shape", [0.6, 1.0])
+def test_gradient_at_a_cusp_peak_is_finite_and_zero_in_location(shape):
+    # at shape <= 1 the one-sided location limits are +-f/s or +-inf; their mean is 0
+    p = params(a=0.9, b=shape, s=0.05, mu=1.0)
+    g = subbotin_gradient(np.array([0.95, 1.0, 1.05]), p)
+    assert np.isfinite(g).all()
+    assert g[1, 3] == 0.0
+    assert g[0, 3] == -g[2, 3] != 0.0
+
+
+@pytest.mark.parametrize("k", range(9, 14))
+@pytest.mark.parametrize("lo, hi", [(0.88, 1.12), (0.9, 1.1)])
+def test_fit_recovers_exact_curves_whatever_grid_holds_the_peak(lo, hi, k):
+    # the start location is a grid value; on an odd grid it is the peak itself
+    true = params(a=0.084, b=2.0, s=0.05, mu=1.0)
+    x = np.linspace(lo, hi, k)
+    fit = fit_rejection_curve(x, 1.0 - subbotin_density(x, true))
+    assert fit.converged
+    np.testing.assert_allclose(fit.as_array(), true.as_array(), rtol=1e-6)
+
+
+def test_fit_from_a_start_location_on_the_grid():
+    from mcjoint.powerfit import _start_values
+
+    true = params(a=0.084, b=2.0, s=0.05, mu=1.0)
+    x = np.linspace(0.88, 1.12, 11)
+    acc = subbotin_density(x, true)
+    start = _start_values(x, acc)
+    assert start.location == 1.0 and start.location in x
+    # at this start a damped step takes the shape below 1 while the location stays put
+    fit = fit_rejection_curve(x, 1.0 - acc)
+    assert fit.location == pytest.approx(1.0, abs=1e-12)
+    assert fit.shape == pytest.approx(2.0, rel=1e-6)
+
+
 def synthetic_curve(p, noise=0.0, n=13, span=4.0, seed=0):
     x = p.location + np.linspace(-span, span, n) * p.scale
     acc = subbotin_density(x, p)

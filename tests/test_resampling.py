@@ -88,8 +88,7 @@ def test_percentile_quantile_formula():
     pairs = np.column_stack([np.arange(1.0, 1000.0), np.arange(1.0, 1000.0)])
     e = BootstrapEnsemble(pairs=pairs, jack=np.full((10, 2), np.nan),
                           point=mj.RegressionFit(0.0, 0.0, "dem"),
-                          failed=0, method="dem", indices=np.zeros((999, 10), dtype=int),
-                          sample=identity_sample(10), cfg=CFG, seed=(0,))
+                          failed=0, indices=np.zeros((999, 10), dtype=int), seed=(0,))
     iv = bca_ci(e, alpha=0.05)
     assert iv.fallback
     assert iv.slope_lo == pytest.approx(25.95, abs=1e-9)

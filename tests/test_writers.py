@@ -245,14 +245,25 @@ def test_plot_matches_reference(name):
 @pytest.mark.parametrize("name", ["hemoglobin", "signed-zero", "subsampled"])
 def test_ensemble_csv_matches_reference(name, tmp_path):
     pairs = PAYLOADS[name]().points
-    cli._write_csv(tmp_path / "ensemble.csv", [["intercept", "slope"]] + pairs.tolist())
+    cli._atomic_write(tmp_path / "ensemble.csv", cli._pairs_csv(pairs))
     assert (tmp_path / "ensemble.csv").read_bytes() == csv_text(ensemble_rows(pairs)).encode()
 
 
+# floats whose shortest repr is easy to get wrong: signed zero, the extremes,
+# subnormals, sums that do not round-trip short, long mantissas, huge integers
+TRICKY = [-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+          0.1 + 0.2, 1.0 / 3.0, -2.5e-17, 2.675, 1e16, 1e22, 9007199254740993.0, 123456789.12345679,
+          0.30000000000000004, 1e-05, 0.0001, 1e15 + 0.3, np.nan, np.inf, -np.inf]
+
+
 def test_ensemble_csv_special_values(tmp_path):
-    pairs = np.array([[-0.0, 0.0], [np.nan, np.inf], [-np.inf, 1e-300], [1.7e308, -2.5e-17],
-                      [0.1 + 0.2, 1.0 / 3.0]])
+    pairs = np.array(TRICKY + TRICKY[::-1]).reshape(-1, 2)
     assert csv_text([["intercept", "slope"]] + pairs.tolist()) == csv_text(ensemble_rows(pairs))
+    # the one-pass writer against csv.writer itself, through the file it writes
+    cli._atomic_write(tmp_path / "ensemble.csv", cli._pairs_csv(pairs))
+    want = csv_text([["intercept", "slope"]] + pairs.tolist()).encode()
+    assert (tmp_path / "ensemble.csv").read_bytes() == want
+    assert cli._pairs_csv(pairs[:0]) == csv_text([["intercept", "slope"]])
 
 
 def test_validate_writes_the_reference_artifacts(tmp_path, capsys):
