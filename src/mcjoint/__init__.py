@@ -67,5 +67,5 @@ from .robustcov import (
     s_cov,
     stahel_donoho,
 )
-from .simulation import RejectionCurve, SimulationPlan, type1_study
+from .simulation import SimulationPlan
 from .svgplot import PlotPayload, render_box_ellipse

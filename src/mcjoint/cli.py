@@ -18,19 +18,20 @@ be made a directory, such as an existing file.  validate exits 2, before
 it creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
 outside (0, 1).  simulate exits 2, before it creates --out, when the plan
-file is missing, malformed or out of range (a negative master_seed too),
-or fails its kind's check.  Only power plans resume, from the curve.csv
-and manifest.json saved after each grid point as the stream yields it;
-unreadable or inconsistent ones (a completed index out of range or listed
-twice, or its points missing from curve.csv) exit 2 and are left as they
-are.  Type-I plans run whole.
+file is missing, malformed (not key=value text, or a key given twice) or
+out of range (a negative master_seed too), or fails its kind's check.
+Both plan kinds run through one ``run_plan`` stream, a type-I plan on its
+null grid point alone, and curve.csv and manifest.json (for a type-I plan
+type1_table.csv and pp_data.csv too) are saved as each grid point is in.
+Only power plans resume, from those files; unreadable or inconsistent
+ones (a completed index out of range or listed twice, or its points
+missing from curve.csv) exit 2 and are left as they are.  Type-I plans
+run whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -49,8 +50,8 @@ from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_a
 from .resampling import MIN_REPLICATES
 from .robustcov import COV_METHODS
 from .simulation import (
+    _NULL_LINE,
     SimulationPlan,
-    Type1Table,
     _atomic_write,
     aggregate_grid_point,
     check_power_plan,
@@ -61,7 +62,7 @@ from .simulation import (
     plan_to_dict,
     read_curve_csv,
     run_plan,
-    type1_study,
+    write_csv,
     write_curve_csv,
     write_manifest,
 )
@@ -110,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--null-value", type=float, default=1.0)
     f.set_defaults(run=cmd_fit_power)
     return ap
-
-
-def _write_csv(path: Path, rows) -> None:
-    """Write ``rows`` through this module's ``_atomic_write``, which bench/layers.py times."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    _atomic_write(path, buf.getvalue())
 
 
 def _pairs_csv(pairs: np.ndarray) -> str:
@@ -205,9 +199,12 @@ def parse_plan(path: Path):
     """
     import configparser  # only simulate reads a plan file; validate never loads it
 
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ValidationError(f"plan file not found: {path}")
+    cp = configparser.ConfigParser(interpolation=None)  # no plan key uses interpolation
+    try:
+        if not cp.read(path):
+            raise ValidationError(f"plan file not found: {path}")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ValidationError("malformed plan: " + " ".join(str(err).split())) from None
     problems, gen_kw, run_kw = [], {}, {}
     for section, keys, sink in (("generator", _GEN_KEYS, gen_kw), ("run", _RUN_KEYS, run_kw)):
         if not cp.has_section(section):
@@ -232,10 +229,9 @@ def parse_plan(path: Path):
 
     if "b" in run_kw:
         run_kw["B"] = run_kw.pop("b")
-    check, _ = _PLAN_KINDS[kind]
     try:
         plan = SimulationPlan(generator=GeneratorSpec(**gen_kw), **run_kw)
-        check(plan)
+        _PLAN_KINDS[kind](plan)
     except (ValidationError, TypeError) as err:
         raise ValidationError(f"malformed plan: {err}") from err
     return kind, plan, factor
@@ -246,17 +242,22 @@ _TYPE1_COLUMNS = {"ci_int": "int.CI{alpha:.0%}", "ci_slope": "sl.CI{alpha:.0%}",
                   "ci_total": "tot.CI{alpha:.0%}", "je": "JE.{cov}{alpha:.0%}"}
 
 
-def _write_type1_outputs(out: Path, table: Type1Table):
-    # the single grid point's curve points are already in the table's row order
-    _write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
+def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
+    """type1_table.csv and pp_data.csv of the null grid point's curve points and records."""
+    # the grid point's curve points are already in the table's row order
+    write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
         [p.method, _TYPE1_COLUMNS[p.kind].format(cov=p.cov.upper(), alpha=p.alpha),
          repr(float(1.0 - p.rate)), p.n_used]
-        for p in table.curve.points])
+        for p in points])
+    nominal = np.linspace(0.002, 0.2, 100)  # the P-P curve: JE rejection vs nominal alpha
     rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
-    for method, cov in table.je_pvalues:
-        nom, emp = table.pp_curve(method, cov)
-        rows += [[method, cov, repr(float(a)), repr(float(r))] for a, r in zip(nom, emp)]
-    _write_csv(out / "pp_data.csv", rows)
+    for method in plan.methods:
+        for cov in plan.cov_methods:
+            p = np.array([r[method]["je"][cov] for r in records
+                          if r[method]["ok"] and r[method]["je"][cov] is not None])
+            rows += [[method, cov, repr(float(a)), repr(float((p <= a).mean()))]
+                     for a in nominal]
+    write_csv(out / "pp_data.csv", rows)
 
 
 def _progress():
@@ -275,13 +276,6 @@ def _progress():
         print(f"  {done}/{total} replicates, {rate}/s, ETA {eta} s", file=sys.stderr)
 
     return show
-
-
-def _simulate_type1(plan: SimulationPlan, workers: int, out: Path):
-    """Acceptance table at the null; always run whole, on the null grid point alone."""
-    table = type1_study(plan, workers=workers, progress=_progress())
-    _write_type1_outputs(out, table)
-    return table.plan, table.curve.points, [0]
 
 
 def _resume(plan: SimulationPlan, out: Path):
@@ -315,43 +309,34 @@ def _resume(plan: SimulationPlan, out: Path):
     return completed, points
 
 
-def _simulate_power(plan: SimulationPlan, workers: int, out: Path):
-    """Rejection curve from one ``run_plan`` stream over the grid points not yet done.
-
-    Saved after every grid point the stream yields, so a rerun resumes.
-    """
-    completed, points = _resume(plan, out)
-    todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
-    for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=_progress()):
-        points.extend(aggregate_grid_point(plan, gi, records))
-        completed.append(gi)
-        write_curve_csv(points, out / "curve.csv")
-        write_manifest(out / "manifest.json", plan, completed, "power")
-    return plan, points, completed
-
-
-# plan kind -> (its check, its runner); runner(plan, workers, out) returns the plan
-# it ran, the curve points and the grid indices completed
-_PLAN_KINDS = {"type1": (check_type1_plan, _simulate_type1),
-               "power": (check_power_plan, _simulate_power)}
+# plan kind -> its check
+_PLAN_KINDS = {"type1": check_type1_plan, "power": check_power_plan}
 
 
 def cmd_simulate(args) -> int:
+    """One ``run_plan`` stream over the grid points not yet done, saved per grid point."""
     kind, plan, factor = parse_plan(Path(args.plan))
     workers = default_workers() if args.workers is None else check_workers(args.workers, "--workers")
     if args.scale == "paper":
         plan = replace(plan, replicates=plan.replicates * factor)
+    if kind == "type1":
+        plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
     out = _out_dir(args.out)
-    _, runner = _PLAN_KINDS[kind]
     try:
-        plan, points, completed = runner(plan, workers, out)
+        completed, points = _resume(plan, out) if kind == "power" else ([], [])
+        todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
+        for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=_progress()):
+            points.extend(aggregate_grid_point(plan, gi, records))
+            completed.append(gi)
+            write_curve_csv(points, out / "curve.csv")
+            write_manifest(out / "manifest.json", plan, completed, kind)
+            if kind == "type1":  # one grid point, so ``points`` are its points
+                _write_type1_outputs(out, plan, points, records)
     except ValidationError:
         raise
     except McjointError as err:
         print(f"mcjoint: simulation failed: {err}", file=sys.stderr)
         return EXIT_ERROR
-    write_curve_csv(points, out / "curve.csv")
-    write_manifest(out / "manifest.json", plan, completed, kind)
     print(f"wrote {out / 'curve.csv'}")
     return EXIT_OK
 
@@ -392,7 +377,7 @@ def cmd_fit_power(args) -> int:
         except McjointError as err:
             row = [method, kind, cov, repr(alpha)] + [""] * 6 + [str(err)]
         rows.append(row)
-    _write_csv(out / "power_table.csv", rows)
+    write_csv(out / "power_table.csv", rows)
     print(f"wrote {out / 'power_table.csv'}")
     return EXIT_OK
 

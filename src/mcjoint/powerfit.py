@@ -42,8 +42,6 @@ class SubbotinParams:
     location: float
     covariance: Optional[np.ndarray] = None
     converged: bool = False
-    sse: float = float("nan")
-    npoints: int = 0
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.shape <= 0 or self.scale <= 0:
@@ -205,7 +203,7 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
         cov = s2 * np.linalg.inv(J.T @ J)
     except np.linalg.LinAlgError:
         cov = None
-    return replace(pc, covariance=cov, converged=True, sse=sse, npoints=len(x))
+    return replace(pc, covariance=cov, converged=True)
 
 
 def _params(theta: np.ndarray) -> SubbotinParams:

@@ -10,7 +10,11 @@ produce bit-identical results.
 
 ``run_plan`` is the one runner of both plan kinds: one worker pool per
 call, and a stream of (grid index, records) that yields each grid point
-as soon as its last replicate is in.
+as soon as its last replicate is in.  ``mcjoint simulate`` runs a type-I
+plan as the null grid point of the same stream loop as a power plan, so
+there is no study wrapper; the check of each plan kind is here.
+``aggregate_curve`` aggregates a whole record set in one call and is kept
+for the benchmark; ``simulate`` aggregates each grid point as it arrives.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import os
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -212,14 +216,6 @@ class CurvePoint:
     replicates: int
 
 
-@dataclass
-class RejectionCurve:
-    grid_param: str
-    grid: Tuple[float, ...]
-    points: List[CurvePoint]
-    atom_fraction: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
-
-
 def _binom_se(rate: float, m: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / m)) if m > 0 else float("nan")
 
@@ -254,40 +250,16 @@ def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) ->
     return out
 
 
-def aggregate_curve(plan: SimulationPlan, records: Dict[int, List[Dict]]) -> RejectionCurve:
-    points: List[CurvePoint] = []
-    for gi in sorted(records):
-        points.extend(aggregate_grid_point(plan, gi, records[gi]))
-    atoms: Dict[str, Tuple[float, ...]] = {}
-    for method in plan.methods:
-        per_point = []
-        for gi in sorted(records):
-            vals = [r[method].get("atom") for r in records[gi] if r[method]["ok"]]
-            per_point.append(float(np.mean(vals)) if vals else float("nan"))
-        atoms[method] = tuple(per_point)
-    return RejectionCurve(plan.grid_param, plan.grid, points, atoms)
+# kept for the benchmark: bench/run.py checks its records with it and
+# bench/layers.py wraps it; simulate aggregates per grid point instead
+def aggregate_curve(plan: SimulationPlan, records: Dict[int, List[Dict]]) -> List[CurvePoint]:
+    """The curve points of every grid point in ``records``, in grid-index order."""
+    return [p for gi in sorted(records) for p in aggregate_grid_point(plan, gi, records[gi])]
 
 
 # ---------------------------------------------------------------------------
-# studies
+# plan kinds
 # ---------------------------------------------------------------------------
-
-_PP_NOMINAL = np.linspace(0.002, 0.2, 100)  # nominal alphas of the P-P curve
-
-
-@dataclass
-class Type1Table:
-    """Acceptance ratios under the null, in the layout of the type-I table."""
-
-    plan: SimulationPlan
-    curve: RejectionCurve
-    je_pvalues: Dict[Tuple[str, str], np.ndarray]
-
-    def pp_curve(self, method: str, cov: str):
-        """Empirical rejection of the joint test vs nominal alpha."""
-        p = self.je_pvalues[(method, cov)]
-        return _PP_NOMINAL, np.array([(p <= a).mean() for a in _PP_NOMINAL])
-
 
 def check_type1_plan(plan: SimulationPlan) -> None:
     """A type-I plan draws its data at the null: slope 1, intercept 0."""
@@ -302,21 +274,6 @@ def check_power_plan(plan: SimulationPlan) -> None:
             raise ValidationError(f"power study varies {plan.grid_param}; {name} must be {null}")
     if len(plan.grid) < 2:
         raise ValidationError("power study needs at least 2 grid values")
-
-
-def type1_study(plan: SimulationPlan, workers: Optional[int] = None, progress=None) -> Type1Table:
-    """Null-hypothesis calibration: one grid point at the true null."""
-    check_type1_plan(plan)
-    plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
-    records = dict(run_plan(plan, workers=workers, progress=progress))
-    curve = aggregate_curve(plan, records)
-    pvals: Dict[Tuple[str, str], np.ndarray] = {}
-    for method in plan.methods:
-        for cov in plan.cov_methods:
-            vals = [r[method]["je"][cov] for r in records[0]
-                    if r[method]["ok"] and r[method]["je"][cov] is not None]
-            pvals[(method, cov)] = np.array(vals)
-    return Type1Table(plan, curve, pvals)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +292,13 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
+def write_csv(path, rows) -> None:
+    """Write ``rows`` as CSV text through ``_atomic_write``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _atomic_write(Path(path), buf.getvalue())
+
+
 # curve.csv columns: CurvePoint's fields, each with the type its annotation names
 _CURVE_COLUMNS = [(f.name, {"str": str, "int": int, "float": float}[f.type])
                   for f in fields(CurvePoint)]
@@ -350,11 +314,7 @@ def curve_rows(points: Iterable[CurvePoint]) -> List[List]:
 
 
 def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow([name for name, _ in _CURVE_COLUMNS])
-    w.writerows(curve_rows(points))
-    _atomic_write(Path(path), buf.getvalue())
+    write_csv(path, [[name for name, _ in _CURVE_COLUMNS]] + curve_rows(points))
 
 
 def read_curve_csv(path) -> List[CurvePoint]:

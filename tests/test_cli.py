@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -149,6 +150,26 @@ def test_simulate_malformed_plan_exits_2(tmp_path, capsys):
     assert rc == 2
     assert_one_line_error(err)
     assert "replicates" in err
+
+
+@pytest.mark.parametrize("text", [
+    b"n = 25\n",
+    b"[generator]\nxmin = 3\nxmax = 8\n[run\nkind = type1\n",
+    b"[generator]\nxmin = 3\nxmin = 4\nxmax = 8\n\n[run]\nkind = type1\n",
+    b"\xff\xfe" + "[generator]\nxmin = 3\n".encode("utf-16-le"),
+    None,
+], ids=["no-section-header", "unclosed-section", "duplicate-key", "not-utf8", "percent-sign"])
+def test_simulate_unparsable_plan_file_exits_2(tmp_path, capsys, text):
+    plan = tmp_path / "plan.cfg"
+    if text is None:
+        write_plan(plan, methods="dem%")
+    else:
+        plan.write_bytes(text)
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "malformed plan" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -401,6 +422,61 @@ def test_simulate_type1_manifest_records_the_grid_that_ran(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["plan"]["grid"], manifest["completed"]) == ([1.0], [0])
     assert {p.grid_value for p in read_curve_csv(out / "curve.csv")} == {1.0}
+
+
+ARTIFACT_PLANS = {
+    "type1": "[generator]\nxmin = 3.0\nxmax = 8.0\nn = 25\n\n[run]\nkind = type1\n"
+             "methods = dem, paba\ncov_methods = classic, mcd\nreplicates = 50\nb = 199\n"
+             "master_seed = 5\n",
+    "power": "[generator]\nxmin = 3.0\nxmax = 8.0\nn = 25\n\n[run]\nkind = power\n"
+             "methods = dem\ncov_methods = classic\n"
+             "grid = 0.96, 0.97, 0.98, 0.99, 1.0, 1.01, 1.02, 1.03, 1.04\n"
+             "replicates = 50\nb = 199\nmaster_seed = 5\n",
+}
+# sha256 of each simulate artifact of ARTIFACT_PLANS, recorded before the two
+# plan kinds shared one stream loop
+ARTIFACT_SHA256 = {
+    "type1/curve.csv": "58b3c4489b430e5194c4817561a958630fee7ef11df38b9ffaf43e6cd4c6da13",
+    "type1/manifest.json": "72d3b93eb8b745aabe33982e8d67cd619ce764ccde3acce33e6dc9b3f02c6a2f",
+    "type1/type1_table.csv": "22ba39c31dc99738f97f9ddb7b03e1931caed1cf7c17a3d48adbe33fa4c14e33",
+    "type1/pp_data.csv": "d5100639536a94cc3278a2376bea30492c64b3af9052b4fabbc009b69f931e10",
+    "power/curve.csv": "fa53ad50655d716f16c0470cbb86a06131a02a4e9da70ccc1c99700e926cbe8e",
+    "power/manifest.json": "b86fead07acf55753ab5548b47d73898993b6b8e97e9c1ef83c894f907ecf754",
+}
+# fit-power on the power plan's curve.csv, recorded with those hashes; compared by
+# value, since the fit's 4x4 solve may differ in its last bits between BLAS kernels
+POWER_TABLE = [
+    ["dem", "ci_total", "", "0.05", "1.0182752181237817", "1.0182752181237817",
+     "1.025903616602629", "0.789668469702361", "0.8714690667056408", "0.9532696637089206", ""],
+    ["dem", "je", "classic", "0.01", "1.0095039906576588", "1.0105677089130323",
+     "1.0117002415906542", "0.9167023516207796", "0.9704922646630557", "1.0242821777053317", ""],
+    ["dem", "je", "classic", "0.05", "1.005344192754647", "1.0059956819660618",
+     "1.0066158289741596", "0.8890011966718618", "0.9182660410483852", "0.9475308854249085", ""],
+]
+
+
+def test_simulate_and_fit_power_artifacts_keep_their_bytes(tmp_path, capsys):
+    for kind, text in ARTIFACT_PLANS.items():
+        (tmp_path / f"{kind}.cfg").write_text(text)
+        assert simulate(capsys, tmp_path / f"{kind}.cfg", tmp_path / kind, "--workers", 1)[0] == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ARTIFACT_SHA256}
+    assert got == ARTIFACT_SHA256
+    assert sorted(f.name for f in (tmp_path / "type1").iterdir()) == [
+        "curve.csv", "manifest.json", "pp_data.csv", "type1_table.csv"]
+    assert sorted(f.name for f in (tmp_path / "power").iterdir()) == ["curve.csv", "manifest.json"]
+
+    rc, _, _ = run(capsys, "fit-power", "--curves", tmp_path / "power" / "curve.csv",
+                   "--out", tmp_path / "fit")
+    assert rc == 0
+    with (tmp_path / "fit" / "power_table.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["method", "kind", "cov", "alpha", "p80_lci", "p80_est", "p80_uci",
+                      "t1_lci", "t1_est", "t1_uci", "note"]
+    assert [row[:4] + row[-1:] for row in rows] == [row[:4] + row[-1:] for row in POWER_TABLE]
+    for row, want in zip(rows, POWER_TABLE):
+        assert [float(v) for v in row[4:-1]] == pytest.approx([float(v) for v in want[4:-1]],
+                                                              rel=1e-9)
 
 
 # acceptance bumps of two fittable series; the third has one grid point too few.

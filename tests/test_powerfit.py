@@ -185,9 +185,10 @@ def test_beta2_fit_matches_gaussian_least_squares():
 
     popt, _ = curve_fit(gauss, x, acc, p0=[acc.max(), 0.06, 1.0])
     sse_gauss = float(((acc - gauss(x, *popt)) ** 2).sum())
+    sse_fit = float(((acc - subbotin_density(x, fit)) ** 2).sum())
     # the exponential-power family nests the Gaussian, so its SSE can
     # only be lower (up to optimizer tolerance)
-    assert fit.sse <= sse_gauss + 1e-8
+    assert sse_fit <= sse_gauss + 1e-8
 
 
 # -- inversion ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, shared datasets, aggregation, IO."""
 
+import csv
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mcjoint as mj
+from mcjoint import cli
 from mcjoint.dataset import GeneratorSpec
 from mcjoint.simulation import (
     SimulationPlan,
@@ -17,7 +19,6 @@ from mcjoint.simulation import (
     evaluate_replicate,
     read_curve_csv,
     run_plan,
-    type1_study,
     write_curve_csv,
 )
 
@@ -33,14 +34,14 @@ def small_plan(**kw):
 
 
 def power_curve(plan, workers):
-    """The rejection curve of a power plan over its whole grid."""
+    """The curve points of a power plan over its whole grid."""
     check_power_plan(plan)
     return aggregate_curve(plan, dict(run_plan(plan, workers=workers)))
 
 
-def series(curve, method, kind, cov, alpha):
+def series(points, method, kind, cov, alpha):
     """(grid, rate) arrays of one verdict family, in grid order."""
-    sel = sorted((p.grid_value, p.rate) for p in curve.points
+    sel = sorted((p.grid_value, p.rate) for p in points
                  if (p.method, p.kind, p.cov, p.alpha) == (method, kind, cov, alpha))
     return np.array([g for g, _ in sel]), np.array([r for _, r in sel])
 
@@ -67,9 +68,7 @@ def test_serial_parallel_identical():
     serial = dict(run_plan(plan, workers=1))
     parallel = dict(run_plan(plan, workers=2))
     assert serial == parallel
-    c1 = aggregate_curve(plan, serial)
-    c2 = aggregate_curve(plan, parallel)
-    assert curve_rows(c1.points) == curve_rows(c2.points)
+    assert curve_rows(aggregate_curve(plan, serial)) == curve_rows(aggregate_curve(plan, parallel))
 
 
 def test_run_plan_streams_grid_points_in_request_order():
@@ -106,18 +105,25 @@ def test_same_datasets_across_method_sets():
         assert rec1["dem"] == rec2["dem"]
 
 
-def test_type1_study_requires_null_generator():
-    with pytest.raises(mj.ValidationError):
-        type1_study(small_plan(generator=GeneratorSpec(
-            xmin=3, xmax=8, n=25, slope=1.1, sigmax=0.12, sigmay=0.12)))
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_type1_study_reasonable_acceptance():
-    table = type1_study(small_plan(replicates=60, methods=("dem",)), workers=2)
-    _, rate = series(table.curve, "dem", "ci_total", "", 0.05)
-    acc = 1.0 - rate[0]
+def test_type1_plan_reasonable_acceptance(tmp_path):
+    # small_plan(replicates=60) as a plan file, run by ``mcjoint simulate``
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("[generator]\nxmin = 3\nxmax = 8\nn = 25\nsigmax = 0.12\nsigmay = 0.12\n"
+                    "[run]\nkind = type1\nmethods = dem\ncov_methods = classic\n"
+                    "replicates = 60\nb = 199\nmaster_seed = 99\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--plan", str(plan), "--out", str(out), "--workers", "2"]) == 0
+    table = {row["column"]: float(row["acceptance"]) for row in read_rows(out / "type1_table.csv")}
+    acc = table["tot.CI5%"]
     assert 0.7 <= acc <= 1.0
-    nom, emp = table.pp_curve("dem", "classic")
+    pp = read_rows(out / "pp_data.csv")
+    assert {(row["method"], row["cov"]) for row in pp} == {("dem", "classic")}
+    emp = np.array([float(row["empirical_rejection"]) for row in pp])
     assert emp[0] <= emp[-1]  # empirical rejection grows with nominal alpha
     assert np.all((emp >= 0) & (emp <= 1))
 
@@ -146,7 +152,7 @@ def test_power_study_needs_other_param_at_null():
 def test_binomial_se_formula():
     plan = small_plan(grid=(0.8, 1.0, 1.25), replicates=50)
     curve = power_curve(plan, workers=1)
-    for p in curve.points:
+    for p in curve:
         if np.isfinite(p.rate):
             assert p.se == pytest.approx(
                 np.sqrt(p.rate * (1 - p.rate) / p.n_used), abs=1e-12)
@@ -156,10 +162,10 @@ def test_curve_csv_roundtrip(tmp_path):
     plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50)
     curve = power_curve(plan, workers=1)
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve.points, path)
+    write_curve_csv(curve, path)
     points = read_curve_csv(path)
-    assert len(points) == len(curve.points)
-    orig = {(p.method, p.kind, p.cov, p.alpha, p.grid_value): p for p in curve.points}
+    assert len(points) == len(curve)
+    orig = {(p.method, p.kind, p.cov, p.alpha, p.grid_value): p for p in curve}
     for p in points:
         q = orig[(p.method, p.kind, p.cov, p.alpha, p.grid_value)]
         assert p == q
@@ -172,9 +178,18 @@ def test_atom_fraction_diagnostic_tracks_precision():
                                 precision_x=2, precision_y=2),
         replicates=50)
     smooth = small_plan(methods=("paba",), replicates=50)
-    atom_rough = power_curve(_with_grid(rough), workers=1).atom_fraction["paba"]
-    atom_smooth = power_curve(_with_grid(smooth), workers=1).atom_fraction["paba"]
-    assert np.nanmean(atom_rough) > 2 * np.nanmean(atom_smooth)
+    atom_rough = mean_atom(_with_grid(rough))
+    atom_smooth = mean_atom(_with_grid(smooth))
+    assert atom_rough > 2 * atom_smooth
+
+
+def mean_atom(plan):
+    """Mean over grid points of the per-point mean largest PaBa slope atom."""
+    per_point = []
+    for _, recs in run_plan(plan, workers=1):
+        atoms = [rec["paba"]["atom"] for rec in recs if rec["paba"]["ok"]]
+        per_point.append(np.mean(atoms) if atoms else np.nan)
+    return np.nanmean(per_point)
 
 
 def _with_grid(plan):
