@@ -18,7 +18,7 @@ be made a directory, such as an existing file.  validate exits 2, before
 it creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
 outside (0, 1).  simulate exits 2, before it creates --out, when the plan
-file is missing, malformed (not key=value text, or a key given twice) or
+file is missing, malformed (not UTF-8 key=value text, or a repeated key) or
 out of range (a negative master_seed too), or fails its kind's check.
 Both plan kinds run through one ``run_plan`` stream, a type-I plan on its
 null grid point alone, and curve.csv and manifest.json (for a type-I plan
@@ -152,7 +152,7 @@ def cmd_validate(args) -> int:
     cfg = _validate_config(args)
     sample = read_csv(path)
     try:
-        report, ensemble = validate(
+        report = validate(
             sample, args.method, cfg,
             cov_method=args.cov, B=args.b, seed=args.seed,
             je_alpha=args.je_alpha, ci_alpha=args.ci_alpha,
@@ -162,10 +162,10 @@ def cmd_validate(args) -> int:
         return EXIT_ERROR
     out = _out_dir(args.out)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
-    _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report, ensemble)))
-    _atomic_write(out / "ensemble.csv", _pairs_csv(ensemble.pairs))
-    print(f"{report.verdict_je} (JE p={report.je_pvalue:.4g}, CI verdict {report.verdict_ci})")
-    return EXIT_OK if report.verdict_je == VALIDATED else EXIT_REJECTED
+    _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report)))
+    _atomic_write(out / "ensemble.csv", _pairs_csv(report.ensemble.pairs))
+    print(f"{report.je.verdict} (JE p={report.je.p_value:.4g}, CI verdict {report.verdict_ci})")
+    return EXIT_OK if report.je.verdict == VALIDATED else EXIT_REJECTED
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +201,12 @@ def parse_plan(path: Path):
 
     cp = configparser.ConfigParser(interpolation=None)  # no plan key uses interpolation
     try:
-        if not cp.read(path):
-            raise ValidationError(f"plan file not found: {path}")
-    except (configparser.Error, UnicodeDecodeError) as err:
+        cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except OSError:
+        raise ValidationError(f"plan file not found: {path}") from None
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"malformed plan: {path} is not UTF-8 text ({err})") from None
+    except configparser.Error as err:
         raise ValidationError("malformed plan: " + " ".join(str(err).split())) from None
     problems, gen_kw, run_kw = [], {}, {}
     for section, keys, sink in (("generator", _GEN_KEYS, gen_kw), ("run", _RUN_KEYS, run_kw)):

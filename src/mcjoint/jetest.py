@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from . import robustcov
 from .dataset import PairedSample
 from .errors import McjointError
-from .estimators import DemingConfig, RegressionFit
+from .estimators import DemingConfig
 from .resampling import BootstrapEnsemble, IntervalPair, bca_ci, bootstrap
 from .robustcov import CovarianceModel, EllipseGeometry, _chi2_2_sf, ellipse_from, mahalanobis_sq
 
@@ -58,33 +58,30 @@ def ci_verdict(iv: IntervalPair) -> str:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Everything a validation run produces, numbers plus plot geometry."""
+    """What a validation run computed: the bootstrap ensemble (point fit, pairs,
+    B, seed path), the BCa intervals and the JE result (covariance model and
+    verdict), each with its alpha, the two coverage ellipses, the covariance
+    method and the sample's label.  report.json and plot.svg read them all."""
 
-    fit: RegressionFit
+    ensemble: BootstrapEnsemble
     intervals: IntervalPair
-    je_pvalue: float
-    je_alpha: float
-    ci_alpha: float
-    mahalanobis_sq: float
-    cov: CovarianceModel
+    je: JETestResult
     cov_method: str
-    verdict_ci: str
-    verdict_je: str
     ellipse05: EllipseGeometry
     ellipse01: EllipseGeometry
-    method: str
-    B: int
-    seed: Tuple[int, ...]
-    label: str = ""
+    label: str
+
+    @property
+    def verdict_ci(self) -> str:
+        return ci_verdict(self.intervals)
 
 
 def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
              cov_method: str = "mcd", B: int = 2000, seed=0,
-             je_alpha: float = 0.01, ci_alpha: float = 0.05,
-             ) -> Tuple[ValidationReport, BootstrapEnsemble]:
+             je_alpha: float = 0.01, ci_alpha: float = 0.05) -> ValidationReport:
     """Full pipeline: fit, bootstrap, BCa interval, covariance, joint test.
 
-    Returns the report together with the ensemble (the CLI dumps the
+    Returns the report, which holds the ensemble (the CLI dumps its
     replicate pairs next to the report).  ``seed`` drives both the
     bootstrap and the covariance, so the run is deterministic per seed.
     """
@@ -102,25 +99,8 @@ def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
         e01 = ellipse_from(model, 0.01)
     except McjointError as err:
         raise type(err)(f"stage {stage}: {err}") from err
-    report = ValidationReport(
-        fit=ensemble.point,
-        intervals=iv,
-        je_pvalue=jt.p_value,
-        je_alpha=je_alpha,
-        ci_alpha=ci_alpha,
-        mahalanobis_sq=jt.mahalanobis_sq,
-        cov=model,
-        cov_method=cov_method,
-        verdict_ci=ci_verdict(iv),
-        verdict_je=jt.verdict,
-        ellipse05=e05,
-        ellipse01=e01,
-        method=method,
-        B=B,
-        seed=ensemble.seed,
-        label=s.label,
-    )
-    return report, ensemble
+    return ValidationReport(ensemble=ensemble, intervals=iv, je=jt, cov_method=cov_method,
+                            ellipse05=e05, ellipse01=e01, label=s.label)
 
 
 # ---------------------------------------------------------------------------
@@ -154,42 +134,43 @@ def _ellipse_dict(e: EllipseGeometry) -> Dict:
 
 
 def report_to_dict(r: ValidationReport) -> Dict:
+    fit, iv, je = r.ensemble.point, r.intervals, r.je
     return _sig6({
         "label": r.label,
-        "method": r.method,
+        "method": fit.method,
         "fit": {
-            "intercept": r.fit.intercept,
-            "slope": r.fit.slope,
-            "iterations": r.fit.iterations,
-            "converged": r.fit.converged,
+            "intercept": fit.intercept,
+            "slope": fit.slope,
+            "iterations": fit.iterations,
+            "converged": fit.converged,
         },
         "intervals": {
             "kind": "bca",
-            "level": r.intervals.level,
-            "int_lo": r.intervals.int_lo,
-            "int_hi": r.intervals.int_hi,
-            "slope_lo": r.intervals.slope_lo,
-            "slope_hi": r.intervals.slope_hi,
-            "fallback": r.intervals.fallback,
+            "level": 1.0 - iv.alpha,
+            "int_lo": iv.int_lo,
+            "int_hi": iv.int_hi,
+            "slope_lo": iv.slope_lo,
+            "slope_hi": iv.slope_hi,
+            "fallback": iv.fallback,
         },
-        "je_pvalue": r.je_pvalue,
-        "je_alpha": r.je_alpha,
-        "ci_alpha": r.ci_alpha,
-        "mahalanobis_sq": r.mahalanobis_sq,
+        "je_pvalue": je.p_value,
+        "je_alpha": je.alpha,
+        "ci_alpha": iv.alpha,
+        "mahalanobis_sq": je.mahalanobis_sq,
         "cov": {
             "method": r.cov_method,
-            "estimator": r.cov.estimator,
-            "center": list(r.cov.center),
-            "scatter": [list(row) for row in r.cov.scatter],
-            "correction": r.cov.correction,
+            "estimator": je.model.estimator,
+            "center": list(je.model.center),
+            "scatter": [list(row) for row in je.model.scatter],
+            "correction": je.model.correction,
         },
         "verdict_ci": r.verdict_ci,
-        "verdict_je": r.verdict_je,
+        "verdict_je": je.verdict,
         "ellipse05": _ellipse_dict(r.ellipse05),
         "ellipse01": _ellipse_dict(r.ellipse01),
         "h0": list(H0),
-        "B": r.B,
-        "seed": list(r.seed),
+        "B": r.ensemble.B,
+        "seed": list(r.ensemble.seed),
     })
 
 

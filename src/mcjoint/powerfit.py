@@ -41,7 +41,6 @@ class SubbotinParams:
     scale: float
     location: float
     covariance: Optional[np.ndarray] = None
-    converged: bool = False
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.shape <= 0 or self.scale <= 0:
@@ -58,7 +57,6 @@ class PowerLevel:
     estimate: float
     lci: float
     uci: float
-    side: str
 
     def __post_init__(self):
         if not (self.lci <= self.estimate <= self.uci):
@@ -203,7 +201,7 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
         cov = s2 * np.linalg.inv(J.T @ J)
     except np.linalg.LinAlgError:
         cov = None
-    return replace(pc, covariance=cov, converged=True)
+    return replace(pc, covariance=cov)
 
 
 def _params(theta: np.ndarray) -> SubbotinParams:
@@ -265,8 +263,6 @@ def invert_for_power(p: SubbotinParams, target_rejection: float = 0.2,
     """
     if side not in ("above", "below"):
         raise ValidationError("side must be 'above' or 'below'")
-    if not p.converged:
-        raise ValidationError("fit did not converge")
     target_acc = 1.0 - target_rejection
     peak = subbotin_density(p.location, p)
     if peak <= target_acc:
@@ -282,7 +278,7 @@ def invert_for_power(p: SubbotinParams, target_rejection: float = 0.2,
     est = _bisect(centered, lo, hi)
 
     if p.covariance is None:
-        return PowerLevel(est, est, est, side)
+        return PowerLevel(est, est, est)
 
     def lo_band(x):
         return pointwise_band(p, x)[0][0] - target_acc
@@ -298,14 +294,12 @@ def invert_for_power(p: SubbotinParams, target_rejection: float = 0.2,
         except NoSolutionError:
             bounds.append(est)
     lci, uci = min(bounds + [est]), max(bounds + [est])
-    return PowerLevel(est, lci, uci, side)
+    return PowerLevel(est, lci, uci)
 
 
 def type1_at_null(p: SubbotinParams, null_value: float = 1.0) -> Tuple[float, float, float]:
     """Fitted acceptance and band at the null level (reported untrimmed;
     the upper bound may exceed one)."""
-    if not p.converged:
-        raise ValidationError("fit did not converge")
     est = float(subbotin_density(null_value, p))
     if p.covariance is None:
         return est, est, est

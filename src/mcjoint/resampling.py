@@ -20,7 +20,7 @@ from .errors import ConvergenceError, EnsembleQualityError, ValidationError
 from .estimators import DemingConfig, RegressionFit, batch_fit, check_sample, row_fit
 # imported only for the traced benchmark run (bench/layers.py), which wraps ``resampling.fit``
 from .estimators import fit  # noqa: F401
-from .rng import task_rng
+from .rng import seed_path, task_rng
 
 MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
@@ -29,13 +29,13 @@ _NORMAL = NormalDist()
 
 @dataclass(frozen=True)
 class IntervalPair:
-    """Confidence bounds for intercept and slope at a common level."""
+    """Confidence bounds for intercept and slope at a common level, 1 - alpha."""
 
     slope_lo: float
     slope_hi: float
     int_lo: float
     int_hi: float
-    level: float
+    alpha: float
     fallback: bool = False
 
     def __post_init__(self):
@@ -66,16 +66,6 @@ class BootstrapEnsemble:
     def slopes(self) -> np.ndarray:
         return self.pairs[:, 1]
 
-    @property
-    def intercepts(self) -> np.ndarray:
-        return self.pairs[:, 0]
-
-
-def _seed_path(seed) -> Tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
-
 
 def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
               B: int = 2000, seed=0) -> BootstrapEnsemble:
@@ -93,7 +83,7 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
         raise ValidationError(f"B must be >= {MIN_REPLICATES}")
     check_sample(s, method)
     n = s.n
-    path = _seed_path(seed)
+    path = seed_path(seed)
     # all initial index rows come from one stream; replicate i redraws (if
     # its fit fails) from its own substream, so scheduling cannot matter
     rows = np.empty((B + 1, n), dtype=np.intp)
@@ -190,5 +180,5 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
     return IntervalPair(
         slope_lo=float(bounds[1, 0]), slope_hi=float(bounds[1, 1]),
         int_lo=float(bounds[0, 0]), int_hi=float(bounds[0, 1]),
-        level=1.0 - alpha, fallback=fallback,
+        alpha=alpha, fallback=fallback,
     )

@@ -11,6 +11,16 @@ import numpy as np
 from .errors import ValidationError
 
 
+def seed_path(seed, *indices: int) -> tuple:
+    """``seed`` (an int or a tuple of ints) and then ``indices``, as one tuple
+    of ints; a negative element anywhere raises ValidationError."""
+    path = tuple(int(v) for v in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    path += tuple(int(i) for i in indices)
+    if min(path) < 0:
+        raise ValidationError(f"seeds must be >= 0, got seed path {path}")
+    return path
+
+
 def task_rng(master_seed, *indices: int) -> np.random.Generator:
     """Return a generator for the substream addressed by ``indices``.
 
@@ -19,11 +29,4 @@ def task_rng(master_seed, *indices: int) -> np.random.Generator:
     ``master_seed`` may itself be a tuple of ints (a seed path).  A negative
     element anywhere in the path raises ValidationError.
     """
-    if isinstance(master_seed, (tuple, list)):
-        path = [int(v) for v in master_seed]
-    else:
-        path = [int(master_seed)]
-    path.extend(int(i) for i in indices)
-    if min(path) < 0:
-        raise ValidationError(f"seeds must be >= 0, got seed path {tuple(path)}")
-    return np.random.default_rng(np.random.SeedSequence(path))
+    return np.random.default_rng(np.random.SeedSequence(seed_path(master_seed, *indices)))

@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .jetest import H0, ValidationReport
-from .resampling import BootstrapEnsemble, IntervalPair
+from .resampling import IntervalPair
 from .robustcov import EllipseGeometry, ellipse_points
 
 MAX_MARKS = 5000
@@ -38,15 +38,15 @@ class PlotPayload:
     title: str = ""
 
 
-def payload_from_report(report: ValidationReport, ensemble: BootstrapEnsemble) -> PlotPayload:
+def payload_from_report(report: ValidationReport) -> PlotPayload:
     return PlotPayload(
-        points=ensemble.pairs,
+        points=report.ensemble.pairs,
         ellipse05=report.ellipse05,
         ellipse01=report.ellipse01,
         intervals=report.intervals,
         h0=H0,
-        center=(float(report.cov.center[0]), float(report.cov.center[1])),
-        title=f"{report.label} [{report.fit.label}, cov {report.cov_method}]".strip(),
+        center=tuple(float(v) for v in report.je.model.center),
+        title=f"{report.label} [{report.ensemble.point.label}, cov {report.cov_method}]".strip(),
     )
 
 

@@ -5,7 +5,6 @@ import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +168,8 @@ def test_simulate_unparsable_plan_file_exits_2(tmp_path, capsys, text):
     assert rc == 2
     assert_one_line_error(err)
     assert "malformed plan" in err
+    if text is not None:  # a file-level error names the file as given
+        assert str(plan) in err and "PosixPath" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -356,6 +357,30 @@ def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):
     assert {name: (full / name).read_bytes() for name in want} == want
 
 
+def test_simulate_reruns_a_changed_power_plan_whole(tmp_path, capsys, monkeypatch):
+    # a finished run whose manifest holds another plan (another master_seed)
+    out = tmp_path / "out"
+    assert simulate(capsys, write_plan(tmp_path / "plan.cfg"), out, "--workers", 1)[0] == 0
+    changed = write_plan(tmp_path / "changed.cfg", master_seed=8)
+    fresh = tmp_path / "fresh"
+    assert simulate(capsys, changed, fresh, "--workers", 1)[0] == 0
+    want = {name: (fresh / name).read_bytes() for name in ("curve.csv", "manifest.json")}
+
+    evaluated = []
+    run_plan = cli.run_plan
+
+    def spy(plan, workers=None, grid_subset=None, progress=None):
+        evaluated.extend(grid_subset)
+        return run_plan(plan, workers=workers, grid_subset=grid_subset, progress=progress)
+
+    monkeypatch.setattr(cli, "run_plan", spy)
+    rc, _, err = simulate(capsys, changed, out, "--workers", 1)
+    assert rc == 0
+    assert "resuming" not in err
+    assert evaluated == [0, 1]
+    assert {name: (out / name).read_bytes() for name in want} == want
+
+
 @pytest.fixture(scope="module")
 def finished_power_run(tmp_path_factory):
     """The plan file and saved files of a finished two-point power run."""
@@ -507,7 +532,7 @@ def test_fit_power_tabulates_each_fittable_series(tmp_path, capsys):
     assert [(r["method"], r["kind"], r["cov"], float(r["alpha"])) for r in rows] == fittable
     for row, key in zip(rows, fittable):
         params = POWER_SERIES[key][0]
-        want = invert_for_power(replace(params, converged=True)).estimate
+        want = invert_for_power(params).estimate
         assert float(row["p80_est"]) == pytest.approx(want, abs=1e-6)
         assert row["note"] == ""
 

@@ -95,11 +95,11 @@ def test_je_singular_scatter_guidance():
 
 
 def test_ci_verdict_containment_and_boundary():
-    ok = IntervalPair(slope_lo=0.9, slope_hi=1.1, int_lo=-1.0, int_hi=1.0, level=0.95)
+    ok = IntervalPair(slope_lo=0.9, slope_hi=1.1, int_lo=-1.0, int_hi=1.0, alpha=0.05)
     assert ci_verdict(ok) == VALIDATED
-    boundary = IntervalPair(slope_lo=0.82, slope_hi=1.0, int_lo=-0.3, int_hi=0.7, level=0.95)
+    boundary = IntervalPair(slope_lo=0.82, slope_hi=1.0, int_lo=-0.3, int_hi=0.7, alpha=0.05)
     assert ci_verdict(boundary) == VALIDATED  # endpoint on the null counts
-    bad = IntervalPair(slope_lo=0.83, slope_hi=0.98, int_lo=-0.3, int_hi=0.7, level=0.95)
+    bad = IntervalPair(slope_lo=0.83, slope_hi=0.98, int_lo=-0.3, int_hi=0.7, alpha=0.05)
     assert ci_verdict(bad) == REJECTED
 
 
@@ -109,26 +109,26 @@ def test_validate_identity_data():
     x = np.linspace(1.0, 9.0, 15)
     noise = np.sin(np.arange(15)) * 1e-4  # deterministic tiny jitter
     s = mj.PairedSample(x=x, y=x + noise)
-    report, _ = validate(s, "dem", CFG, cov_method="classic", B=499, seed=2)
+    report = validate(s, "dem", CFG, cov_method="classic", B=499, seed=2)
     assert report.verdict_ci == VALIDATED
-    assert report.verdict_je == VALIDATED
-    assert report.je_pvalue > 0.5
+    assert report.je.verdict == VALIDATED
+    assert report.je.p_value > 0.5
 
 
 @pytest.mark.parametrize("cov", ["classic", "mcd", "sde"])
 def test_validate_hemoglobin_paba_discordance(cov):
     s = mj.load_hemoglobin()
-    report, _ = validate(s, "paba", CFG, cov_method=cov, B=2000, seed=17)
+    report = validate(s, "paba", CFG, cov_method=cov, B=2000, seed=17)
     assert report.verdict_ci == VALIDATED
-    assert report.verdict_je == REJECTED
-    assert report.je_pvalue < 0.01
+    assert report.je.verdict == REJECTED
+    assert report.je.p_value < 0.01
 
 
 def test_validate_hemoglobin_mdem_coherent_rejection():
     s = mj.load_hemoglobin()
-    report, _ = validate(s, "mdem", CFG, cov_method="mcd", B=2000, seed=17)
+    report = validate(s, "mdem", CFG, cov_method="mcd", B=2000, seed=17)
     assert report.verdict_ci == REJECTED
-    assert report.verdict_je == REJECTED
+    assert report.je.verdict == REJECTED
 
 
 def test_validate_stage_label_on_error():
@@ -146,10 +146,10 @@ def test_validate_rejects_a_negative_seed():
 
 def test_report_json_six_significant_digits():
     s = mj.load_hemoglobin()
-    report, _ = validate(s, "paba", CFG, cov_method="classic", B=499, seed=3)
+    report = validate(s, "paba", CFG, cov_method="classic", B=499, seed=3)
     payload = json.loads(report_to_json(report))
     slope = payload["fit"]["slope"]
-    assert slope == float(f"{report.fit.slope:.6g}")
+    assert slope == float(f"{report.ensemble.point.slope:.6g}")
     assert payload["verdict_ci"] in (VALIDATED, REJECTED)
     assert payload["h0"] == [0.0, 1.0]
     ax = payload["ellipse05"]["semi_axes"]
@@ -162,17 +162,17 @@ def test_report_json_six_significant_digits():
 
 def test_validate_deterministic_per_seed():
     s = mj.load_hemoglobin()
-    r1, e1 = validate(s, "dem", CFG, cov_method="mcd", B=499, seed=21)
-    r2, e2 = validate(s, "dem", CFG, cov_method="mcd", B=499, seed=21)
-    assert e1.pairs.tobytes() == e2.pairs.tobytes()
-    assert r1.je_pvalue == r2.je_pvalue
-    assert r1.mahalanobis_sq == r2.mahalanobis_sq
+    r1 = validate(s, "dem", CFG, cov_method="mcd", B=499, seed=21)
+    r2 = validate(s, "dem", CFG, cov_method="mcd", B=499, seed=21)
+    assert r1.ensemble.pairs.tobytes() == r2.ensemble.pairs.tobytes()
+    assert r1.je.p_value == r2.je.p_value
+    assert r1.je.mahalanobis_sq == r2.je.mahalanobis_sq
 
 
 def test_validate_seeds_the_covariance_with_the_run_seed():
-    report, ens = validate(mj.load_hemoglobin(), "dem", CFG, cov_method="sde", B=199, seed=5)
-    want = estimate_cov(ens.pairs, "sde", seed=5)
-    np.testing.assert_array_equal(report.cov.center, want.center)
-    np.testing.assert_array_equal(report.cov.scatter, want.scatter)
+    report = validate(mj.load_hemoglobin(), "dem", CFG, cov_method="sde", B=199, seed=5)
+    want = estimate_cov(report.ensemble.pairs, "sde", seed=5)
+    np.testing.assert_array_equal(report.je.model.center, want.center)
+    np.testing.assert_array_equal(report.je.model.scatter, want.scatter)
     # SDe draws random directions, so a covariance seeded with 0 differs
-    assert not np.array_equal(report.cov.scatter, estimate_cov(ens.pairs, "sde", seed=0).scatter)
+    assert not np.array_equal(report.je.model.scatter, estimate_cov(report.ensemble.pairs, "sde", seed=0).scatter)

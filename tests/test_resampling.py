@@ -129,7 +129,7 @@ def test_bca_matches_textbook_oracle():
     lo, hi = _bca_oracle(e.slopes, e.point.slope, e.jack[:, 1], 0.05)
     assert iv.slope_lo == pytest.approx(lo, abs=1e-12)
     assert iv.slope_hi == pytest.approx(hi, abs=1e-12)
-    lo0, hi0 = _bca_oracle(e.intercepts, e.point.intercept, e.jack[:, 0], 0.05)
+    lo0, hi0 = _bca_oracle(e.pairs[:, 0], e.point.intercept, e.jack[:, 0], 0.05)
     assert iv.int_lo == pytest.approx(lo0, abs=1e-12)
     assert iv.int_hi == pytest.approx(hi0, abs=1e-12)
 

@@ -163,9 +163,9 @@ def csv_text(rows):
 
 
 def hemoglobin_payload():
-    report, ensemble = validate(mj.load_hemoglobin(), "paba", mj.DemingConfig(), cov_method="mcd",
-                                B=2000, seed=0)
-    return svgplot.payload_from_report(report, ensemble)
+    report = validate(mj.load_hemoglobin(), "paba", mj.DemingConfig(), cov_method="mcd",
+                      B=2000, seed=0)
+    return svgplot.payload_from_report(report)
 
 
 def with_points(p, points):
@@ -185,7 +185,7 @@ def constant_payload():
     # every extent collapses to one point: both paddings fall back to 1e-6
     e = EllipseGeometry(center=np.array([1.5, 0.75]), semi_axes=np.array([0.0, 0.0]),
                         rotation=0.0, level=9.21)
-    iv = IntervalPair(slope_lo=0.75, slope_hi=0.75, int_lo=1.5, int_hi=1.5, level=0.95)
+    iv = IntervalPair(slope_lo=0.75, slope_hi=0.75, int_lo=1.5, int_hi=1.5, alpha=0.05)
     return PlotPayload(points=np.tile([1.5, 0.75], (40, 1)), ellipse05=e, ellipse01=e,
                        intervals=iv, h0=(1.5, 0.75), center=(1.5, 0.75), title="constant")
 
@@ -271,8 +271,8 @@ def test_validate_writes_the_reference_artifacts(tmp_path, capsys):
             "--cov", "sde", "--b", "1999", "--seed", "3", "--out", str(tmp_path)]
     cli.main(argv)
     capsys.readouterr()
-    report, ensemble = validate(mj.load_hemoglobin(), "paba", mj.DemingConfig(), cov_method="sde",
-                                B=1999, seed=3, je_alpha=0.01, ci_alpha=0.05)
-    p = svgplot.payload_from_report(report, ensemble)
+    report = validate(mj.load_hemoglobin(), "paba", mj.DemingConfig(), cov_method="sde",
+                      B=1999, seed=3, je_alpha=0.01, ci_alpha=0.05)
+    p = svgplot.payload_from_report(report)
     assert (tmp_path / "plot.svg").read_text() == render_box_ellipse(p)
-    assert (tmp_path / "ensemble.csv").read_bytes() == csv_text(ensemble_rows(ensemble.pairs)).encode()
+    assert (tmp_path / "ensemble.csv").read_bytes() == csv_text(ensemble_rows(report.ensemble.pairs)).encode()
