@@ -16,11 +16,11 @@ does not depend on the rows it is batched with.
 
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
-candidates (start subsets of any rows), and Stahel-Donoho takes its
-projection medians over blocks of directions; above 200 points, where
-the directions are the 1000 random ones, it also forms the projections
-one GEMM per block, so the (B, directions) matrix never exists whole.
-Blocking changes no arithmetic, only where the temporaries live.
+candidates (start subsets of any rows), and Stahel-Donoho forms its
+projections and takes their medians one block of its 1000 random
+directions at a time, one GEMM per block, so the (B, directions) matrix
+never exists whole.  Blocking changes no arithmetic, only where the
+temporaries live.
 
 All estimators rescale their scatter so that squared Mahalanobis distances
 of clean Gaussian data are approximately chi-square with 2 degrees of
@@ -583,42 +583,27 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     """Projection-outlyingness weighted mean and covariance.
 
     Outlyingness is the worst standardized deviation from the projection
-    median over 1000 random unit directions drawn from ``seed``, plus every
-    pairwise point-to-point direction when the cloud is small enough
-    (B <= 200) for that to be exact.
+    median over 1000 random unit directions drawn from ``seed``.
     """
     Z = _points(points)
     B = len(Z)
     if B < 10:
         raise ValidationError("need at least 10 points")
-    rng = task_rng(seed)
-    theta = rng.uniform(0.0, np.pi, _SDE_DIRS)
-    dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
-    if B <= 200:
-        I, J = np.triu_indices(B, 1)
-        diff = Z[J] - Z[I]
-        norms = np.hypot(diff[:, 0], diff[:, 1])
-        keep = norms > 0
-        dirs.append(diff[keep] / norms[keep, None])
-    D = np.vstack(dirs)
+    theta = task_rng(seed).uniform(0.0, np.pi, _SDE_DIRS)
+    D = np.column_stack([np.cos(theta), np.sin(theta)])
 
-    # The projections are GEMMs, Z @ D.T: elementwise products round
-    # otherwise, D @ Z.T too, and on tied clouds the weights follow the
-    # projections' last bits.  The random directions alone are projected
-    # block by block, Z @ D[lo:hi].T, equal to the columns of the whole
-    # product; with the pairwise ones it stays one product, because the BLAS
-    # may round a large product's last columns differently from a block's
-    # (OpenBLAS does at some direction counts).  Each block is copied out one
-    # direction per row, so every median runs along contiguous memory in
-    # cache; the deviations are formed in place, and the MAD is taken from
-    # them.
-    P = Z @ D.T if len(D) > _SDE_DIRS else None  # (B, ndir)
-    k = max(1, min(len(D), _BLOCK_ELEMS // B))
+    # The projections are GEMMs, one Z @ D[lo:hi].T per block of directions,
+    # so the (B, directions) matrix never exists whole; elementwise products
+    # round otherwise, D @ Z.T too, and on tied clouds the weights follow
+    # the projections' last bits.  Each block is copied out one direction
+    # per row, so every median runs along contiguous memory in cache; the
+    # deviations are formed in place, and the MAD is taken from them.
+    k = max(1, min(_SDE_DIRS, _BLOCK_ELEMS // B))
     buf = np.empty((k, B))
     out = None
-    for lo in range(0, len(D), k):
-        dev = buf[:min(k, len(D) - lo)]
-        dev[...] = (Z @ D[lo:lo + k].T if P is None else P[:, lo:lo + k]).T
+    for lo in range(0, _SDE_DIRS, k):
+        dev = buf[:min(k, _SDE_DIRS - lo)]
+        dev[...] = (Z @ D[lo:lo + k].T).T
         dev -= median_rows(dev)[:, None]
         np.abs(dev, out=dev)
         mad = 1.4826 * median_rows(dev)

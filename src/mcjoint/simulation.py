@@ -4,9 +4,14 @@ A plan fixes a generator template, the estimators and covariance methods
 to compare, a one-parameter grid, and replicate counts.  Every replicate
 draws one sample and evaluates ALL methods on it, recording the classical
 interval verdicts and the joint-test p-values per covariance method, plus
-diagnostics (largest slope atom, covariance failures).  Seeds derive from
-(master seed, grid index, replicate index), so serial and parallel runs
-produce bit-identical results.
+diagnostics (largest slope atom, covariance failures).  A replicate's
+sample is seeded from (master seed, 0, grid index, replicate index) and
+each method's bootstrap from (master seed, 1, grid index, replicate index,
+method index), so serial and parallel runs produce bit-identical results.
+The joint test's covariance seed is master seed + 7919 * (grid index + 1)
++ covariance index: it has no replicate or method index, so every
+replicate and method at a grid point shares MCD's random starts and SDe's
+directions.
 
 ``run_plan`` is the one runner of both plan kinds: one worker pool per
 call, and a stream of (grid index, records) that yields each grid point

@@ -2,10 +2,12 @@
 the code it replaced.
 
 ``stahel_donoho`` below is the shipped estimator as it stood before its
-medians went through ``median_rows`` and its projections were laid out one
-direction per row, frozen as the reference.  The arithmetic is unchanged,
-so centers, scatters and calibration factors must be exactly equal, and
-the failures must be the same.
+medians went through ``median_rows`` and its projections were formed one
+block of directions at a time and laid out one direction per row, frozen as
+the reference; its ``directions`` are the shipped ones, the 1000 random
+directions of the seed at every B.  The arithmetic is unchanged, so
+centers, scatters and calibration factors must be exactly equal, and the
+failures must be the same.
 """
 
 import math
@@ -85,17 +87,9 @@ def test_median_rows_zero_median_may_differ_only_in_sign():
 # frozen Stahel-Donoho reference
 # ---------------------------------------------------------------------------
 
-def directions(Z: np.ndarray, seed: int) -> np.ndarray:
-    rng = task_rng(seed)
-    theta = rng.uniform(0.0, np.pi, 1000)
-    dirs = [np.column_stack([np.cos(theta), np.sin(theta)])]
-    if len(Z) <= 200:
-        I, J = np.triu_indices(len(Z), 1)
-        diff = Z[J] - Z[I]
-        norms = np.hypot(diff[:, 0], diff[:, 1])
-        keep = norms > 0
-        dirs.append(diff[keep] / norms[keep, None])
-    return np.vstack(dirs)
+def directions(seed: int) -> np.ndarray:
+    theta = task_rng(seed).uniform(0.0, np.pi, 1000)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
@@ -106,7 +100,7 @@ def stahel_donoho(points: np.ndarray, seed: int = 0) -> CovarianceModel:
     B = len(Z)
     if B < 10:
         raise ValidationError("need at least 10 points")
-    D = directions(Z, seed)
+    D = directions(seed)
 
     proj = Z @ D.T  # (B, ndir)
     med = np.median(proj, axis=0)
@@ -167,19 +161,6 @@ def test_sde_matches_reference_on_hemoglobin_cloud():
     assert_same_sde(cloud, 0)
 
 
-def test_sde_matches_reference_with_pairwise_directions():
-    # B <= 200 adds every point-to-point direction to the random ones; in
-    # the second cloud 40 of 60 points share x = 0, and the two points at
-    # y = 5 give the direction (1, 0), whose MAD is 0, so only some
-    # directions are usable
-    rng = np.random.default_rng(4)
-    cloud = rng.normal(size=(60, 2)) @ np.array([[1.0, 0.3], [0.0, 0.5]])
-    assert_same_sde(cloud, 2)
-    partial = np.vstack([np.column_stack([np.zeros(40), np.arange(40.0)]),
-                         [(1.0, 5.0), (3.0, 5.0)], rng.normal(size=(18, 2))])
-    assert_same_sde(partial, 2)
-
-
 def test_sde_raises_the_reference_failures():
     rng = np.random.default_rng(9)
     coincident = rng.normal(size=(999, 2))
@@ -195,33 +176,37 @@ def test_sde_raises_the_reference_failures():
 
 def block_mads(cloud, seed):
     """The MAD of every direction, in ``stahel_donoho``'s blocks of directions."""
-    proj = cloud @ directions(cloud, seed).T
+    proj = cloud @ directions(seed).T
     mad = np.median(np.abs(proj - np.median(proj, axis=0)), axis=0)
     k = rc._BLOCK_ELEMS // len(cloud)
     return [mad[lo:lo + k] for lo in range(0, len(mad), k)]
 
 
 def test_sde_matches_reference_when_whole_blocks_are_degenerate():
-    # 101 of 200 points on the line x = 0, and 99 within 1e-3 of it on the
-    # line y = 0.25: every pair of the 99 gives the direction (+-1, 0),
-    # whose MAD is 0, and those pairs come last, so the last blocks of
-    # directions have no usable direction while the first ones do
+    # 101 of 200 points at (2^58, t) with t in (-1, 1), and 99 within 3
+    # ulps of x = 2^58 with y in (-1, 1): a projection onto (cos a, sin a)
+    # rounds to a multiple of ulp(2^58 cos a), so the 101 coincide, and
+    # the MAD is 0, unless the direction is within about 0.03 rad of
+    # vertical; of direction seed 1's 1000, the 16 usable ones all fall in
+    # the first five blocks, so the last two have no usable direction
+    # while the first one does
     rng = np.random.default_rng(6)
-    y = rng.uniform(-1.0, 1.0, 400)
-    y = y[np.abs(y - 0.25) > 0.2][:101]  # no pair with a line point is near (1, 0)
-    x = rng.uniform(0.1, 1.0, 99) * 1e-3 * rng.choice([-1.0, 1.0], 99)
-    cloud = np.vstack([np.column_stack([np.zeros(101), y]), np.column_stack([x, np.full(99, 0.25)])])
-    blocks = block_mads(cloud, 3)
-    assert (blocks[0] > 0).all() and (blocks[-1] == 0).all()
+    C = 2.0 ** 58
+    cloud = np.vstack([np.column_stack([np.full(101, C), rng.uniform(-1.0, 1.0, 101)]),
+                       np.column_stack([C + np.spacing(C) * rng.integers(-3, 4, 99),
+                                        rng.uniform(-1.0, 1.0, 99)])])
+    blocks = block_mads(cloud, 1)
+    assert (blocks[0] > 0).any() and (blocks[-1] == 0).all()
     assert sum((b == 0).all() for b in blocks) > 1
-    assert not isinstance(_outcome(cloud, 3, stahel_donoho), Exception)
-    assert_same_sde(cloud, 3)
+    assert not isinstance(_outcome(cloud, 1, stahel_donoho), Exception)
+    assert_same_sde(cloud, 1)
 
 
-@pytest.mark.parametrize("B", [150, 999])
+@pytest.mark.parametrize("B", [150, 199, 200, 999])
 def test_sde_matches_reference_with_a_partial_last_block(B):
-    # 1000 random plus 11,175 pairwise directions at B = 150, and 1000
-    # random ones at B = 999: neither count is a multiple of the block
+    # the 1000 random directions are not a multiple of the block at any of
+    # these B; 199 and 200 are the only B <= 200 that validate and
+    # simulate accept
     rng = np.random.default_rng(B)
     cloud = rng.normal(size=(B, 2)) @ np.array([[1.0, 0.6], [0.0, 0.4]])
     cloud[:7] += 8.0  # a few outliers
@@ -243,12 +228,13 @@ def test_sde_matches_reference_on_tied_paba_cloud_at_b2000(data_seed):
 
 @pytest.mark.parametrize("B", [201, 999, 2000, 4999])
 def test_block_projections_equal_the_columns_of_one_gemm(B):
-    # above 200 points stahel_donoho forms Z @ D[lo:hi].T per block of its
-    # 1000 random directions; each block must be bit for bit the matching
-    # columns of the whole Z @ D.T, which it replaced
+    # stahel_donoho forms Z @ D[lo:hi].T per block of its 1000 random
+    # directions and the reference forms the whole Z @ D.T; above 200
+    # points each block must be bit for bit the matching columns of the
+    # whole product
     rng = np.random.default_rng(B)
     Z = rng.normal(size=(B, 2)) @ np.array([[1.0, 0.6], [0.0, 0.4]]) + (3.0, 1.0)
-    D = directions(Z, 4)
+    D = directions(4)
     assert len(D) == rc._SDE_DIRS
     whole = Z @ D.T
     k = max(1, min(len(D), rc._BLOCK_ELEMS // B))

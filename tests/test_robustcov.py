@@ -1,6 +1,7 @@
 """Covariance estimators: oracles, contamination, calibration, geometry."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -145,6 +146,20 @@ def test_sde_resists_contamination_like_mcd():
     clean_eigs = np.linalg.eigvalsh(stahel_donoho(Z, seed=4).scatter)
     dirty_eigs = np.linalg.eigvalsh(stahel_donoho(dirty, seed=4).scatter)
     assert np.all(np.abs(dirty_eigs - clean_eigs) / clean_eigs < 0.35)
+
+
+def test_sde_at_b199_projects_in_blocks():
+    # at validate's least B, as at any B, the projections are formed one
+    # block of the 1000 directions at a time, so no (B, directions) matrix
+    # is held whole: about 0.6 MB at peak
+    cloud = mj.bootstrap(mj.load_hemoglobin(), "dem", B=199, seed=0).pairs
+    tracemalloc.start()
+    try:
+        stahel_donoho(cloud, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # -- S estimators -------------------------------------------------------------
