@@ -18,7 +18,8 @@ rows batched with it, so the bootstrap fits the full sample as row 0 of
 its resamples' batch.  The three iterative Deming fits (WDem, MDem,
 MMDem) share one IRWLS driver and differ only in their starting line and
 weight function; MMDem's robust covariance start is itself batched over
-rows (``robustcov.mcd_rows`` and ``s_rows``).  ``_iterate_weighted``
+rows (``robustcov.mcd_rows`` and ``s_rows``), and the batch carries each
+row's start failure for ``row_fit`` to raise.  ``_iterate_weighted``
 allocates its (m, n) work arrays once per call, and each step, weight
 function and weighted-moment pass writes into their leading rows in
 place of new temporaries: the same operations on the same values in the
@@ -84,6 +85,7 @@ class BatchFit(NamedTuple):
     converged: np.ndarray
     iterations: np.ndarray
     degenerate: np.ndarray
+    start_failure: Optional[np.ndarray] = None  # MMDem's only: per row, None or a StartFailureError
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +269,8 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     The others start from the S-covariance line (Rocke fallback), all
     rows at once, and are refit with bisquare weights at the start's mean
     residual distance.  Rows whose covariance starters both fail are
-    flagged degenerate; the scalar API turns that into a start-failure
-    error.
+    flagged degenerate, and their start failures are returned as
+    ``start_failure``.
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
@@ -279,9 +281,10 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     spread = X.std(axis=1) + Y.std(axis=1)
     final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * np.maximum(spread, 1.0))
     started = np.zeros_like(final)
+    start_failure = np.full(len(X), None, dtype=object)
     rows = np.flatnonzero(~final)
     if rows.size:
-        start_b0, start_b1, start_ok, _ = _mm_starts(X[rows], Y[rows])
+        start_b0, start_b1, start_ok, start_failure[rows] = _mm_starts(X[rows], Y[rows])
         rows = rows[start_ok]
         b0[rows], b1[rows], started[rows] = start_b0[start_ok], start_b1[start_ok], True
     sigma = _mean_distance(X, Y, b0, b1, lam)
@@ -299,52 +302,50 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     res = _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER_MM, (b0, b1, started & ~final))
     # a covariance start is no fit, so the refits alone count as iterations
     return res._replace(converged=res.converged | final, degenerate=res.degenerate & ~final,
-                        iterations=np.where(final, 1, res.iterations - 1))
+                        iterations=np.where(final, 1, res.iterations - 1), start_failure=start_failure)
 
 
 def _mm_starts(X, Y):
     """Robust starting lines per row: S-covariance slope, Rocke covariance fallback.
 
     Both S-estimators start a row from the same MCD, so a row whose MCD is
-    singular fails both.  Returns ``(b0, b1, ok, error)``; where ``ok`` is
-    False, ``error`` holds the last starter failure (None when the
-    starters converged to a line that is not finite).
+    singular fails both.  Returns ``(b0, b1, ok, failure)``; where ``ok`` is
+    False, ``failure`` holds a StartFailureError naming the last starter
+    failure (None when the starters converged to a line that is not finite).
     """
     from . import robustcov
 
     m = len(X)
     b0, b1 = np.full(m, np.nan), np.full(m, np.nan)
     todo = np.ones(m, dtype=bool)
-    error = np.full(m, None, dtype=object)
+    failure = np.full(m, None, dtype=object)
     try:
         start = robustcov.s_start(X, Y)
     except ValidationError as err:
-        error.fill(err)
-        return b0, b1, ~todo, error
-    for estimator in (robustcov.S_BISQUARE, robustcov.S_ROCKE):
+        failure.fill(StartFailureError(f"both covariance starters failed: {err}"))
+        return b0, b1, ~todo, failure
+    starters = (robustcov.S_BISQUARE, robustcov.S_ROCKE)
+    last = np.zeros(m, dtype=np.intp)  # code of the row's last starter failure; -1: indeterminate slope
+    last_by = np.zeros(m, dtype=np.intp)  # index of that starter
+    for k, estimator in enumerate(starters):
         rows = np.flatnonzero(todo)
-        center, scatter, failed = robustcov.s_rows(X[rows], Y[rows], start.take(rows), estimator)
+        center, scatter, code = robustcov.s_rows(X[rows], Y[rows], start.take(rows), estimator)
         sxx, sxy, syy = scatter[:, 0, 0], scatter[:, 0, 1], scatter[:, 1, 1]
-        usable = np.equal(failed, None)
-        flat = usable & ((sxx <= 0.0) | (sxy == 0.0))
-        if flat.any():
-            failed[flat] = DegenerateDataError("covariance start gives indeterminate slope")
+        code[(code == 0) & ((sxx <= 0.0) | (sxy == 0.0))] = -1
         with np.errstate(divide="ignore", invalid="ignore"):
             c1 = 0.5 * (sxy / sxx + syy / sxy)
             c0 = center[:, 1] - c1 * center[:, 0]
-        good = usable & ~flat & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
-        hit = ~np.equal(failed, None)
-        error[rows[hit]] = failed[hit]
+        good = (code == 0) & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
+        hit = code != 0
+        last[rows[hit]], last_by[rows[hit]] = code[hit], k
         b0[rows[good]], b1[rows[good]], todo[rows[good]] = c0[good], c1[good], False
-    return b0, b1, ~todo, error
-
-
-def _mm_start(x, y):
-    """Robust starting line of one sample; StartFailureError when both starters fail."""
-    b0, b1, ok, error = _mm_starts(x[None, :], y[None, :])
-    if not ok[0]:
-        raise StartFailureError(f"both covariance starters failed: {error[0]}")
-    return b0[0], b1[0]
+    for i in np.flatnonzero(todo):
+        if last[i] == -1:
+            cause = DegenerateDataError("covariance start gives indeterminate slope")
+        else:
+            cause = robustcov.s_failure(last[i], starters[last_by[i]]) if last[i] else None
+        failure[i] = StartFailureError(f"both covariance starters failed: {cause}")
+    return b0, b1, ~todo, failure
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +424,20 @@ def _check_wdem(s: PairedSample):
         raise DegenerateDataError("wdem: requires positive measurements")
 
 
-def _explain_mmdem(s: PairedSample):
-    _mm_start(s.x, s.y)  # raises the starters' failure when that was the cause
-
-
 class _Method(NamedTuple):
     label: str
     batch: Callable[..., BatchFit]          # (X, Y, cfg) over row-stacked samples
     check: Optional[Callable[[PairedSample], None]]  # raises for a sample not worth fitting
     no_fit: str                             # the message of a degenerate fit
-    explain: Optional[Callable[[PairedSample], None]]  # raises a degenerate fit's cause first
 
 
 _METHOD_TABLE = {
-    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0)", None),
-    "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit", None),
-    "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit", None),
-    "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit",
-                     _explain_mmdem),
+    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0)"),
+    "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit"),
+    "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit"),
+    "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit"),
     "paba": _Method("PaBa", lambda X, Y, cfg: batch_paba(X, Y), None,
-                    "paba: no determinate pairwise-slope median", None),
+                    "paba: no determinate pairwise-slope median"),
 }
 METHODS = tuple(_METHOD_TABLE)
 
@@ -462,18 +457,18 @@ def check_sample(s: PairedSample, method: str):
         check(s)
 
 
-def row_fit(s: PairedSample, method: str, res: BatchFit) -> RegressionFit:
-    """The fit of the sample ``s`` from row 0 of the batched fit ``res``, as ``fit`` gives it.
+def row_fit(method: str, res: BatchFit) -> RegressionFit:
+    """The fit of row 0 of the batched fit ``res``, as ``fit`` gives it.
 
-    A degenerate row raises DegenerateDataError; for MMDem, a failed
-    covariance start raises its StartFailureError instead.  A row's fit
+    A degenerate row raises DegenerateDataError, or, where the batch holds
+    a start failure for it (MMDem), that StartFailureError.  A row's fit
     does not depend on the rows batched with it, so ``bootstrap`` fits the
     full sample as row 0 of its resamples' batch.
     """
     entry = _method(method)
     if res.degenerate[0]:
-        if entry.explain is not None:
-            entry.explain(s)
+        if res.start_failure is not None and res.start_failure[0] is not None:
+            raise res.start_failure[0]
         raise DegenerateDataError(entry.no_fit)
     return RegressionFit(
         intercept=float(res.intercept[0]),
@@ -487,7 +482,7 @@ def row_fit(s: PairedSample, method: str, res: BatchFit) -> RegressionFit:
 def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> RegressionFit:
     """Dispatch by method name, one of ``METHODS``."""
     check_sample(s, method)
-    return row_fit(s, method, batch_fit(s.x[None, :], s.y[None, :], method, cfg))
+    return row_fit(method, batch_fit(s.x[None, :], s.y[None, :], method, cfg))
 
 
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:

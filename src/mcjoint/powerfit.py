@@ -18,7 +18,6 @@ pointwise confidence band.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 from typing import Optional, Tuple
 
 import numpy as np
@@ -210,6 +209,7 @@ def _params(theta: np.ndarray) -> SubbotinParams:
 
 def pointwise_band(p: SubbotinParams, x) -> Tuple[np.ndarray, np.ndarray]:
     """Delta-method 95% confidence band of the fitted curve at x."""
+    from statistics import NormalDist  # off the import path: it loads fractions and decimal
     if p.covariance is None:
         raise ValidationError("fit carries no parameter covariance")
     x = np.atleast_1d(np.asarray(x, float))

@@ -10,7 +10,6 @@ together, exceed 5% of B raises EnsembleQualityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
@@ -24,7 +23,6 @@ from .rng import seed_path, task_rng
 
 MIN_REPLICATES = 199
 MAX_FAIL_FRACTION = 0.05
-_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     rows[0] = np.arange(n)
     rows[1:] = task_rng(*path).integers(0, n, (B, n))
     res = batch_fit(s.x[rows], s.y[rows], method, cfg)
-    point = row_fit(s, method, res)
+    point = row_fit(method, res)
     if not point.converged:
         raise ConvergenceError(f"{method}: full-sample fit did not converge")
     idx = rows[1:]
@@ -135,13 +133,15 @@ def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
 
 def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
     """Adjusted quantile levels from the bias and acceleration constants."""
+    from statistics import NormalDist  # off the import path: it loads fractions and decimal
+    normal = NormalDist()
     out = []
-    for z in (_NORMAL.inv_cdf(alpha / 2.0), _NORMAL.inv_cdf(1.0 - alpha / 2.0)):
+    for z in (normal.inv_cdf(alpha / 2.0), normal.inv_cdf(1.0 - alpha / 2.0)):
         den = 1.0 - a * (z0 + z)
         if den <= 0:
             out.append(1.0 if (z0 + z) > 0 else 0.0)
         else:
-            out.append(_NORMAL.cdf(z0 + (z0 + z) / den))
+            out.append(normal.cdf(z0 + (z0 + z) / den))
     return out[0], out[1]
 
 
@@ -163,6 +163,7 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
     correction is infinite; that parameter falls back to the percentile
     interval and the result is flagged.
     """
+    from statistics import NormalDist  # off the import path: it loads fractions and decimal
     theta = np.array([e.point.intercept, e.point.slope])
     bounds = np.empty((2, 2))
     fallback = False
@@ -172,7 +173,7 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
             fallback = True
             lo, hi = np.quantile(e.pairs[:, col], [alpha / 2.0, 1.0 - alpha / 2.0])
         else:
-            z0 = _NORMAL.inv_cdf(frac)
+            z0 = NormalDist().inv_cdf(frac)
             a = _acceleration(e.jack[:, col])
             a1, a2 = _bca_levels(z0, a, alpha)
             lo, hi = np.quantile(e.pairs[:, col], [a1, a2])

@@ -715,7 +715,7 @@ S_ROCKE = SEstimator(
     b0=_ROCKE_CONSTANTS[2],
 )
 
-# Why an S fixed point fails, by the code ``s_rows`` works with (0: it converged).
+# Why an S fixed point fails, by the code ``s_rows`` returns (0: it converged).
 _S_FAILURES = (
     None,
     (SingularCovarianceError, "initial scatter is singular"),
@@ -777,9 +777,9 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
     the M-scale s solving mean rho(d/s) = b0 (``_m_scale``, from the
     previous s after the first step), weights w(d/s), and the weighted
     mean and shape; it stops once s moves by at most ``_S_TOL`` relative.
-    Returns centers (m, 2), scatters (m, 2, 2) and a failure per row: None
-    where the row converged, otherwise the exception ``_s_fixed_point``
-    raises for it.
+    Returns centers (m, 2), scatters (m, 2, 2) and a failure code per row:
+    0 where the row converged, else the code ``s_failure`` turns into its
+    exception.
     """
     m = len(Z0)
     T = start.center.copy()
@@ -815,20 +815,22 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
             rows = rows[moving]
         scatter = (s * s)[:, None, None] * G
     code[rows] = _NOT_CONVERGED
-    failure = np.full(m, None, dtype=object)
-    for k in np.unique(code[code > 0]):
-        cls, msg = _S_FAILURES[k]
-        failure[code == k] = cls(msg.format(name=est.name, max_iter=_S_MAX_ITER))
-    return T, scatter, failure
+    return T, scatter, code
+
+
+def s_failure(code: int, est: SEstimator) -> Exception:
+    """The exception ``_S_FAILURES`` names for a nonzero failure code of ``s_rows``."""
+    cls, msg = _S_FAILURES[code]
+    return cls(msg.format(name=est.name, max_iter=_S_MAX_ITER))
 
 
 def _s_fixed_point(points: np.ndarray, est: SEstimator) -> CovarianceModel:
     """S-estimate of one (B, 2) sample: the one-row case of ``s_rows``."""
     Z = _points(points)
     Z0, Z1 = Z[None, :, 0], Z[None, :, 1]
-    T, V, failure = s_rows(Z0, Z1, s_start(Z0, Z1), est)
-    if failure[0] is not None:
-        raise failure[0]
+    T, V, code = s_rows(Z0, Z1, s_start(Z0, Z1), est)
+    if code[0]:
+        raise s_failure(code[0], est)
     return CovarianceModel(T[0], V[0], est.name)
 
 

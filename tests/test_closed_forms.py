@@ -112,10 +112,11 @@ def test_rocke_constants_match_solver():
 # -- import footprint ---------------------------------------------------------
 
 # besides scipy, which only fit-power needs: modules that only the SVG title
-# escape (xml.sax, which pulls in urllib, http, email, ssl and socket) or a
-# process pool would load
+# escape (xml.sax, which pulls in urllib, http, email, ssl and socket), a
+# process pool, or the normal distribution of the BCa interval and the power
+# band (statistics, which pulls in fractions and decimal) would load
 _OFF_IMPORT_PATH = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
-                    "multiprocessing", "concurrent.futures")
+                    "multiprocessing", "concurrent.futures", "statistics", "fractions", "decimal")
 
 
 def test_import_loads_no_scipy():

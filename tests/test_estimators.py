@@ -1,5 +1,7 @@
 """Estimator correctness: oracles, paper anchors, and invariance properties."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import mcjoint as mj
 from mcjoint import estimators as est
+from mcjoint import resampling, robustcov
 from mcjoint.dataset import GeneratorSpec, PairedSample, generate, round_significant
 from mcjoint.estimators import DemingConfig, fit
 
@@ -244,9 +247,10 @@ def _mmdem_single_reference(x, y, lam=1.0):
         spread = float(np.std(x) + np.std(y))
         if float(np.hypot(d, e).mean()) <= 1e-12 * max(spread, 1.0):
             return float(pre.intercept[0]), float(pre.slope[0]), 1, True
-    b0, b1 = est._mm_start(x, y)
-    B0 = np.array([b0])
-    B1 = np.array([b1])
+    B0, B1, ok, failure = est._mm_starts(x[None, :], y[None, :])
+    if not ok[0]:
+        raise failure[0]
+    b0, b1 = B0[0], B1[0]
     d, e = est._deming_residuals(X, Y, B0, B1, lam)
     sigma = float(np.hypot(d, e).mean())
     if sigma == 0.0:
@@ -321,6 +325,47 @@ def test_fit_mmdeming_start_failure(mm_rows):
     X, Y, _ = mm_rows
     with pytest.raises(mj.StartFailureError, match="^both covariance starters failed: "):
         fit(sample(X[COINCIDENT], Y[COINCIDENT]), "mmdem")
+
+
+def test_failed_mmdem_start_is_searched_once(mm_rows, monkeypatch):
+    # the batch carries each row's start failure, so no second start explains it
+    X, Y, _ = mm_rows
+    s = sample(X[COINCIDENT], Y[COINCIDENT])
+    rows = []
+    s_start = robustcov.s_start
+
+    def counted(Z0, Z1):
+        rows.append(len(Z0))
+        return s_start(Z0, Z1)
+
+    monkeypatch.setattr(robustcov, "s_start", counted)
+    with pytest.raises(mj.StartFailureError):
+        fit(s, "mmdem")
+    assert rows == [1]
+    rows.clear()
+    with pytest.raises(mj.StartFailureError):
+        mj.bootstrap(s, "mmdem", CFG, B=199, seed=0)
+    assert rows == [200]
+
+
+def test_hemoglobin_mmdem_start_failures_by_cause(monkeypatch):
+    # why `validate --method mmdem --b 199 --seed 1` on hemoglobin fails:
+    # 14 of the first batch's 200 rows find no covariance start
+    batches = []
+    batch_fit = resampling.batch_fit
+
+    def kept(*args):
+        batches.append(batch_fit(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(resampling, "batch_fit", kept)
+    with pytest.raises(mj.EnsembleQualityError, match="^mmdem: 14 failed replicates "):
+        mj.bootstrap(mj.load_hemoglobin(), "mmdem", CFG, B=199, seed=1)
+    first = batches[0]
+    assert len(first.start_failure) == 200 and first.degenerate.sum() == 14
+    assert Counter(str(err) for err in first.start_failure if err is not None) == {
+        "both covariance starters failed: M-scale iteration did not settle": 9,
+        "both covariance starters failed: initial scatter is singular": 5}
 
 
 def test_mmdem_bootstrap_repeatable_and_equal_to_single_fits():

@@ -5,7 +5,8 @@ stood when every step allocated its own arrays: the IRWLS loop, the Deming
 residuals, the robust scale, the Huber and bisquare weights, the
 weighted moments and the row median, frozen as the reference.  The
 buffered engines do the same per-row arithmetic, so every ``BatchFit``
-field must be equal byte for byte, NaN for NaN.  MMDem's covariance start
+array must be equal byte for byte, NaN for NaN, and MMDem's start
+failures equal in type and message.  MMDem's covariance start
 runs through ``robustcov``, whose moments, median and bisquare kernels
 are swapped for the frozen ones when the reference runs.
 """
@@ -164,9 +165,10 @@ def batch_mmdem(X, Y, cfg):
     spread = X.std(axis=1) + Y.std(axis=1)
     final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * np.maximum(spread, 1.0))
     started = np.zeros_like(final)
+    start_failure = np.full(len(X), None, dtype=object)
     rows = np.flatnonzero(~final)
     if rows.size:
-        start_b0, start_b1, start_ok, _ = est._mm_starts(X[rows], Y[rows])
+        start_b0, start_b1, start_ok, start_failure[rows] = est._mm_starts(X[rows], Y[rows])
         rows = rows[start_ok]
         b0[rows], b1[rows], started[rows] = start_b0[start_ok], start_b1[start_ok], True
     sigma = _mean_distance(X, Y, b0, b1, lam)
@@ -180,7 +182,7 @@ def batch_mmdem(X, Y, cfg):
 
     res = _iterate_weighted(X, Y, lam, weight_fn, est.MAX_ITER_MM, (b0, b1, started & ~final))
     return res._replace(converged=res.converged | final, degenerate=res.degenerate & ~final,
-                        iterations=np.where(final, 1, res.iterations - 1))
+                        iterations=np.where(final, 1, res.iterations - 1), start_failure=start_failure)
 
 
 REFERENCE = {"wdem": batch_wdem, "mdem": batch_mdem, "mmdem": batch_mmdem}
@@ -231,6 +233,11 @@ def _degenerate_rows():
 
 def assert_same_fit(got: est.BatchFit, want: est.BatchFit):
     for name, g, w in zip(est.BatchFit._fields, got, want):
+        if name == "start_failure":  # None, or per row None or a StartFailureError
+            assert (g is None) == (w is None), name
+            if g is not None:
+                assert [repr(e) for e in g] == [repr(e) for e in w], name
+            continue
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), f"{name} differs in {np.flatnonzero(g != w)[:10]}"
 
