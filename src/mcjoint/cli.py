@@ -19,30 +19,23 @@ it creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
 outside (0, 1).  simulate exits 2, before it creates --out, when the plan
 file is missing, malformed (not UTF-8 key=value text, or a repeated key) or
-out of range (a negative master_seed too), or fails its kind's check.
-Both plan kinds run through one ``run_plan`` stream, a type-I plan on its
-null grid point alone, and curve.csv and manifest.json (for a type-I plan
-type1_table.csv and pp_data.csv too) are saved as each grid point is in.
-Only power plans resume, from those files; unreadable or inconsistent
-ones (a completed index out of range or listed twice, or its points
-missing from curve.csv) exit 2 and are left as they are.  Type-I plans
-run whole.
+out of range (a negative master_seed too), or fails its kind's check; and
+it exits 2, leaving them as they are, on saved run files it cannot resume
+from (see ``simulation.simulate``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import GeneratorSpec, read_csv
+from .dataset import read_csv
 from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
@@ -50,21 +43,13 @@ from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_a
 from .resampling import MIN_REPLICATES
 from .robustcov import COV_METHODS
 from .simulation import (
-    _NULL_LINE,
-    SimulationPlan,
     _atomic_write,
-    aggregate_grid_point,
-    check_power_plan,
-    check_type1_plan,
     check_workers,
     default_workers,
-    grid_point_size,
-    plan_to_dict,
+    parse_plan,
     read_curve_csv,
-    run_plan,
+    simulate,
     write_csv,
-    write_curve_csv,
-    write_manifest,
 )
 from .svgplot import payload_from_report, render_box_ellipse
 
@@ -172,97 +157,6 @@ def cmd_validate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _listed(conv):
-    """Parser of a comma-separated list of ``conv`` values."""
-    def parse(raw: str):
-        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
-
-    parse.__name__ = f"list of {conv.__name__}"
-    return parse
-
-
-# plan-file key -> parser; each key names a GeneratorSpec or SimulationPlan
-# field (b names B), apart from [run] kind and paper_factor
-_GEN_KEYS = {"xmin": float, "xmax": float, "n": int, "slope": float, "intercept": float,
-             "sigmax": float, "sigmay": float, "error_model": str,
-             "precision_x": int, "precision_y": int, "detmin": float}
-_RUN_KEYS = {"kind": str, "methods": _listed(str), "cov_methods": _listed(str),
-             "grid_param": str, "grid": _listed(float), "replicates": int, "b": int,
-             "ci_alpha": float, "je_alphas": _listed(float), "master_seed": int,
-             "paper_factor": int}
-
-
-def parse_plan(path: Path):
-    """(kind, plan, paper factor) of a key=value plan file; collect every bad key.
-
-    Keys left out or blank take the dataclasses' defaults.
-    """
-    import configparser  # only simulate reads a plan file; validate never loads it
-
-    cp = configparser.ConfigParser(interpolation=None)  # no plan key uses interpolation
-    try:
-        cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except OSError:
-        raise ValidationError(f"plan file not found: {path}") from None
-    except UnicodeDecodeError as err:
-        raise ValidationError(f"malformed plan: {path} is not UTF-8 text ({err})") from None
-    except configparser.Error as err:
-        raise ValidationError("malformed plan: " + " ".join(str(err).split())) from None
-    problems, gen_kw, run_kw = [], {}, {}
-    for section, keys, sink in (("generator", _GEN_KEYS, gen_kw), ("run", _RUN_KEYS, run_kw)):
-        if not cp.has_section(section):
-            problems.append(f"missing [{section}] section")
-            continue
-        for key, raw in cp.items(section):
-            if key not in keys:
-                problems.append(f"[{section}] unknown key {key!r}")
-            elif raw.strip():
-                try:
-                    sink[key] = keys[key](raw.strip())
-                except ValueError:
-                    problems.append(f"[{section}] {key}={raw!r} is not a {keys[key].__name__}")
-    kind = run_kw.pop("kind", "power")
-    factor = run_kw.pop("paper_factor", 10)
-    if kind not in _PLAN_KINDS:
-        problems.append(f"[run] kind={kind!r} is not one of {', '.join(_PLAN_KINDS)}")
-    if factor < 1:
-        problems.append(f"[run] paper_factor={factor} must be >= 1")
-    if problems:
-        raise ValidationError("malformed plan: " + "; ".join(problems))
-
-    if "b" in run_kw:
-        run_kw["B"] = run_kw.pop("b")
-    try:
-        plan = SimulationPlan(generator=GeneratorSpec(**gen_kw), **run_kw)
-        _PLAN_KINDS[kind](plan)
-    except (ValidationError, TypeError) as err:
-        raise ValidationError(f"malformed plan: {err}") from err
-    return kind, plan, factor
-
-
-# type1_table.csv column label of each verdict kind
-_TYPE1_COLUMNS = {"ci_int": "int.CI{alpha:.0%}", "ci_slope": "sl.CI{alpha:.0%}",
-                  "ci_total": "tot.CI{alpha:.0%}", "je": "JE.{cov}{alpha:.0%}"}
-
-
-def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
-    """type1_table.csv and pp_data.csv of the null grid point's curve points and records."""
-    # the grid point's curve points are already in the table's row order
-    write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
-        [p.method, _TYPE1_COLUMNS[p.kind].format(cov=p.cov.upper(), alpha=p.alpha),
-         repr(float(1.0 - p.rate)), p.n_used]
-        for p in points])
-    nominal = np.linspace(0.002, 0.2, 100)  # the P-P curve: JE rejection vs nominal alpha
-    rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
-    for method in plan.methods:
-        for cov in plan.cov_methods:
-            p = np.array([r[method]["je"][cov] for r in records
-                          if r[method]["ok"] and r[method]["je"][cov] is not None])
-            rows += [[method, cov, repr(float(a)), repr(float((p <= a).mean()))]
-                     for a in nominal]
-    write_csv(out / "pp_data.csv", rows)
-
-
 def _progress():
     """A ``run_plan`` progress callback: replicates done, their rate and an ETA.
 
@@ -281,60 +175,15 @@ def _progress():
     return show
 
 
-def _resume(plan: SimulationPlan, out: Path):
-    """Grid indices a saved run of this power plan completed, and their points.
-
-    Each completed index must be a grid index, listed once, whose points
-    are all in curve.csv; anything else raises ValidationError.
-    """
-    manifest_path, curve_path = out / "manifest.json", out / "curve.csv"
-    if not (manifest_path.exists() and curve_path.exists()):
-        return [], []
-    try:
-        saved = json.loads(manifest_path.read_text())
-        if saved.get("plan") != plan_to_dict(plan) or saved.get("kind") != "power":
-            return [], []
-        completed = list(saved.get("completed", []))
-        if any(type(gi) is not int or not 0 <= gi < len(plan.grid) for gi in completed):
-            raise ValueError(f"completed {completed} names an index outside the grid")
-        if len(set(completed)) < len(completed):
-            raise ValueError(f"completed {completed} lists an index twice")
-        per_value = Counter(plan.grid[gi] for gi in completed)
-        points = [p for p in read_curve_csv(curve_path) if p.grid_value in per_value]
-        size = grid_point_size(plan)
-        if Counter(p.grid_value for p in points) != {v: k * size for v, k in per_value.items()}:
-            raise ValueError(f"{curve_path} does not hold the points of completed {completed}")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
-        raise ValidationError(f"cannot resume from {manifest_path}: "
-                              f"{type(err).__name__}: {err}") from None
-    if completed:
-        print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
-    return completed, points
-
-
-# plan kind -> its check
-_PLAN_KINDS = {"type1": check_type1_plan, "power": check_power_plan}
-
-
 def cmd_simulate(args) -> int:
-    """One ``run_plan`` stream over the grid points not yet done, saved per grid point."""
+    """Parse the plan, check --workers before --out exists, and run ``simulation.simulate``."""
     kind, plan, factor = parse_plan(Path(args.plan))
     workers = default_workers() if args.workers is None else check_workers(args.workers, "--workers")
     if args.scale == "paper":
         plan = replace(plan, replicates=plan.replicates * factor)
-    if kind == "type1":
-        plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
     out = _out_dir(args.out)
     try:
-        completed, points = _resume(plan, out) if kind == "power" else ([], [])
-        todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
-        for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=_progress()):
-            points.extend(aggregate_grid_point(plan, gi, records))
-            completed.append(gi)
-            write_curve_csv(points, out / "curve.csv")
-            write_manifest(out / "manifest.json", plan, completed, kind)
-            if kind == "type1":  # one grid point, so ``points`` are its points
-                _write_type1_outputs(out, plan, points, records)
+        simulate(plan, kind, out, workers, _progress())
     except ValidationError:
         raise
     except McjointError as err:

@@ -15,11 +15,12 @@ directions.
 
 ``run_plan`` is the one runner of both plan kinds: one worker pool per
 call, and a stream of (grid index, records) that yields each grid point
-as soon as its last replicate is in.  ``mcjoint simulate`` runs a type-I
-plan as the null grid point of the same stream loop as a power plan, so
-there is no study wrapper; the check of each plan kind is here.
+as soon as its last replicate is in.  ``parse_plan`` reads a plan file,
+whose keys are the fields of ``GeneratorSpec`` and ``SimulationPlan``; a
+type-I plan runs as the null grid point alone.  ``simulate`` runs a plan
+into its run directory and saves each grid point as it arrives.
 ``aggregate_curve`` aggregates a whole record set in one call and is kept
-for the benchmark; ``simulate`` aggregates each grid point as it arrives.
+for the benchmark.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -36,6 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from .dataset import GeneratorSpec, generate
 from .errors import McjointError, ValidationError
 from .estimators import METHODS
@@ -98,14 +102,10 @@ class SimulationPlan:
                 raise ValidationError(f"unknown covariance method {c!r}")
 
 
-def _spec_at(plan: SimulationPlan, grid_value: float, gi: int, ri: int) -> GeneratorSpec:
-    kw = {plan.grid_param: grid_value, "seed": (plan.master_seed, 0, gi, ri)}
-    return replace(plan.generator, **kw)
-
-
 def evaluate_replicate(plan: SimulationPlan, gi: int, ri: int) -> Dict:
     """All verdicts for one generated dataset; shared across methods."""
-    sample = generate(_spec_at(plan, plan.grid[gi], gi, ri))
+    sample = generate(replace(plan.generator, **{plan.grid_param: plan.grid[gi],
+                                                 "seed": (plan.master_seed, 0, gi, ri)}))
     rec: Dict = {}
     for mi, method in enumerate(plan.methods):
         entry: Dict = {"ok": False, "je": {}}
@@ -225,11 +225,6 @@ def _binom_se(rate: float, m: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / m)) if m > 0 else float("nan")
 
 
-def grid_point_size(plan: SimulationPlan) -> int:
-    """How many curve points ``aggregate_grid_point`` makes for one grid point."""
-    return len(plan.methods) * (len(CI_VERDICTS) + len(plan.cov_methods) * len(plan.je_alphas))
-
-
 def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) -> List[CurvePoint]:
     gval = plan.grid[gi]
     out: List[CurvePoint] = []
@@ -263,7 +258,7 @@ def aggregate_curve(plan: SimulationPlan, records: Dict[int, List[Dict]]) -> Lis
 
 
 # ---------------------------------------------------------------------------
-# plan kinds
+# plan kinds and plan files
 # ---------------------------------------------------------------------------
 
 def check_type1_plan(plan: SimulationPlan) -> None:
@@ -281,8 +276,84 @@ def check_power_plan(plan: SimulationPlan) -> None:
         raise ValidationError("power study needs at least 2 grid values")
 
 
+# plan kind -> its check
+_PLAN_KINDS = {"type1": check_type1_plan, "power": check_power_plan}
+
+
+def _listed(conv):
+    """Parser of a comma-separated list of ``conv`` values."""
+    def parse(raw: str):
+        return tuple(conv(v.strip()) for v in raw.split(",") if v.strip())
+
+    parse.__name__ = f"list of {conv.__name__}"
+    return parse
+
+
+# field annotation -> parser of its plan-file value
+_PARSERS = {"float": float, "int": int, "str": str, "Optional[int]": int,
+            "Tuple[str, ...]": _listed(str), "Tuple[float, ...]": _listed(float)}
+
+# plan-file section -> key -> (keyword, parser): GeneratorSpec's fields but seed, SimulationPlan's
+# but generator, lower-cased as configparser reads keys (b names B); [run] adds kind, paper_factor
+_PLAN_KEYS = {section: {f.name.lower(): (f.name, _PARSERS[f.type])
+                        for f in fields(cls) if f.name != skip}
+              for section, cls, skip in (("generator", GeneratorSpec, "seed"),
+                                         ("run", SimulationPlan, "generator"))}
+_PLAN_KEYS["run"].update(kind=("kind", str), paper_factor=("paper_factor", int))
+
+
+def parse_plan(path: Path):
+    """(kind, plan, paper factor) of a key=value plan file; collect every bad key.
+
+    Keys left out or blank take the dataclasses' defaults.  The plan has
+    passed its kind's check; a type-I plan's grid is its null grid point.
+    """
+    import configparser  # only simulate reads a plan file; validate never loads it
+
+    cp = configparser.ConfigParser(interpolation=None)  # no plan key uses interpolation
+    try:
+        cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except OSError:
+        raise ValidationError(f"plan file not found: {path}") from None
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"malformed plan: {path} is not UTF-8 text ({err})") from None
+    except configparser.Error as err:
+        raise ValidationError("malformed plan: " + " ".join(str(err).split())) from None
+    problems, kw = [], {section: {} for section in _PLAN_KEYS}
+    for section, keys in _PLAN_KEYS.items():
+        if not cp.has_section(section):
+            problems.append(f"missing [{section}] section")
+            continue
+        for key, raw in cp.items(section):
+            if key not in keys:
+                problems.append(f"[{section}] unknown key {key!r}")
+            elif raw.strip():
+                name, parse = keys[key]
+                try:
+                    kw[section][name] = parse(raw.strip())
+                except ValueError:
+                    problems.append(f"[{section}] {key}={raw!r} is not a {parse.__name__}")
+    kind = kw["run"].pop("kind", "power")
+    factor = kw["run"].pop("paper_factor", 10)
+    if kind not in _PLAN_KINDS:
+        problems.append(f"[run] kind={kind!r} is not one of {', '.join(_PLAN_KINDS)}")
+    if factor < 1:
+        problems.append(f"[run] paper_factor={factor} must be >= 1")
+    if problems:
+        raise ValidationError("malformed plan: " + "; ".join(problems))
+
+    try:
+        plan = SimulationPlan(generator=GeneratorSpec(**kw["generator"]), **kw["run"])
+        _PLAN_KINDS[kind](plan)
+    except (ValidationError, TypeError) as err:
+        raise ValidationError(f"malformed plan: {err}") from err
+    if kind == "type1":  # a type-I plan runs its null grid point alone
+        plan = replace(plan, grid=(_NULL_LINE[plan.grid_param],))
+    return kind, plan, factor
+
+
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: the run directory
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str):
@@ -311,11 +382,9 @@ _CURVE_COLUMNS = [(f.name, {"str": str, "int": int, "float": float}[f.type])
 
 def curve_rows(points: Iterable[CurvePoint]) -> List[List]:
     """curve.csv rows in (grid value, method, kind, cov, alpha) order; floats as repr."""
-    rows = []
-    for p in sorted(points, key=lambda p: (p.grid_value, p.method, p.kind, p.cov, p.alpha)):
-        rows.append([repr(float(getattr(p, name))) if conv is float else getattr(p, name)
-                     for name, conv in _CURVE_COLUMNS])
-    return rows
+    return [[repr(float(getattr(p, name))) if conv is float else getattr(p, name)
+             for name, conv in _CURVE_COLUMNS]
+            for p in sorted(points, key=lambda p: (p.grid_value, p.method, p.kind, p.cov, p.alpha))]
 
 
 def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
@@ -345,12 +414,84 @@ def plan_to_dict(plan: SimulationPlan) -> Dict:
 
 
 def write_manifest(path, plan: SimulationPlan, completed: List[int], kind: str) -> None:
-    from . import __version__
+    _atomic_write(Path(path), json.dumps({"kind": kind, "plan": plan_to_dict(plan),
+                                          "completed": sorted(completed),
+                                          "version": f"mcjoint-{__version__}"}, indent=2))
 
-    payload = {
-        "kind": kind,
-        "plan": plan_to_dict(plan),
-        "completed": sorted(completed),
-        "version": f"mcjoint-{__version__}",
-    }
-    _atomic_write(Path(path), json.dumps(payload, indent=2))
+
+# type1_table.csv column label of each verdict kind
+_TYPE1_COLUMNS = {"ci_int": "int.CI{alpha:.0%}", "ci_slope": "sl.CI{alpha:.0%}",
+                  "ci_total": "tot.CI{alpha:.0%}", "je": "JE.{cov}{alpha:.0%}"}
+
+
+def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
+    """type1_table.csv and pp_data.csv of the null grid point's curve points and records."""
+    # the grid point's curve points are already in the table's row order
+    write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
+        [p.method, _TYPE1_COLUMNS[p.kind].format(cov=p.cov.upper(), alpha=p.alpha),
+         repr(float(1.0 - p.rate)), p.n_used]
+        for p in points])
+    nominal = np.linspace(0.002, 0.2, 100)  # the P-P curve: JE rejection vs nominal alpha
+    rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
+    for method in plan.methods:
+        for cov in plan.cov_methods:
+            p = np.array([r[method]["je"][cov] for r in records
+                          if r[method]["ok"] and r[method]["je"][cov] is not None])
+            # an empty series is nan, with no mean of nothing to warn on stderr
+            rows += [[method, cov, repr(float(a)), repr(float((p <= a).mean() if p.size else np.nan))]
+                     for a in nominal]
+    write_csv(out / "pp_data.csv", rows)
+
+
+def _resume(plan: SimulationPlan, out: Path):
+    """Grid indices a saved run of this power plan completed, and their points.
+
+    Each completed index must be a grid index, listed once, whose points
+    are all in curve.csv; anything else raises ValidationError.
+    """
+    manifest_path, curve_path = out / "manifest.json", out / "curve.csv"
+    if not (manifest_path.exists() and curve_path.exists()):
+        return [], []
+    try:
+        saved = json.loads(manifest_path.read_text())
+        if saved.get("plan") != plan_to_dict(plan) or saved.get("kind") != "power":
+            return [], []
+        completed = list(saved.get("completed", []))
+        if any(type(gi) is not int or not 0 <= gi < len(plan.grid) for gi in completed):
+            raise ValueError(f"completed {completed} names an index outside the grid")
+        if len(set(completed)) < len(completed):
+            raise ValueError(f"completed {completed} lists an index twice")
+        per_value = Counter(plan.grid[gi] for gi in completed)
+        points = [p for p in read_curve_csv(curve_path) if p.grid_value in per_value]
+        size = len(plan.methods) * (len(CI_VERDICTS) + len(plan.cov_methods) * len(plan.je_alphas))
+        # aggregate_grid_point makes ``size`` curve points per grid point
+        if Counter(p.grid_value for p in points) != {v: k * size for v, k in per_value.items()}:
+            raise ValueError(f"{curve_path} does not hold the points of completed {completed}")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
+        raise ValidationError(f"cannot resume from {manifest_path}: "
+                              f"{type(err).__name__}: {err}") from None
+    if completed:
+        print(f"resuming: {len(completed)} grid points already done", file=sys.stderr)
+    return completed, points
+
+
+def simulate(plan: SimulationPlan, kind: str, out: Path, workers: int, progress) -> None:
+    """Run ``plan`` of ``kind`` into the existing run directory ``out``.
+
+    One ``run_plan`` stream, given ``workers`` and ``progress``, runs the
+    grid points not yet done.  curve.csv and manifest.json (for a type-I
+    plan type1_table.csv and pp_data.csv too) are saved as each grid point
+    is in.  Only power plans resume, from those files; unreadable or
+    inconsistent ones (a completed index out of range or listed twice, or
+    its points missing from curve.csv) raise ValidationError and are left
+    as they are.  Type-I plans run whole.
+    """
+    completed, points = _resume(plan, out) if kind == "power" else ([], [])
+    todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
+    for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=progress):
+        points.extend(aggregate_grid_point(plan, gi, records))
+        completed.append(gi)
+        write_curve_csv(points, out / "curve.csv")
+        write_manifest(out / "manifest.json", plan, completed, kind)
+        if kind == "type1":  # one grid point, so ``points`` are its points
+            _write_type1_outputs(out, plan, points, records)

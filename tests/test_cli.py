@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -337,13 +338,13 @@ def test_simulate_resumes_from_the_manifest(tmp_path, capsys, monkeypatch):
                     part / "curve.csv")
 
     evaluated = []
-    run_plan = cli.run_plan
+    run_plan = simulation.run_plan
 
     def spy(plan, workers=None, grid_subset=None, progress=None):
         evaluated.extend(grid_subset)
         return run_plan(plan, workers=workers, grid_subset=grid_subset, progress=progress)
 
-    monkeypatch.setattr(cli, "run_plan", spy)
+    monkeypatch.setattr(simulation, "run_plan", spy)
     rc, _, err = simulate(capsys, plan, part, "--workers", 1)
     assert rc == 0
     assert "resuming: 1 grid points already done" in err
@@ -367,13 +368,13 @@ def test_simulate_reruns_a_changed_power_plan_whole(tmp_path, capsys, monkeypatc
     want = {name: (fresh / name).read_bytes() for name in ("curve.csv", "manifest.json")}
 
     evaluated = []
-    run_plan = cli.run_plan
+    run_plan = simulation.run_plan
 
     def spy(plan, workers=None, grid_subset=None, progress=None):
         evaluated.extend(grid_subset)
         return run_plan(plan, workers=workers, grid_subset=grid_subset, progress=progress)
 
-    monkeypatch.setattr(cli, "run_plan", spy)
+    monkeypatch.setattr(simulation, "run_plan", spy)
     rc, _, err = simulate(capsys, changed, out, "--workers", 1)
     assert rc == 0
     assert "resuming" not in err
@@ -447,6 +448,21 @@ def test_simulate_type1_manifest_records_the_grid_that_ran(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["plan"]["grid"], manifest["completed"]) == ([1.0], [0])
     assert {p.grid_value for p in read_curve_csv(out / "curve.csv")} == {1.0}
+
+
+def test_simulate_series_without_je_p_values_writes_nan_without_warnings(tmp_path, capsys):
+    # x has no spread once rounded, so every dem replicate fails
+    plan = write_plan(tmp_path / "plan.cfg", dict(xmin=5.0, xmax=5.0, n=20, sigmax="1e-9",
+                                                   precision_x=2), kind="type1", grid="1.0")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = simulate(capsys, plan, out, "--workers", 1)
+    assert rc == 0
+    assert "Warning" not in err
+    with (out / "pp_data.csv").open(newline="") as fh:
+        rates = [row["empirical_rejection"] for row in csv.DictReader(fh)]
+    assert len(rates) == 100 and set(rates) == {"nan"}
 
 
 ARTIFACT_PLANS = {

@@ -113,10 +113,12 @@ def test_rocke_constants_match_solver():
 
 # besides scipy, which only fit-power needs: modules that only the SVG title
 # escape (xml.sax, which pulls in urllib, http, email, ssl and socket), a
-# process pool, or the normal distribution of the BCa interval and the power
-# band (statistics, which pulls in fractions and decimal) would load
+# process pool, the normal distribution of the BCa interval and the power
+# band (statistics, which pulls in fractions and decimal), or the plan-file
+# reader (configparser) would load
 _OFF_IMPORT_PATH = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
-                    "multiprocessing", "concurrent.futures", "statistics", "fractions", "decimal")
+                    "multiprocessing", "concurrent.futures", "statistics", "fractions", "decimal",
+                    "configparser")
 
 
 def test_import_loads_no_scipy():

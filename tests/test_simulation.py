@@ -3,7 +3,8 @@
 import csv
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mcjoint.simulation import (
     check_power_plan,
     curve_rows,
     evaluate_replicate,
+    parse_plan,
+    plan_to_dict,
     read_curve_csv,
     run_plan,
     write_curve_csv,
@@ -147,6 +150,39 @@ def test_power_study_needs_other_param_at_null():
             grid=(0.9, 1.0, 1.1),
             generator=GeneratorSpec(xmin=3, xmax=8, n=25, intercept=0.5,
                                     sigmax=0.12, sigmay=0.12)), workers=1)
+
+
+def test_every_shipped_plan_parses_under_its_kind():
+    shipped = sorted((Path(mj.__file__).parent / "plans").glob("*.cfg"))
+    assert shipped
+    for path in shipped:
+        kind, plan, factor = parse_plan(path)
+        assert kind in ("type1", "power") and factor >= 1, path
+        assert isinstance(plan, SimulationPlan)
+
+
+def test_plan_file_round_trips_every_field(tmp_path):
+    # every field off its default but slope, which a power plan over the
+    # intercept holds at the null, and the per-replicate seed, not a plan key
+    generator = GeneratorSpec(xmin=2.5, xmax=9.5, n=31, intercept=0.3, sigmax=0.2, sigmay=0.25,
+                              error_model="mixed", precision_x=3, precision_y=4, detmin=0.05)
+    plan = SimulationPlan(generator, methods=("paba", "mdem"), cov_methods=("classic", "sde"),
+                          grid_param="intercept", grid=(-0.5, 0.25, 1.5), replicates=60, B=299,
+                          ci_alpha=0.1, je_alphas=(0.1,), master_seed=11)
+    for value in (generator, plan):
+        assert [f.name for f in fields(value) if getattr(value, f.name) == f.default
+                and f.name not in ("slope", "seed")] == []
+
+    def section(values):
+        return "".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                       for key, v in values.items())
+
+    run = plan_to_dict(plan)
+    gen = run.pop("generator")
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"[generator]\n{section(gen)}\n[run]\n{section(run)}"
+                    "kind = power\npaper_factor = 3\n")
+    assert parse_plan(path) == ("power", plan, 3)
 
 
 def test_binomial_se_formula():
