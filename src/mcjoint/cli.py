@@ -13,15 +13,16 @@ Each process runs BLAS on one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1, and a value set in the
 environment is kept.
 
-Every command exits 2 with one line when --out names a path that cannot
-be made a directory, such as an existing file.  validate exits 2, before
-it creates --out, on a negative --seed and on an --input it cannot read
+Every command exits 2 with one line when --out names a path that cannot be
+made a directory, such as an existing file.  validate exits 2, before it
+creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
-outside (0, 1).  simulate exits 2, before it creates --out, when the plan
+outside (0, 1) and on a --curves file it cannot read (or that names a kind
+not in VERDICTS).  simulate exits 2, before it creates --out, when the plan
 file is missing, malformed (not UTF-8 key=value text, or a repeated key) or
-out of range (a negative master_seed too), or fails its kind's check; and
-it exits 2, leaving them as they are, on saved run files it cannot resume
-from (see ``simulation.simulate``).
+out of range (a negative master_seed too, or a list naming a value twice),
+or fails its kind's check; and it exits 2, leaving them as they are, on
+saved run files it cannot resume from (see ``simulation.simulate``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_a
 from .resampling import MIN_REPLICATES
 from .robustcov import COV_METHODS
 from .simulation import (
+    VERDICTS,
     _atomic_write,
     check_workers,
     default_workers,
@@ -206,7 +208,7 @@ def cmd_fit_power(args) -> int:
     points = read_curve_csv(path)
     groups = {}
     for p in points:
-        if p.kind in ("ci_total", "je") and np.isfinite(p.rate):
+        if VERDICTS[p.kind][1] and np.isfinite(p.rate):  # a joint verdict's series
             groups.setdefault((p.method, p.kind, p.cov, p.alpha), []).append(p)
     fitable = {k: v for k, v in groups.items() if len(v) >= MIN_POINTS}
     if not fitable:

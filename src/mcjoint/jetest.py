@@ -53,7 +53,7 @@ def je_test_from_model(model: CovarianceModel, alpha: float = 0.01) -> JETestRes
 
 def ci_verdict(iv: IntervalPair) -> str:
     """Validated iff 0 is in the intercept CI and 1 in the slope CI."""
-    return VALIDATED if iv.contains(H0[0], H0[1]) else REJECTED
+    return VALIDATED if all(iv.covers(*H0)) else REJECTED
 
 
 @dataclass(frozen=True)

@@ -280,21 +280,15 @@ def invert_for_power(p: SubbotinParams, target_rejection: float = 0.2,
     if p.covariance is None:
         return PowerLevel(est, est, est)
 
-    def lo_band(x):
-        return pointwise_band(p, x)[0][0] - target_acc
-
-    def hi_band(x):
-        return pointwise_band(p, x)[1][0] - target_acc
-
-    bounds = []
-    for fn in (lo_band, hi_band):
+    bounds = [est]
+    for edge in range(2):  # lower edge, then upper; ``band`` is called only in its own turn
+        def band(x):
+            return pointwise_band(p, x)[edge][0] - target_acc
         try:
-            blo, bhi = _bracket(fn, mu, s, side)
-            bounds.append(_bisect(fn, blo, bhi))
+            bounds.append(_bisect(band, *_bracket(band, mu, s, side)))
         except NoSolutionError:
-            bounds.append(est)
-    lci, uci = min(bounds + [est]), max(bounds + [est])
-    return PowerLevel(est, lci, uci)
+            pass  # this edge never reaches the target; the estimate bounds that side
+    return PowerLevel(est, min(bounds), max(bounds))
 
 
 def type1_at_null(p: SubbotinParams, null_value: float = 1.0) -> Tuple[float, float, float]:

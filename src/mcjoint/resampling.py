@@ -40,9 +40,10 @@ class IntervalPair:
         if self.slope_lo > self.slope_hi or self.int_lo > self.int_hi:
             raise ValidationError("interval bounds out of order")
 
-    def contains(self, intercept: float, slope: float) -> bool:
-        """Inclusive containment: a bound exactly on the value counts."""
-        return (self.int_lo <= intercept <= self.int_hi) and (self.slope_lo <= slope <= self.slope_hi)
+    def covers(self, intercept: float, slope: float) -> Tuple[bool, bool]:
+        """Whether each interval holds its value; a bound exactly on the value counts."""
+        return (bool(self.int_lo <= intercept <= self.int_hi),
+                bool(self.slope_lo <= slope <= self.slope_hi))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ as soon as its last replicate is in.  ``parse_plan`` reads a plan file,
 whose keys are the fields of ``GeneratorSpec`` and ``SimulationPlan``; a
 type-I plan runs as the null grid point alone.  ``simulate`` runs a plan
 into its run directory and saves each grid point as it arrives.
+``VERDICTS`` is the one table of verdict kinds; curve.csv, type1_table.csv,
+pp_data.csv, the resume check and fit-power all read it.
 ``aggregate_curve`` aggregates a whole record set in one call and is kept
 for the benchmark.
 """
@@ -47,11 +49,19 @@ from .jetest import H0, je_test
 from .resampling import MIN_REPLICATES, bca_ci, bootstrap
 from .robustcov import COV_METHODS
 
-# Classical verdict kind -> whether a replicate's intervals reject the null.
-CI_VERDICTS = {
-    "ci_int": lambda e: not e["int_ok"],
-    "ci_slope": lambda e: not e["slope_ok"],
-    "ci_total": lambda e: not (e["int_ok"] and e["slope_ok"]),
+# verdict kind -> (type1_table.csv label, whether it judges intercept and slope together, as
+# fit-power fits; its (cov, alpha) series in a plan; whether a replicate's method entry
+# rejects the null in a series, None where the entry gives no verdict there)
+VERDICTS = {
+    "ci_int": ("int.CI{alpha:.0%}", False, lambda plan: [("", plan.ci_alpha)],
+               lambda e, cov, alpha: not e["int_ok"]),
+    "ci_slope": ("sl.CI{alpha:.0%}", False, lambda plan: [("", plan.ci_alpha)],
+                 lambda e, cov, alpha: not e["slope_ok"]),
+    "ci_total": ("tot.CI{alpha:.0%}", True, lambda plan: [("", plan.ci_alpha)],
+                 lambda e, cov, alpha: not (e["int_ok"] and e["slope_ok"])),
+    "je": ("JE.{cov}{alpha:.0%}", True,
+           lambda plan: [(cov, alpha) for cov in plan.cov_methods for alpha in plan.je_alphas],
+           lambda e, cov, alpha: None if e["je"][cov] is None else e["je"][cov] <= alpha),
 }
 
 _NULL_LINE = {"slope": H0[1], "intercept": H0[0]}  # the null line; a plan's grid varies one of them
@@ -100,6 +110,10 @@ class SimulationPlan:
         for c in self.cov_methods:
             if c.lower() not in COV_METHODS:
                 raise ValidationError(f"unknown covariance method {c!r}")
+        for name, values in (("methods", self.methods), ("je_alphas", self.je_alphas),
+                             ("cov_methods", [c.lower() for c in self.cov_methods])):
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} lists a value twice: {getattr(self, name)}")
 
 
 def evaluate_replicate(plan: SimulationPlan, gi: int, ri: int) -> Dict:
@@ -117,8 +131,7 @@ def evaluate_replicate(plan: SimulationPlan, gi: int, ri: int) -> Dict:
             rec[method] = entry
             continue
         entry["ok"] = True
-        entry["int_ok"] = bool(iv.int_lo <= H0[0] <= iv.int_hi)
-        entry["slope_ok"] = bool(iv.slope_lo <= H0[1] <= iv.slope_hi)
+        entry["int_ok"], entry["slope_ok"] = iv.covers(*H0)
         _, counts = np.unique(ens.slopes, return_counts=True)
         entry["atom"] = float(counts.max() / ens.B)
         for ci_idx, cov in enumerate(plan.cov_methods):
@@ -210,7 +223,7 @@ class CurvePoint:
     """Empirical rejection rate of one verdict at one grid value."""
 
     method: str
-    kind: str            # ci_int | ci_slope | ci_total | je
+    kind: str            # a key of VERDICTS
     cov: str             # empty for CI kinds
     alpha: float
     grid_value: float
@@ -221,32 +234,25 @@ class CurvePoint:
     replicates: int
 
 
-def _binom_se(rate: float, m: int) -> float:
-    return float(np.sqrt(rate * (1.0 - rate) / m)) if m > 0 else float("nan")
+def _rejection_rate(entries: Sequence[Dict], kind: str, cov: str, alpha: float):
+    """(rate, binomial se, count) of one series' rejections over the ok entries with a verdict."""
+    verdicts = [v for v in (VERDICTS[kind][3](e, cov, alpha) for e in entries if e["ok"])
+                if v is not None]
+    m = len(verdicts)  # an empty series is nan, with no mean of nothing to warn on stderr
+    rate = float(np.mean(verdicts)) if m else float("nan")
+    return rate, float(np.sqrt(rate * (1.0 - rate) / m)) if m else float("nan"), m
 
 
 def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) -> List[CurvePoint]:
-    gval = plan.grid[gi]
+    """One point per method, VERDICTS kind and series; a replicate with no verdict fails."""
     out: List[CurvePoint] = []
-    R = len(recs)
     for method in plan.methods:
         entries = [r[method] for r in recs]
-        okd = [e for e in entries if e["ok"]]
-        fails = R - len(okd)
-        for kind, rejects in CI_VERDICTS.items():
-            rej = [rejects(e) for e in okd]
-            rate = float(np.mean(rej)) if okd else float("nan")
-            out.append(CurvePoint(method, kind, "", plan.ci_alpha, gval,
-                                  rate, _binom_se(rate, len(okd)), len(okd), fails, R))
-        for cov in plan.cov_methods:
-            ps = [e["je"][cov] for e in okd]
-            avail = [p for p in ps if p is not None]
-            je_fail = fails + sum(1 for p in ps if p is None)
-            for alpha in plan.je_alphas:
-                rej = [p <= alpha for p in avail]
-                rate = float(np.mean(rej)) if avail else float("nan")
-                out.append(CurvePoint(method, "je", cov, alpha, gval,
-                                      rate, _binom_se(rate, len(avail)), len(avail), je_fail, R))
+        for kind, (_, _, series, _) in VERDICTS.items():
+            for cov, alpha in series(plan):
+                rate, se, n_used = _rejection_rate(entries, kind, cov, alpha)
+                out.append(CurvePoint(method, kind, cov, alpha, plan.grid[gi], rate, se,
+                                      n_used, len(recs) - n_used, len(recs)))
     return out
 
 
@@ -392,13 +398,18 @@ def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
 
 
 def read_curve_csv(path) -> List[CurvePoint]:
-    """The points of a curve.csv; a file that does not parse raises ValidationError."""
+    """The points of a curve.csv; a row that does not parse or names a kind not in VERDICTS
+    raises ValidationError."""
     try:
         with Path(path).open(newline="") as fh:
-            return [CurvePoint(**{name: conv(row[name]) for name, conv in _CURVE_COLUMNS})
-                    for row in csv.DictReader(fh)]
+            points = [CurvePoint(**{name: conv(row[name]) for name, conv in _CURVE_COLUMNS})
+                      for row in csv.DictReader(fh)]
+        for p in points:
+            if p.kind not in VERDICTS:
+                raise ValueError(f"kind {p.kind!r} is not one of {', '.join(VERDICTS)}")
     except (OSError, ValueError, LookupError, TypeError, csv.Error) as err:
         raise ValidationError(f"unreadable curve file {path}: {type(err).__name__}: {err}") from None
+    return points
 
 
 def plan_to_dict(plan: SimulationPlan) -> Dict:
@@ -419,27 +430,19 @@ def write_manifest(path, plan: SimulationPlan, completed: List[int], kind: str) 
                                           "version": f"mcjoint-{__version__}"}, indent=2))
 
 
-# type1_table.csv column label of each verdict kind
-_TYPE1_COLUMNS = {"ci_int": "int.CI{alpha:.0%}", "ci_slope": "sl.CI{alpha:.0%}",
-                  "ci_total": "tot.CI{alpha:.0%}", "je": "JE.{cov}{alpha:.0%}"}
-
-
 def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
     """type1_table.csv and pp_data.csv of the null grid point's curve points and records."""
     # the grid point's curve points are already in the table's row order
     write_csv(out / "type1_table.csv", [["method", "column", "acceptance", "n_used"]] + [
-        [p.method, _TYPE1_COLUMNS[p.kind].format(cov=p.cov.upper(), alpha=p.alpha),
+        [p.method, VERDICTS[p.kind][0].format(cov=p.cov.upper(), alpha=p.alpha),
          repr(float(1.0 - p.rate)), p.n_used]
         for p in points])
     nominal = np.linspace(0.002, 0.2, 100)  # the P-P curve: JE rejection vs nominal alpha
     rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
     for method in plan.methods:
-        for cov in plan.cov_methods:
-            p = np.array([r[method]["je"][cov] for r in records
-                          if r[method]["ok"] and r[method]["je"][cov] is not None])
-            # an empty series is nan, with no mean of nothing to warn on stderr
-            rows += [[method, cov, repr(float(a)), repr(float((p <= a).mean() if p.size else np.nan))]
-                     for a in nominal]
+        entries = [r[method] for r in records]
+        rows += [[method, cov, repr(float(a)), repr(_rejection_rate(entries, "je", cov, a)[0])]
+                 for cov in plan.cov_methods for a in nominal]
     write_csv(out / "pp_data.csv", rows)
 
 
@@ -463,8 +466,7 @@ def _resume(plan: SimulationPlan, out: Path):
             raise ValueError(f"completed {completed} lists an index twice")
         per_value = Counter(plan.grid[gi] for gi in completed)
         points = [p for p in read_curve_csv(curve_path) if p.grid_value in per_value]
-        size = len(plan.methods) * (len(CI_VERDICTS) + len(plan.cov_methods) * len(plan.je_alphas))
-        # aggregate_grid_point makes ``size`` curve points per grid point
+        size = len(aggregate_grid_point(plan, 0, []))
         if Counter(p.grid_value for p in points) != {v: k * size for v, k in per_value.items()}:
             raise ValueError(f"{curve_path} does not hold the points of completed {completed}")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:

@@ -177,6 +177,7 @@ def test_simulate_unparsable_plan_file_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("key, value", [
     ("b", 100), ("ci_alpha", 0), ("je_alphas", "0.05, 1.5"), ("je_alphas", ","),
     ("methods", ","), ("paper_factor", 0), ("je_alphas", "0.05, abc"), ("master_seed", -1),
+    ("methods", "dem, dem"), ("cov_methods", "classic, CLASSIC"), ("je_alphas", "0.05, 0.05"),
 ])
 def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", **{key: value})
@@ -573,6 +574,16 @@ def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
     assert rc == 2
     assert_one_line_error(err)
+    assert not (tmp_path / "out").exists()
+
+    # fittable series beside one row whose kind is not a verdict kind
+    curves = write_power_curve(tmp_path / "curve.csv")
+    with curves.open("a") as fh:
+        fh.write("dem,JE,classic,0.05,1.0,0.1,0.01,200,0,200\r\n")
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "'JE'" in err
     assert not (tmp_path / "out").exists()
 
 

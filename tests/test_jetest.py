@@ -101,6 +101,8 @@ def test_ci_verdict_containment_and_boundary():
     assert ci_verdict(boundary) == VALIDATED  # endpoint on the null counts
     bad = IntervalPair(slope_lo=0.83, slope_hi=0.98, int_lo=-0.3, int_hi=0.7, alpha=0.05)
     assert ci_verdict(bad) == REJECTED
+    assert (boundary.covers(0.0, 1.0), bad.covers(0.0, 1.0), bad.covers(0.8, 0.9)) == (
+        (True, True), (True, False), (False, True))
 
 
 # -- full pipeline -------------------------------------------------------------

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import mcjoint as mj
-from mcjoint import cli
+from mcjoint import cli, simulation
 from mcjoint.dataset import GeneratorSpec
 from mcjoint.simulation import (
     SimulationPlan,
     aggregate_curve,
+    aggregate_grid_point,
     check_power_plan,
     curve_rows,
     evaluate_replicate,
@@ -64,6 +65,11 @@ def test_plan_validation():
         small_plan(cov_methods=("nope",))
     with pytest.raises(mj.ValidationError):
         small_plan(grid_param="sigma")
+    # a value listed twice would give two series of one name
+    for repeat in (dict(methods=("dem", "dem")), dict(cov_methods=("classic", "CLASSIC")),
+                   dict(je_alphas=(0.05, 0.05))):
+        with pytest.raises(mj.ValidationError, match="twice"):
+            small_plan(**repeat)
 
 
 def test_serial_parallel_identical():
@@ -129,6 +135,39 @@ def test_type1_plan_reasonable_acceptance(tmp_path):
     emp = np.array([float(row["empirical_rejection"]) for row in pp])
     assert emp[0] <= emp[-1]  # empirical rejection grows with nominal alpha
     assert np.all((emp >= 0) & (emp <= 1))
+
+
+@pytest.mark.parametrize("methods", [("dem",), ("dem", "paba")])
+@pytest.mark.parametrize("covs", [(), ("classic",), ("classic", "mcd"), ("classic", "mcd", "sde")])
+@pytest.mark.parametrize("alphas", [(0.05,), (0.05, 0.01)])
+def test_grid_point_has_one_point_per_method_kind_and_series(methods, covs, alphas):
+    plan = small_plan(methods=methods, cov_methods=covs, je_alphas=alphas)
+    points = aggregate_grid_point(plan, 0, [])
+    assert len(points) == len(methods) * (3 + len(covs) * len(alphas))
+    assert all(np.isnan(p.rate) and p.n_used == 0 for p in points)
+    per_method = [("ci_int", "", 0.05), ("ci_slope", "", 0.05), ("ci_total", "", 0.05)] + [
+        ("je", cov, alpha) for cov in covs for alpha in alphas]
+    assert [(p.method, p.kind, p.cov, p.alpha) for p in points] == [
+        (m, *series) for m in methods for series in per_method]
+
+
+def test_type1_table_has_one_labelled_column_per_method_and_series(tmp_path, monkeypatch):
+    # every replicate: intercept CI covers 0, slope CI misses 1, JE p 0.03 on classic, none on mcd
+    plan = small_plan(methods=("dem", "paba"), cov_methods=("classic", "mcd"),
+                      ci_alpha=0.1, je_alphas=(0.05, 0.01))
+    entry = {"ok": True, "int_ok": True, "slope_ok": False, "atom": 0.01,
+             "je": {"classic": 0.03, "mcd": None}}
+    records = [{"dem": entry, "paba": entry}] * 50
+    monkeypatch.setattr(simulation, "run_plan", lambda *args, **kw: iter([(0, records)]))
+    simulation.simulate(plan, "type1", tmp_path, 1, None)
+    columns = [("int.CI10%", "1.0", "50"), ("sl.CI10%", "0.0", "50"), ("tot.CI10%", "0.0", "50"),
+               ("JE.CLASSIC5%", "0.0", "50"), ("JE.CLASSIC1%", "1.0", "50"),
+               ("JE.MCD5%", "nan", "0"), ("JE.MCD1%", "nan", "0")]
+    assert [tuple(row.values()) for row in read_rows(tmp_path / "type1_table.csv")] == [
+        (method, *column) for method in plan.methods for column in columns]
+    pp = read_rows(tmp_path / "pp_data.csv")
+    assert {(row["cov"], row["empirical_rejection"]) for row in pp} == {
+        ("classic", "0.0"), ("classic", "1.0"), ("mcd", "nan")}
 
 
 def test_power_study_extreme_slopes_reject():
