@@ -208,11 +208,16 @@ def cmd_fit_power(args) -> int:
     points = read_curve_csv(path)
     groups = {}
     for p in points:
-        if VERDICTS[p.kind][1] and np.isfinite(p.rate):  # a joint verdict's series
+        if VERDICTS[p.kind][1]:  # a joint verdict's series
             groups.setdefault((p.method, p.kind, p.cov, p.alpha), []).append(p)
-    fitable = {k: v for k, v in groups.items() if len(v) >= MIN_POINTS}
+    # a grid point whose verdicts all failed has rate nan and is not fitted
+    rated = {k: [p for p in v if np.isfinite(p.rate)] for k, v in groups.items()}
+    fitable = {k: v for k, v in rated.items() if len(v) >= MIN_POINTS}
     if not fitable:
-        sizes = {k: len(v) for k, v in groups.items()}
+        if groups and not any(rated.values()):
+            names = "; ".join(",".join(map(str, k)) for k in sorted(groups))
+            raise ValidationError(f"every rate of series {names} is nan: no grid point has a verdict")
+        sizes = {k: len(v) for k, v in rated.items()}
         raise ValidationError(f"no series has the minimum {MIN_POINTS} grid points (got {sizes})")
     out = _out_dir(args.out)
     rows = [["method", "kind", "cov", "alpha",

@@ -12,14 +12,17 @@ The MCD search and the S fixed point each run on a leading row axis:
 ``mcd_rows`` and ``s_rows`` take row-stacked (m, B) coordinates, so the
 MM fit starts every bootstrap row in one call, and ``fast_mcd``,
 ``s_cov`` and ``rocke_cov`` are their one-row cases.  A row's arithmetic
-does not depend on the rows it is batched with.
+does not depend on which rows it is batched with; the MCD's depends only
+on whether there are any (see ``_search_rows``).
 
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
 candidates (start subsets of any rows), and Stahel-Donoho forms its
 projections and takes their medians one block of its 1000 random
 directions at a time, one GEMM per block, so the (B, directions) matrix
-never exists whole.  Blocking changes no arithmetic, only where the
+never exists whole.  The same budget sizes the MCD's per-candidate
+stacks: one search takes as many rows as keep rows x starts within
+``_BLOCK_ELEMS``.  Blocking changes no arithmetic, only where the
 temporaries live.
 
 All estimators rescale their scatter so that squared Mahalanobis distances
@@ -45,7 +48,6 @@ _ELLIPSE_POINTS = 181  # vertices of the plotted ellipse polyline
 _MCD_KEEP = 10         # lowest-determinant starts iterated to a fixed point
 _MCD_INITIAL_STEPS = 2  # concentration steps every start takes
 _MCD_MAX_STEPS = 60    # cap on the concentration steps of the kept starts
-_MCD_BLOCK = 16        # rows searched at once; bounds the (rows x starts) candidate stacks
 _BLOCK_ELEMS = 1 << 15  # elements of one (candidates or directions, B) block; keeps it in L2
 _MCD_STARTS = 500      # random elemental starts of fast_mcd
 _S_MCD_STARTS = 120    # random elemental starts of the MCD the S-estimators start from
@@ -116,7 +118,16 @@ def median_rows(A: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarr
     part.partition(h, axis=-1)
     med = part[..., h]
     if A.shape[-1] % 2 == 0:
-        med = (part[..., :h].max(axis=-1) + med) / 2
+        # the lower middle value is the largest of the h before the
+        # partition point; over many short rows (16 h or more) a running
+        # maximum down the h columns beats numpy's strided row reduction
+        if part.size >= 16 * h * A.shape[-1]:
+            low = part[..., 0].copy()
+            for j in range(1, h):
+                np.maximum(low, part[..., j], out=low)
+        else:
+            low = part[..., :h].max(axis=-1)
+        med = (low + med) / 2
     # NaNs sort after every number, so a row's NaN lies at or beyond its
     # partition point; one pass over the whole array rules them all out first
     nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
@@ -266,24 +277,26 @@ def _c_step_buffers(B: int, h: int) -> list:
 
 def _c_step(Z0: np.ndarray, Z1: np.ndarray, rid: np.ndarray, T: np.ndarray, S: np.ndarray,
             det: np.ndarray, h: int, bufs: list):
-    """One concentration step of each candidate: the stats of its h nearest points.
+    """One concentration step of each candidate, in place: the stats of its h nearest points.
 
     Candidate ``i`` is the (T[i], S[i], det[i]) of row ``rid[i]`` of the
-    (m, B) coordinates ``Z0``/``Z1``.  Candidates run k at a time through
-    the (k, B) buffers of ``_c_step_buffers``, so the distances, the
-    selection and the gathered support stay in cache.  Each candidate's
-    arithmetic does not depend on the others in its block.
+    (m, B) coordinates ``Z0``/``Z1``, and its new stats are written over
+    it.  Candidates run k at a time through the (k, B) buffers of
+    ``_c_step_buffers``, so the distances, the selection and the gathered
+    support stay in cache, and so do the block's quadratic-form
+    coefficients.  Each candidate's arithmetic does not depend on the
+    others in its block.
     """
     N, B = len(rid), Z0.shape[1]
     k = len(bufs[0])
-    a = S[:, 1, 1] / det
-    b = -2.0 * S[:, 0, 1] / det
-    c = S[:, 0, 0] / det
-    T_out, S_out, det_out = np.empty((N, 2)), np.empty((N, 2, 2)), np.empty(N)
     for lo in range(0, N, k):
         hi = min(lo + k, N)
         r = rid[lo:hi]
         D0, D1, d2, s0, s1, idx = (buf[:hi - lo] for buf in bufs)
+        Sb, db = S[lo:hi], det[lo:hi]
+        a = Sb[:, 1, 1] / db
+        b = -2.0 * Sb[:, 0, 1] / db
+        c = Sb[:, 0, 0] / db
         # the indices are in range by construction; "clip" writes straight
         # into ``out`` where the default "raise" buffers it
         np.take(Z0, r, axis=0, out=D0, mode="clip")
@@ -291,18 +304,17 @@ def _c_step(Z0: np.ndarray, Z1: np.ndarray, rid: np.ndarray, T: np.ndarray, S: n
         D0 -= T[lo:hi, 0, None]
         D1 -= T[lo:hi, 1, None]
         np.multiply(D0, D0, out=d2)
-        d2 *= a[lo:hi, None]
+        d2 *= a[:, None]
         D0 *= D1
-        D0 *= b[lo:hi, None]
+        D0 *= b[:, None]
         d2 += D0
         D1 *= D1
-        D1 *= c[lo:hi, None]
+        D1 *= c[:, None]
         d2 += D1
         np.add(np.argpartition(d2, h - 1, axis=1)[:, :h], (r * B)[:, None], out=idx)
         np.take(Z0, idx, out=s0, mode="clip")  # flat indices into C-ordered rows
         np.take(Z1, idx, out=s1, mode="clip")
-        T_out[lo:hi], S_out[lo:hi], det_out[lo:hi] = _subset_stats(s0, s1)
-    return T_out, S_out, det_out
+        T[lo:hi], S[lo:hi], det[lo:hi] = _subset_stats(s0, s1)
 
 
 def _elemental_starts(B: int, seed: int, n_starts: int):
@@ -333,15 +345,17 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
     The elemental starts are drawn once, and so are the random points that
     grow singular starts: every row reads the same sequence, the draws of
     the generator after the starts, extended as a row needs more.  The rows
-    are then searched ``_MCD_BLOCK`` at a time by ``_search_rows``, all
-    through the block buffers ``bufs``.  A row's result does not depend on
-    the rows searched with it.
+    are then searched by ``_search_rows`` as many at a time as keep rows x
+    starts within ``_BLOCK_ELEMS``, the budget of the (rows x starts)
+    candidate stacks, all through the block buffers ``bufs``.  A row's
+    result does not depend on which rows are searched with it.
     """
     B = Z0.shape[1]
     starts, rng = _elemental_starts(B, seed, n_starts)
     draws = rng.integers(0, B, size=64).tolist()
-    blocks = [_search_rows(Z0[lo:lo + _MCD_BLOCK], Z1[lo:lo + _MCD_BLOCK], starts, draws, rng, h, bufs)
-              for lo in range(0, len(Z0), _MCD_BLOCK)]
+    step = max(1, _BLOCK_ELEMS // len(starts))
+    blocks = [_search_rows(Z0[lo:lo + step], Z1[lo:lo + step], starts, draws, rng, h, bufs)
+              for lo in range(0, len(Z0), step)]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
@@ -443,18 +457,30 @@ def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list
         exact[rows[done]] = True
         return done
 
-    T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
+    # the starts' stats into C-contiguous (rows, starts) stacks, a slice of
+    # starts at a time so the gathered subsets (6 values per row and start)
+    # stay within _BLOCK_ELEMS; each slice takes every row, since einsum
+    # rounds the sums of a one-row gather otherwise than those of several
+    # (the row axis lies innermost)
+    c = len(starts)
+    T, S, det = np.empty((m, c, 2)), np.empty((m, c, 2, 2)), np.empty((m, c))
+    per = max(1, _BLOCK_ELEMS // (6 * m))
+    for lo in range(0, c, per):
+        j = slice(lo, lo + per)
+        T[:, j], S[:, j], det[:, j] = _subset_stats(Z0[:, starts[j]], Z1[:, starts[j]])
     _grow_singular(Z0, Z1, starts, draws, rng, h, T, S, det, best_T, best_S, exact)
 
+    # the kernel steps the stacks in place through flat views; they are
+    # copied only to drop rows that have ended
     rows = np.flatnonzero(~exact)
-    T, S, det = T[rows], S[rows], det[rows]
+    if len(rows) < m:
+        T, S, det = T[rows], S[rows], det[rows]
     for _ in range(_MCD_INITIAL_STEPS):
-        shape = det.shape  # (rows, starts), flattened for the kernel
-        T, S, det = _c_step(Z0, Z1, np.repeat(rows, shape[1]), T.reshape(-1, 2), S.reshape(-1, 2, 2),
-                            det.ravel(), h, bufs)
-        T, S, det = T.reshape(shape + (2,)), S.reshape(shape + (2, 2)), det.reshape(shape)
-        keep = ~finish_exact(rows, _is_singular(S), T, S)
-        rows, T, S, det = rows[keep], T[keep], S[keep], det[keep]
+        _c_step(Z0, Z1, np.repeat(rows, det.shape[1]), T.reshape(-1, 2), S.reshape(-1, 2, 2),
+                det.reshape(-1), h, bufs)
+        done = finish_exact(rows, _is_singular(S), T, S)
+        if done.any():
+            rows, T, S, det = rows[~done], T[~done], S[~done], det[~done]
 
     order = np.argsort(det, axis=1, kind="stable")[:, :_MCD_KEEP]
     T = np.take_along_axis(T, order[..., None], axis=1)
@@ -466,7 +492,8 @@ def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list
         r, j = np.nonzero(active)
         if r.size == 0:
             break
-        T2, S2, det2 = _c_step(Z0, Z1, rows[r], T[r, j], S[r, j], det[r, j], h, bufs)
+        T2, S2, det2 = T[r, j], S[r, j], det[r, j]  # copies: det keeps the last step's
+        _c_step(Z0, Z1, rows[r], T2, S2, det2, h, bufs)
         active[r, j] = det2 < det[r, j]
         T[r, j], S[r, j], det[r, j] = T2, S2, det2
         hit = np.zeros(det.shape, dtype=bool)
@@ -484,15 +511,15 @@ def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list
 def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRows:
     """FAST-MCD of every row of row-stacked coordinates ``Z0``/``Z1`` (m, B).
 
-    One ``_mcd_search`` draws the elemental starts and searches the rows
-    ``_MCD_BLOCK`` at a time through one set of block buffers.  Inside a
-    block, the singular elemental starts of all rows grow in lockstep, one
-    random point per step, every row reading the same draws from its own
-    pointer (``_grow_singular``).  The concentration steps run in
-    cache-sized blocks of candidates whatever the row count, so the row
-    blocks only bound the per-candidate stacks (rows x starts) and the
-    growth's per-step overhead: searching the 200 rows of an MMDem
-    bootstrap at once holds about 3 MB more.
+    One ``_mcd_search`` draws the elemental starts and searches as many
+    rows at once as keep rows x starts within ``_BLOCK_ELEMS``, through one
+    set of block buffers: the 200 rows of an n=40 MMDem bootstrap with 120
+    starts are one search, rows of n=20 with all 1,140 elemental starts go
+    28 at a time.  Inside a search, the singular elemental starts of all
+    rows grow in lockstep, one random point per step, every row reading
+    the same draws from its own pointer (``_grow_singular``).  The
+    concentration steps run in cache-sized blocks of candidates whatever
+    the row count and write each candidate's stats over its input.
     """
     B = Z0.shape[1]
     if B < 10:

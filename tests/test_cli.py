@@ -587,6 +587,20 @@ def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_fit_power_series_with_every_rate_nan_exits_2(tmp_path, capsys):
+    # nine grid points of one series, each with every replicate failed
+    curves = tmp_path / "curve.csv"
+    points = [CurvePoint("dem", "je", "classic", 0.05, g, float("nan"), float("nan"), 0, 100, 100)
+              for g in (0.96, 0.97, 0.98, 0.99, 1.0, 1.01, 1.02, 1.03, 1.04)]
+    write_curve_csv(points, curves)
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "series dem,je,classic,0.05" in err and "is nan" in err
+    assert "minimum" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_paper_scale_multiplies_replicates(tmp_path, capsys):
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", paper_factor=2)
     out = tmp_path / "out"

@@ -258,24 +258,70 @@ def test_mcd_search_matches_reference(name):
     assert want[3][0] == name.endswith("exact-fit")
 
 
+def rows_per_search(B, n_starts):
+    """Rows one ``_mcd_search`` block takes: rows x starts within ``_BLOCK_ELEMS``."""
+    return max(1, rc._BLOCK_ELEMS // len(_elemental_starts(B, 0, n_starts)[0]))
+
+
+def hemoglobin_rows(m, seed=3):
+    """The full hemoglobin sample and m - 1 of its bootstrap rows (n=20)."""
+    s = mj.load_hemoglobin()
+    idx = np.vstack([np.arange(len(s.x)), np.random.default_rng(seed).integers(0, len(s.x), (m - 1, len(s.x)))])
+    return s.x[idx], s.y[idx]
+
+
 def test_mcd_rows_matches_reference_across_blocks():
-    # 21 rows of n=40 with 120 starts: two row blocks, the second one
-    # short; inside each, the candidates of a full block fill kernel blocks
-    # of 819 and part of the next, so kernel blocks mix rows
+    # rows of n=20 take all 1,140 elemental starts, so a search takes 28
+    # rows; 61 rows are three row blocks, the last one short, and the
+    # candidates of a full block fill kernel blocks of 1,638 and part of
+    # the next, so kernel blocks mix rows
+    X, Y = hemoglobin_rows(61)
+    B = X.shape[1]
+    h = (B + 3) // 2
+    n_starts = rc._S_MCD_STARTS
+    step = rows_per_search(B, n_starts)
+    k, per_block = rc._BLOCK_ELEMS // B, step * len(_elemental_starts(B, 0, n_starts)[0])
+    assert step == 28 and len(X) > 2 * step and len(X) % step
+    assert k < per_block and per_block % k != 0
+    want = [_mcd_search(X[lo:lo + step], Y[lo:lo + step], 0, n_starts, h)
+            for lo in range(0, len(X), step)]
+    T, S, raw_det, exact = (np.concatenate(part) for part in zip(*want))
+    got = rc.mcd_rows(X, Y, seed=0, n_starts=n_starts)
+    assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, exact, h)[:5])
+    # all rows in one search: the same bits per row
+    assert_same_bits(rc._mcd_search(X, Y, 0, n_starts, h, rc._c_step_buffers(B, h)),
+                     (T, S, raw_det, exact))
+
+
+def test_start_stats_of_a_search_are_those_of_one_gather():
+    # a gather of two or more rows lays the row axis innermost, and einsum
+    # rounds the starts' sums differently there than on a one-row gather;
+    # row 3 of these 28 is an exact fit whose center shows it.  The search
+    # slices the starts, never the rows, so every row keeps the bits of
+    # the reference's one gather of all rows
+    X, Y = hemoglobin_rows(301, seed=0)
+    X, Y = X[140:168], Y[140:168]
+    B = X.shape[1]
+    h = (B + 3) // 2
+    want = _mcd_search(X, Y, 0, rc._S_MCD_STARTS, h)
+    assert_same_bits(rc._mcd_search(X, Y, 0, rc._S_MCD_STARTS, h, rc._c_step_buffers(B, h)), want)
+    alone = _mcd_search(X[3:4], Y[3:4], 0, rc._S_MCD_STARTS, h)
+    assert want[3][3] and not np.array_equal(alone[0][0], want[0][3])
+
+
+def test_mcd_rows_matches_reference_on_mmdem_rows():
+    # the 21 rows of n=40 with 120 starts are one search; its 2,520
+    # candidates fill kernel blocks of 819 and part of a fourth, and some
+    # rows end in an exact fit
     X, Y = mmdem_rows()
     B = X.shape[1]
     h = (B + 3) // 2
-    k, per_block = rc._BLOCK_ELEMS // B, rc._MCD_BLOCK * rc._S_MCD_STARTS
-    assert k < per_block and per_block % k != 0
-    want = [_mcd_search(X[lo:lo + rc._MCD_BLOCK], Y[lo:lo + rc._MCD_BLOCK], 0, rc._S_MCD_STARTS, h)
-            for lo in range(0, len(X), rc._MCD_BLOCK)]
-    T, S, raw_det, exact = (np.concatenate(part) for part in zip(*want))
+    assert rows_per_search(B, rc._S_MCD_STARTS) >= len(X)
+    assert (len(X) * rc._S_MCD_STARTS) % (rc._BLOCK_ELEMS // B) != 0
+    T, S, raw_det, exact = _mcd_search(X, Y, 0, rc._S_MCD_STARTS, h)
     assert exact.any() and not exact.all()
     got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
     assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, exact, h)[:5])
-    # all rows in one search: the same bits per row
-    assert_same_bits(rc._mcd_search(X, Y, 0, rc._S_MCD_STARTS, h, rc._c_step_buffers(B, h)),
-                     (T, S, raw_det, exact))
 
 
 @pytest.mark.parametrize("B", [40, 999])
@@ -294,8 +340,36 @@ def test_c_step_matches_reference_on_shuffled_candidates(B):
     perm = rng.permutation(len(r))[:len(r) - 3]
     r, j = r[perm], j[perm]
     assert len(r) % max(1, rc._BLOCK_ELEMS // B) != 0
-    got = rc._c_step(Z0, Z1, r, T[r, j], S[r, j], det[r, j], h, rc._c_step_buffers(B, h))
+    got = T[r, j], S[r, j], det[r, j]
+    rc._c_step(Z0, Z1, r, *got, h, rc._c_step_buffers(B, h))
     assert_same_bits(got, tuple(w[r, j] for w in want))
+
+
+@pytest.mark.parametrize("B", [20, 40])
+def test_c_step_in_place_equals_fresh_copies(B):
+    # the search steps its (rows, starts) stacks in place through flat
+    # views; each candidate's new stats must equal those of a step on
+    # fresh copies of the same candidates, and leave the inputs of the
+    # copies alone
+    rng = np.random.default_rng(B + 1)
+    m = 5
+    Z0 = rng.normal(size=(m, B))
+    Z1 = 0.5 * Z0 + rng.normal(size=(m, B))
+    h = (B + 3) // 2
+    starts, _ = _elemental_starts(B, 0, 120)
+    # C-contiguous (m, starts) stacks, as the search lays them out
+    T, S, det = (np.ascontiguousarray(a) for a in _subset_stats(Z0[:, starts], Z1[:, starts]))
+    fresh = T.reshape(-1, 2).copy(), S.reshape(-1, 2, 2).copy(), det.reshape(-1).copy()
+    inputs = tuple(a.copy() for a in fresh)
+    bufs = rc._c_step_buffers(B, h)
+    rid = np.repeat(np.arange(m), len(starts))
+    rc._c_step(Z0, Z1, rid, T.reshape(-1, 2), S.reshape(-1, 2, 2), det.reshape(-1), h, bufs)
+    stepped = tuple(a.copy() for a in fresh)
+    rc._c_step(Z0, Z1, rid, *stepped, h, bufs)
+    assert_same_bits((T.reshape(-1, 2), S.reshape(-1, 2, 2), det.reshape(-1)), stepped)
+    assert_same_bits(fresh, inputs)
+    assert not np.array_equal(det.reshape(-1), inputs[2])
+    assert_same_bits((T, S, det), _c_step(Z0, Z1, *(a.reshape(d.shape) for a, d in zip(inputs, (T, S, det))), h))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +420,10 @@ def search_both(X, Y, seed=0, n_starts=rc._S_MCD_STARTS):
 
 
 def test_lockstep_growth_matches_reference_on_tied_rows():
-    # a row count that is not a multiple of the row block
-    m = 2 * rc._MCD_BLOCK + 5
+    # n=40 rows with 120 starts, all in one search
+    m = 37
     X, Y = tied_mmdem_rows(m)
-    assert m % rc._MCD_BLOCK
+    assert rows_per_search(X.shape[1], rc._S_MCD_STARTS) >= m
     want, grown, _ = search_both(X, Y)
     # many singular starts in every row, some needing several extra points
     assert {r for r, _, _ in grown} == set(range(m))
@@ -366,10 +440,20 @@ def test_lockstep_growth_reaches_an_exact_fit():
 
 
 def test_mcd_rows_equals_one_row_calls():
-    (Xt, Yt), (Xc, Yc) = tied_mmdem_rows(rc._MCD_BLOCK + 3), collinear_growth_rows()
+    (Xt, Yt), (Xc, Yc) = tied_mmdem_rows(19), collinear_growth_rows()
     X, Y = np.vstack([Xt, Xc]), np.vstack([Yt, Yc])
     got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
     rows = [rc.mcd_rows(X[i:i + 1], Y[i:i + 1], seed=0, n_starts=rc._S_MCD_STARTS)
             for i in range(len(X))]
     assert_same_bits(got[:5], [np.concatenate(part) for part in zip(*(r[:5] for r in rows))])
     assert got.singular.any() and not got.singular.all()
+
+
+def test_mcd_rows_equals_one_row_calls_across_row_blocks():
+    # hemoglobin-size rows: 28 per search, so 31 rows are two searches
+    X, Y = hemoglobin_rows(31)
+    assert rows_per_search(X.shape[1], rc._S_MCD_STARTS) < len(X)
+    got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
+    rows = [rc.mcd_rows(X[i:i + 1], Y[i:i + 1], seed=0, n_starts=rc._S_MCD_STARTS)
+            for i in range(len(X))]
+    assert_same_bits(got[:5], [np.concatenate(part) for part in zip(*(r[:5] for r in rows))])

@@ -83,6 +83,36 @@ def test_median_rows_zero_median_may_differ_only_in_sign():
     assert (want[differs] == 0.0).all()
 
 
+def median_rows_by_row_max(A):
+    """``median_rows`` as it stood when it took an even width's lower middle
+    value as one row reduction, ``part[..., :h].max(axis=-1)``."""
+    A = np.asarray(A, dtype=float)
+    h = A.shape[-1] // 2
+    part = A.copy()
+    part.partition(h, axis=-1)
+    med = part[..., h]
+    if A.shape[-1] % 2 == 0:
+        med = (part[..., :h].max(axis=-1) + med) / 2
+    nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
+    return np.where(nan, np.nan, med)
+
+
+@pytest.mark.parametrize("shape", [(2001, 20), (2001, 40), (999, 40), (320, 20), (200, 40), (16, 2000)])
+def test_even_width_median_equals_the_row_reduction(shape):
+    # MDem's residual medians (n=20 and n=40 over bootstrap rows) take a
+    # running maximum down the columns; fewer rows take the row reduction
+    rows, width = shape
+    rng = np.random.default_rng(rows + width)
+    A = rng.normal(size=shape)
+    tied = np.round(np.abs(A), 1)  # few distinct values, many ties
+    tied[3, 5] = np.nan            # one NaN row
+    zeros = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)  # tied signed zeros
+    for M in (A, tied, zeros):
+        assert_same_bits(median_rows(M), median_rows_by_row_max(M))
+    assert np.isnan(median_rows(tied)[3]) and not np.isnan(np.delete(median_rows(tied), 3)).any()
+    assert_same_bits(median_rows(tied), np.median(tied, axis=-1))
+
+
 # ---------------------------------------------------------------------------
 # frozen Stahel-Donoho reference
 # ---------------------------------------------------------------------------
