@@ -13,7 +13,10 @@ The MCD search and the S fixed point each run on a leading row axis:
 MM fit starts every bootstrap row in one call, and ``fast_mcd``,
 ``s_cov`` and ``rocke_cov`` are their one-row cases.  A row's arithmetic
 does not depend on which rows it is batched with; the MCD's depends only
-on whether there are any (see ``_search_rows``).
+on whether there are any (see ``_search_rows``).  The MCD grows singular
+elemental starts by random points on decisions guessed in Python from
+running moments, and checks every guessed subset of all rows with the
+exact test, one call per subset length (``_grow_singular``).
 
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
@@ -134,11 +137,16 @@ def median_rows(A: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarr
     return np.where(nan, np.nan, med)
 
 
+def _regular(s00, s01, s11):
+    """Whether 2x2 scatter entries can be inverted: the one singularity rule,
+    on floats or on arrays of entries.  A NaN entry makes it False."""
+    half_trace = 0.5 * (s00 + s11)
+    return (s00 * s11 - s01 * s01 > _REL_SINGULAR * half_trace * half_trace) & (half_trace > 0)
+
+
 def _is_singular(scatter: np.ndarray):
     """Whether a 2x2 scatter, or each of a stack of them, is (nearly) singular."""
-    det = scatter[..., 0, 0] * scatter[..., 1, 1] - scatter[..., 0, 1] ** 2
-    half_trace = 0.5 * (scatter[..., 0, 0] + scatter[..., 1, 1])
-    return ~((det > _REL_SINGULAR * half_trace * half_trace) & (half_trace > 0))
+    return ~_regular(scatter[..., 0, 0], scatter[..., 0, 1], scatter[..., 1, 1])
 
 
 def mahalanobis_sq(model: CovarianceModel, points: np.ndarray) -> np.ndarray:
@@ -343,12 +351,14 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
     """Raw MCD optimum of each row: center, scatter, determinant, exact-fit flag.
 
     The elemental starts are drawn once, and so are the random points that
-    grow singular starts: every row reads the same sequence, the draws of
-    the generator after the starts, extended as a row needs more.  The rows
-    are then searched by ``_search_rows`` as many at a time as keep rows x
-    starts within ``_BLOCK_ELEMS``, the budget of the (rows x starts)
-    candidate stacks, all through the block buffers ``bufs``.  A row's
-    result does not depend on which rows are searched with it.
+    grow singular starts: every row reads the same sequence from its own
+    pointer, the draws of the generator after the starts, extended as a row
+    needs more, so a row's grown starts do not depend on the other rows
+    (``_grow_singular``).  The rows are then searched by ``_search_rows``
+    as many at a time as keep rows x starts within ``_BLOCK_ELEMS``, the
+    budget of the (rows x starts) candidate stacks, all through the block
+    buffers ``bufs``.  A row's result does not depend on which rows are
+    searched with it.
     """
     B = Z0.shape[1]
     starts, rng = _elemental_starts(B, seed, n_starts)
@@ -359,76 +369,163 @@ def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-class _Growth:
-    """One row's growth: its singular starts left (last first), the start
-    growing, its members (flat indices into the row-major (m, B)
-    coordinates) and the row's next position in the shared draws."""
+# Where running moments cannot call a subset singular or not: det/ht^2 (ht
+# its scatter's half trace) inside the band, whose lower end sits above the
+# rounding noise of collinear points (under 1e-14); or a spread below
+# _GUESS_SPREAD of the squared mean, where rounding the mean can move
+# det/ht^2 past _REL_SINGULAR
+_GUESS_BAND = (1e-14, 1e-10)
+_GUESS_SPREAD = 1e-14
 
-    __slots__ = ("row", "left", "start", "members", "next")
 
-    def __init__(self, row: int, starts: list, start_lists: list, B: int):
-        self.row, self.left, self.next = row, starts[::-1], 0
-        self.begin(start_lists, B)
-
-    def begin(self, start_lists: list, B: int):
-        self.start = self.left.pop()
-        self.members = [self.row * B + i for i in start_lists[self.start]]
+def _guess_singular(n: int, mx: float, my: float, cxx: float, cyy: float, cxy: float):
+    """``_regular``'s verdict on an n-point subset, guessed from its running mean
+    (mx, my) and sums of centered cross products: True where the subset is
+    singular, False where it is not, None where rounding may decide."""
+    trace = cxx + cyy
+    if trace == 0.0:
+        return True  # n equal points
+    if trace < _GUESS_SPREAD * n * (mx * mx + my * my):
+        return None
+    q = 4.0 * (cxx * cyy - cxy * cxy) / (trace * trace)
+    return True if q < _GUESS_BAND[0] else False if q > _GUESS_BAND[1] else None
 
 
 def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
                    rng: np.random.Generator, h: int, T, S, det, best_T, best_S, exact):
-    """Grow each row's singular elemental starts by random points, all rows in lockstep.
+    """Grow each row's singular elemental starts by random points until they can be inverted.
 
     A row takes its singular starts in order and reads the shared sequence
     ``draws`` from its beginning through one pointer: each start adds the
-    next drawn point not already in it, until its scatter can be inverted
-    (it then replaces the start's stats in ``T``/``S``/``det``) or it holds
-    h collinear points (an exact fit, which ends the row).  Each step adds
-    one point to every growing row's current start, then takes the stats of
-    all subsets of one length in one ``_subset_stats`` call.  When the rows
+    next drawn point not already in it, until its scatter is ``_regular``
+    (its stats then replace the start's in ``T``/``S``/``det``) or it holds
+    h collinear points (an exact fit, which ends the row).  When the rows
     have read all of ``draws``, ``rng`` extends it in place; array draws of
     ``Generator.integers`` equal its scalar draws, so the sequence is the
     one each row would draw alone.
+
+    Each row first grows in Python on decisions guessed from running
+    moments (``_guess_singular``); a subset the guess cannot call is
+    settled by ``_subset_stats`` at once.  Every guessed subset is then
+    checked with ``_subset_stats`` and ``_is_singular``, one call per subset
+    length over all rows and starts, and a start's stats are stored from
+    the call of its final length.  A row whose check contradicts a guess
+    grows again from its first contradicted subset, whose decision is then
+    known, until no guess is contradicted.  So every stored stat and every
+    decision is the exact test's: a C-ordered (g, L) gather gives each
+    subset the bits of its own (1, L) gather.
     """
-    B = Z0.shape[1]
+    rs, cs = np.nonzero(_is_singular(S))
+    if rs.size == 0:
+        return
+    m, B = Z0.shape
     flat0, flat1 = Z0.ravel(), Z1.ravel()
-    singular = {}
-    for r, j in zip(*np.nonzero(_is_singular(S))):
-        singular.setdefault(int(r), []).append(int(j))
     start_lists = starts.tolist()
-    growing = [_Growth(r, js, start_lists, B) for r, js in singular.items()]
-    while growing:
-        by_length = {}
-        for g in growing:
-            base, p = g.row * B, g.next
+    # row r's singular starts are cs[bounds[r]:bounds[r + 1]]; the guesses
+    # start from their means and sums of centered cross products (twice the
+    # scatter of 3 points)
+    bounds = np.searchsorted(rs, np.arange(m + 1)).tolist()
+    moments = np.column_stack([T[rs, cs], 2.0 * S[rs, cs, 0, 0], 2.0 * S[rs, cs, 1, 1],
+                               2.0 * S[rs, cs, 0, 1]])
+    # rows to grow: (row, position among its singular starts, members known
+    # to be singular and their moments, or None for the start itself, pointer)
+    grow = [(r, 0, None, None, 0) for r in np.unique(rs).tolist()]
+    while grow:
+        # a run is one start's guessed growth: (row, start, position among the
+        # row's singular starts, first length to check, length, whether it
+        # ends in an exact fit), six entries of ``runs``; its members follow
+        # the previous run's in ``members``, each added one beside the draw
+        # pointer after it in ``pointers``
+        runs, members, pointers = [], [], []
+        for row, k, mem, mom, p in grow:
+            js = cs[bounds[row]:bounds[row + 1]].tolist()
+            moms = moments[bounds[row]:bounds[row + 1]].tolist()
+            xs, ys = Z0[row].tolist(), Z1[row].tolist()
             while True:
-                if p == len(draws):
-                    draws.extend(rng.integers(0, B, size=len(draws)).tolist())
-                extra = base + draws[p]
-                p += 1
-                if extra not in g.members:
+                if mem is None:
+                    mem, mom = list(start_lists[js[k]]), moms[k]
+                n = known = len(mem)
+                mx, my, cxx, cyy, cxy = mom
+                ptrs = [0] * known
+                while True:
+                    while True:
+                        if p == len(draws):
+                            draws.extend(rng.integers(0, B, size=len(draws)).tolist())
+                        e = draws[p]
+                        p += 1
+                        if e not in mem:
+                            break
+                    mem.append(e)
+                    ptrs.append(p)
+                    x, y = xs[e], ys[e]
+                    n += 1
+                    dx, dy = x - mx, y - my
+                    mx += dx / n
+                    my += dy / n
+                    cxx += dx * (x - mx)
+                    cyy += dy * (y - my)
+                    cxy += dx * (y - my)
+                    singular_now = _guess_singular(n, mx, my, cxx, cyy, cxy)
+                    if singular_now is None:
+                        _, Si, _ = _subset_stats(Z0[row, [mem]], Z1[row, [mem]])
+                        s00, s01, _, s11 = Si.ravel().tolist()
+                        singular_now = not _regular(s00, s01, s11)
+                    if not singular_now or n >= h:
+                        break
+                runs += (row, js[k], k, known + 1, n, singular_now)
+                members += mem
+                pointers += ptrs
+                k, mem = k + 1, None
+                if singular_now or k == len(js):
                     break
-            g.members.append(extra)
-            g.next = p
-            by_length.setdefault(len(g.members), []).append(g)
-        growing = []
-        for length, group in by_length.items():
-            idx = [g.members for g in group]
+
+        # check the guesses one length at a time; a row's first contradiction
+        # is its least (start position, length), kept with its exact stats
+        row_a, col_a, k_a, lo_a, len_a, fit_a = np.array(runs).reshape(-1, 6).T
+        fit_a = fit_a.astype(bool)
+        members = np.array(members)
+        off = np.cumsum(len_a) - len_a
+        first, fits = {}, {}
+        for L in range(lo_a.min(), len_a.max() + 1):
+            act = np.flatnonzero((lo_a <= L) & (len_a >= L))
+            idx = members[off[act, None] + np.arange(L)] + (B * row_a[act])[:, None]
             Ti, Si, di = _subset_stats(flat0[idx], flat1[idx])
-            # _is_singular's test per subset, on Python floats: a step has few subsets
-            for k, (s00, s01, _, s11) in enumerate(Si.reshape(-1, 4).tolist()):
-                g = group[k]
-                half_trace = 0.5 * (s00 + s11)
-                if s00 * s11 - s01 * s01 > _REL_SINGULAR * half_trace * half_trace and half_trace > 0:
-                    T[g.row, g.start], S[g.row, g.start], det[g.row, g.start] = Ti[k], Si[k], di[k]
-                    if g.left:
-                        g.begin(start_lists, B)
-                        growing.append(g)
-                elif length >= h:
-                    # h collinear points: the objective's true minimum is 0
-                    best_T[g.row], best_S[g.row], exact[g.row] = Ti[k], Si[k], True
-                else:
-                    growing.append(g)
+            singular_now = _is_singular(Si)
+            # a run's subsets are singular up to its last, which is regular
+            # unless the run ends in an exact fit
+            last, fit = len_a[act] == L, fit_a[act]
+            wrong = singular_now != (fit | ~last)
+            store = np.flatnonzero(last & ~fit & ~wrong)
+            if store.size:
+                rows, cols = row_a[act[store]], col_a[act[store]]
+                T[rows, cols], S[rows, cols], det[rows, cols] = Ti[store], Si[store], di[store]
+            for pos in np.flatnonzero(last & fit & ~wrong).tolist():
+                fits[int(row_a[act[pos]])] = Ti[pos], Si[pos]
+            for pos in np.flatnonzero(wrong).tolist():
+                i = int(act[pos])
+                row, k = int(row_a[i]), int(k_a[i])
+                if row not in first or k < first[row][0]:
+                    first[row] = (k, L, i, bool(singular_now[pos]), Ti[pos], Si[pos], di[pos])
+
+        # a contradicted row's later starts grow again and overwrite what
+        # this pass stored for them, unless the row ends in an exact fit,
+        # which leaves the search; an exact fit waits for a clean row
+        for row, (Ti, Si) in fits.items():
+            if row not in first:
+                best_T[row], best_S[row], exact[row] = Ti, Si, True
+        grow = []
+        for row, (k, L, i, singular_now, Ti, Si, di) in first.items():
+            j, p = col_a[i], pointers[off[i] + L - 1]
+            if not singular_now:
+                T[row, j], S[row, j], det[row, j] = Ti, Si, di
+                if bounds[row] + k + 1 < bounds[row + 1]:
+                    grow.append((row, k + 1, None, None, p))
+            elif L >= h:
+                best_T[row], best_S[row], exact[row] = Ti, Si, True
+            else:
+                c = (L - 1) * Si
+                grow.append((row, k, members[off[i]:off[i] + L].tolist(),
+                             (Ti[0], Ti[1], c[0, 0], c[1, 1], c[0, 1]), p))
 
 
 def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
@@ -440,7 +537,8 @@ def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list
     until none improves; a candidate that did not improve is not stepped
     again.  A row ends early, with an exact fit, as soon as a candidate's h
     points are collinear.  Singular elemental starts first grow by the
-    random points of ``draws`` (``_grow_singular``), all rows in lockstep.
+    random points of ``draws`` (``_grow_singular``: guessed row by row,
+    then checked in one exact pass per subset length over all rows).
     """
     Z0, Z1 = np.ascontiguousarray(Z0), np.ascontiguousarray(Z1)
     m, B = Z0.shape
@@ -515,11 +613,13 @@ def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRow
     rows at once as keep rows x starts within ``_BLOCK_ELEMS``, through one
     set of block buffers: the 200 rows of an n=40 MMDem bootstrap with 120
     starts are one search, rows of n=20 with all 1,140 elemental starts go
-    28 at a time.  Inside a search, the singular elemental starts of all
-    rows grow in lockstep, one random point per step, every row reading
-    the same draws from its own pointer (``_grow_singular``).  The
-    concentration steps run in cache-sized blocks of candidates whatever
-    the row count and write each candidate's stats over its input.
+    28 at a time.  Inside a search, each row's singular elemental starts
+    grow by random points, every row reading the same draws from its own
+    pointer; the growth is guessed in Python from running moments, then
+    every guessed subset of all rows is checked by the exact test, one call
+    per subset length (``_grow_singular``).  The concentration steps run in
+    cache-sized blocks of candidates whatever the row count and write each
+    candidate's stats over its input.
     """
     B = Z0.shape[1]
     if B < 10:

@@ -1,10 +1,12 @@
-"""The blocked MCD concentration step against the per-row-stack code it replaced.
+"""The blocked MCD concentration step and the guessed growth against the code they replaced.
 
-``_candidate_dists``, ``_c_step`` and ``_mcd_search`` below are the MCD
-search as it stood before its concentration steps ran over a flat list of
-candidates in cache-sized blocks, frozen as the reference (with
-``_subset_stats`` and ``_elemental_starts``, which it calls).  The blocked
-kernel does the same arithmetic in the same order on every candidate, so
+``_candidate_dists``, ``_c_step``, ``_grow`` and ``_mcd_search`` below are
+the MCD search as it stood before its concentration steps ran over a flat
+list of candidates in cache-sized blocks, and before its singular starts
+grew on guessed decisions, frozen as the reference (with ``_subset_stats``
+and ``_elemental_starts``, which it calls).  The blocked kernel does the
+same arithmetic in the same order on every candidate, and the growth takes
+every decision and every stored stat from the reference's test, so
 centers, scatters, determinants and exact-fit flags must be exactly equal.
 """
 
@@ -87,27 +89,11 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
     return starts, rng
 
 
-def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None, growths=None):
-    """Raw MCD optimum of each row; ``kept_masks`` collects each kept step's
-    activity mask of the running rows, and ``growths`` the (row, final size,
-    exact) of each grown singular start (probes; they change nothing)."""
-    m, B = Z0.shape
-    best_T = np.empty((m, 2))
-    best_S = np.empty((m, 2, 2))
-    best_det = np.zeros(m)
-    exact = np.zeros(m, dtype=bool)
-
-    def finish_exact(rows, hit, T, S):
-        done = hit.any(axis=1)
-        first = hit.argmax(axis=1)[done]
-        best_T[rows[done]] = T[done, first]
-        best_S[rows[done]] = S[done, first]
-        exact[rows[done]] = True
-        return done
-
-    starts, rng = _elemental_starts(B, seed, n_starts)
+def _grow(Z0, Z1, starts, rng, h: int, T, S, det, best_T, best_S, exact, growths=None):
+    """Grow each row's singular starts one point and one subset at a time,
+    each row drawing from ``rng`` as it stands after the starts."""
+    B = Z0.shape[1]
     after_starts = rng.bit_generator.state
-    T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
     grown = -1
     for r, j in zip(*np.nonzero(_is_singular(S))):
         if exact[r]:
@@ -129,6 +115,29 @@ def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None, growt
                 break
         if growths is not None:
             growths.append((r, len(members), bool(exact[r])))
+
+
+def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None, growths=None):
+    """Raw MCD optimum of each row; ``kept_masks`` collects each kept step's
+    activity mask of the running rows, and ``growths`` the (row, final size,
+    exact) of each grown singular start (probes; they change nothing)."""
+    m, B = Z0.shape
+    best_T = np.empty((m, 2))
+    best_S = np.empty((m, 2, 2))
+    best_det = np.zeros(m)
+    exact = np.zeros(m, dtype=bool)
+
+    def finish_exact(rows, hit, T, S):
+        done = hit.any(axis=1)
+        first = hit.argmax(axis=1)[done]
+        best_T[rows[done]] = T[done, first]
+        best_S[rows[done]] = S[done, first]
+        exact[rows[done]] = True
+        return done
+
+    starts, rng = _elemental_starts(B, seed, n_starts)
+    T, S, det = _subset_stats(Z0[:, starts], Z1[:, starts])
+    _grow(Z0, Z1, starts, rng, h, T, S, det, best_T, best_S, exact, growths)
 
     rows = np.flatnonzero(~exact)
     T, S, det = T[rows], S[rows], det[rows]
@@ -203,6 +212,18 @@ def small_cloud():
     return np.random.default_rng(3).normal(size=(10, 2)) @ np.array([[1.0, 0.4], [0.0, 0.7]])
 
 
+def ties_paba_cloud(master_seed, ri):
+    """The PaBa cloud of mc-ties replicate ``ri`` (n=40 at 2 significant digits, B=999)."""
+    spec = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=2, precision_y=2,
+                            seed=(master_seed, 0, 0, ri))
+    return mj.bootstrap(mj.generate(spec), "paba", B=999, seed=(master_seed, 1, 0, ri, 3)).pairs
+
+
+def mc_ties_mcd_seed(master_seed):
+    """The seed of the JE test's MCD in an mc-ties replicate."""
+    return master_seed + 7919 + 1
+
+
 CLOUDS = {
     "all-starts-B10": small_cloud,
     "continuous-B999": lambda: bootstrap_cloud("dem", 999),
@@ -211,6 +232,9 @@ CLOUDS = {
     "tied-paba-exact-fit": lambda: bootstrap_cloud("paba", 999, precision=2, data_seed=8),
     "exact-fit": exact_fit_cloud,
     "late-exact-fit": lambda: late_exact_fit_cloud(11),
+    # 753 of its 999 points lie within 1e-12 of (0, 1), PaBa fits of (0, 1)
+    # up to rounding: 572 copies of one point, the rest a few 1e-15 from it
+    "near-duplicate-exact-fit": lambda: ties_paba_cloud(0, 2),
 }
 
 
@@ -233,17 +257,37 @@ def mmdem_rows():
 # tests
 # ---------------------------------------------------------------------------
 
+def count_guesses(monkeypatch) -> list:
+    """A list that gets one entry per call of ``robustcov._guess_singular``,
+    whose verdicts stay as they are."""
+    calls, guess = [], rc._guess_singular
+    monkeypatch.setattr(rc, "_guess_singular", lambda *moments: calls.append(None) or guess(*moments))
+    return calls
+
+
 @pytest.mark.parametrize("name", list(CLOUDS))
-def test_mcd_search_matches_reference(name):
+def test_mcd_search_matches_reference(name, monkeypatch):
     cloud = CLOUDS[name]()
     Z0, Z1 = cloud[None, :, 0], cloud[None, :, 1]
     B = len(cloud)
     h = (B + 3) // 2
     n_starts = rc._S_MCD_STARTS if name == "late-exact-fit" else rc._MCD_STARTS
-    for seed in (0, 5):
-        masks = []
-        want = _mcd_search(Z0, Z1, seed, n_starts, h, masks)
+    near = name == "near-duplicate-exact-fit"
+    for seed in (0, 5, mc_ties_mcd_seed(0)) if near else (0, 5):
+        masks, grown = [], []
+        want = _mcd_search(Z0, Z1, seed, n_starts, h, masks, grown)
         assert_same_bits(rc._mcd_search(Z0, Z1, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
+        if near:
+            # subsets of points a few 1e-15 apart pass the exact test as
+            # regular, on moments that are rounding noise; guessed from such
+            # moments (no spread guard), the guess is wrong, and growth
+            # reruns each contradicted row to the same result
+            with monkeypatch.context() as patch:
+                patch.setattr(rc, "_GUESS_SPREAD", 0.0)
+                calls = count_guesses(patch)
+                got = rc._mcd_search(Z0, Z1, seed, n_starts, h, rc._c_step_buffers(B, h))
+            assert_same_bits(got, want)
+            assert len(calls) > sum(size - 3 for _, size, _ in grown)
         if name.startswith("continuous"):
             # some kept candidates stop improving while others go on
             assert any(mask.any() and not mask.all() for mask in masks)
@@ -373,8 +417,101 @@ def test_c_step_in_place_equals_fresh_copies(B):
 
 
 # ---------------------------------------------------------------------------
-# singular starts, grown in lockstep over rows
+# singular starts, grown on guessed decisions and checked over all rows
 # ---------------------------------------------------------------------------
+
+def test_gathered_subset_stats_equal_one_row_gathers():
+    # the growth takes the stats of g subsets of one length L from one
+    # C-ordered (g, L) gather; each must hold the bits of the subset's own
+    # (1, L) gather, which the reference takes, on tied points and on points
+    # a few 1e-15 apart
+    rng = np.random.default_rng(4)
+    for cloud in (ties_paba_cloud(0, 2), bootstrap_cloud("paba", 999, precision=2)):
+        x, y = cloud[:, 0].copy(), cloud[:, 1].copy()
+        for L in range(4, 61):
+            idx = rng.integers(0, len(cloud), (300, L))
+            alone = [rc._subset_stats(x[idx[i:i + 1]], y[idx[i:i + 1]]) for i in range(300)]
+            for g in (1, 2, 3, 17, 64, 299, 300):
+                want = [np.concatenate(part) for part in zip(*alone[:g])]
+                assert_same_bits(rc._subset_stats(x[idx[:g]], y[idx[:g]]), want)
+
+
+def validate_ties_cloud():
+    """The PaBa cloud of ``validate --b 2000 --seed 0`` on the benchmark's tied
+    CSV: an n=40 sample at 2 significant digits drawn from seed (0, 1)."""
+    spec = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=2, precision_y=2, seed=(0, 1))
+    return mj.bootstrap(mj.generate(spec), "paba", B=2000, seed=0).pairs
+
+
+def grow_both(X, Y, seed, n_starts, grown=None):
+    """(T, S, det, best_T, best_S, exact) after the reference's growth and after
+    ``robustcov._grow_singular``, from the same elemental starts and draws;
+    ``grown`` collects the reference's grown starts as ``_grow`` does."""
+    m, B = X.shape
+    h = (B + 3) // 2
+    starts, rng = _elemental_starts(B, seed, n_starts)
+    state = rng.bit_generator.state
+    stats = _subset_stats(X[:, starts], Y[:, starts])
+    assert _is_singular(stats[1]).any()
+
+    def fresh():
+        rng.bit_generator.state = state
+        return [a.copy() for a in stats] + [np.zeros((m, 2)), np.zeros((m, 2, 2)), np.zeros(m, dtype=bool)]
+
+    want = fresh()
+    _grow(X, Y, starts, rng, h, *want, growths=grown)
+    got = fresh()
+    rc._grow_singular(X, Y, starts, rng.integers(0, B, size=64).tolist(), rng, h, *got)
+    return want, got
+
+
+def single_row(points):
+    """(Z0, Z1) of one row of points."""
+    return np.ascontiguousarray(points[None, :, 0]), np.ascontiguousarray(points[None, :, 1])
+
+
+GROWTH_INPUTS = {
+    **{f"mc-ties-{s}-{ri}": (lambda s=s, ri=ri: single_row(ties_paba_cloud(s, ri)) + (mc_ties_mcd_seed(s), rc._MCD_STARTS))
+       for s in (0, 1) for ri in range(4)},
+    "validate-ties-B2000": lambda: single_row(validate_ties_cloud()) + (0, rc._MCD_STARTS),
+    "tied-mmdem-rows": lambda: tied_mmdem_rows(40) + (0, rc._S_MCD_STARTS),
+    "collinear-growth-rows": lambda: collinear_growth_rows() + (0, rc._S_MCD_STARTS),
+    "hemoglobin-rows": lambda: hemoglobin_rows(28) + (0, rc._S_MCD_STARTS),
+}
+
+
+@pytest.mark.parametrize("name", list(GROWTH_INPUTS))
+def test_grown_starts_match_reference(name):
+    # every grown start's stats, every untouched start's, and each row's
+    # exact fit, not only the search's result
+    want, got = grow_both(*GROWTH_INPUTS[name]())
+    assert_same_bits(got, want)
+    assert want[5].any() == (name == "collinear-growth-rows")
+
+
+def test_wrong_guesses_rerun_to_the_reference(monkeypatch):
+    # guesses left to the exact test or wrong at random: every contradicted
+    # row grows again from its first contradicted subset.  With this draw
+    # the contradictions include a regular subset guessed singular (before
+    # h points and at h), a singular one guessed regular (before h, and at
+    # h, an exact fit), and exact fits a contradiction drops.  The rows that
+    # go on keep the reference's grown starts, and the others its exact fits
+    (X, Y), (Xt, Yt) = collinear_growth_rows(), tied_mmdem_rows(8)
+    X, Y = np.vstack([X, Xt]), np.vstack([Y, Yt])
+    rng, guess = np.random.default_rng(9), rc._guess_singular
+
+    def wrong(*moments):
+        call = guess(*moments)
+        return None if rng.random() < 0.1 else call if rng.random() < 0.7 else not call
+
+    monkeypatch.setattr(rc, "_guess_singular", wrong)
+    calls, grown = count_guesses(monkeypatch), []
+    want, got = grow_both(X, Y, 0, rc._S_MCD_STARTS, grown)
+    on = ~want[5]
+    assert_same_bits([a[on] for a in got[:3]], [a[on] for a in want[:3]])
+    assert_same_bits(got[3:], want[3:])
+    assert want[5][:3].all() and on[3:].all()
+    assert len(calls) > sum(size - 3 for _, size, _ in grown)
 
 @pytest.mark.parametrize("B", [10, 39, 40, 999, 2000])
 def test_array_draws_equal_scalar_draws(B):
