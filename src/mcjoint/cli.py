@@ -41,7 +41,7 @@ from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
 from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_at_null
-from .resampling import MIN_REPLICATES
+from .resampling import MIN_REPLICATES, check_alpha
 from .robustcov import COV_METHODS
 from .simulation import (
     VERDICTS,
@@ -122,9 +122,8 @@ def _out_dir(path) -> Path:
 
 def _validate_config(args) -> DemingConfig:
     """Check the numeric flags of ``validate``; raises ValidationError."""
-    for flag, alpha in (("--je-alpha", args.je_alpha), ("--ci-alpha", args.ci_alpha)):
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"{flag} must be in (0, 1), got {alpha}")
+    check_alpha("--je-alpha", args.je_alpha)
+    check_alpha("--ci-alpha", args.ci_alpha)
     if args.b < MIN_REPLICATES:
         raise ValidationError(f"--b must be >= {MIN_REPLICATES}, got {args.b}")
     if args.seed < 0:

@@ -148,7 +148,7 @@ def read_csv(path) -> PairedSample:
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"{path}: unreadable: {type(err).__name__}: {err}") from None
@@ -161,15 +161,13 @@ def read_csv(path) -> PairedSample:
     for ridx, row in enumerate(rows[1:], start=2):
         if len(row) < 2:
             raise ValidationError(f"{path}: row {ridx}: missing column 2")
-        for cidx, cell in enumerate(row[:2], start=1):
+        for cidx, (cell, values) in enumerate(zip(row, (xs, ys)), start=1):
             try:
-                float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise ValidationError(
                     f"{path}: row {ridx}, column {cidx}: non-numeric value {cell!r}"
                 ) from None
-        xs.append(float(row[0]))
-        ys.append(float(row[1]))
     if len(xs) < 3:
         raise ValidationError(f"{path}: need at least 3 pairs, got {len(xs)}")
     label = f"{header[0].strip()} vs {header[1].strip()}"

@@ -32,6 +32,7 @@ are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -57,8 +58,8 @@ class DemingConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValidationError(f"lam must be > 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValidationError(f"lam must be finite and > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -446,7 +447,7 @@ def _method(method: str) -> _Method:
     try:
         return _METHOD_TABLE[method]
     except KeyError:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
+        raise ValidationError(f"unknown method {method!r}; choose from {METHODS}") from None
 
 
 def check_sample(s: PairedSample, method: str):

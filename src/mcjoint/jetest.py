@@ -20,7 +20,7 @@ from . import robustcov
 from .dataset import PairedSample
 from .errors import McjointError
 from .estimators import DemingConfig
-from .resampling import BootstrapEnsemble, IntervalPair, bca_ci, bootstrap
+from .resampling import BootstrapEnsemble, IntervalPair, bca_ci, bootstrap, check_alpha
 from .robustcov import CovarianceModel, EllipseGeometry, _chi2_2_sf, ellipse_from, mahalanobis_sq
 
 H0 = (0.0, 1.0)
@@ -45,6 +45,7 @@ def je_test(e: BootstrapEnsemble, cov_method: str = "mcd", alpha: float = 0.01,
 
 
 def je_test_from_model(model: CovarianceModel, alpha: float = 0.01) -> JETestResult:
+    check_alpha("alpha", alpha)
     d2 = float(mahalanobis_sq(model, np.array(H0)))
     p = _chi2_2_sf(d2)
     verdict = VALIDATED if p > alpha else REJECTED
@@ -85,6 +86,8 @@ def validate(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     replicate pairs next to the report).  ``seed`` drives both the
     bootstrap and the covariance, so the run is deterministic per seed.
     """
+    check_alpha("je_alpha", je_alpha)
+    check_alpha("ci_alpha", ci_alpha)
     stage = "fit"
     try:
         ensemble = bootstrap(s, method, cfg, B=B, seed=seed)

@@ -132,6 +132,13 @@ def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
 # confidence intervals
 # ---------------------------------------------------------------------------
 
+def check_alpha(name: str, alpha: float) -> None:
+    """The one rule for a test or interval level: ``alpha`` in (0, 1), else
+    ValidationError naming ``name``."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"{name} must be in (0, 1), got {alpha}")
+
+
 def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
     """Adjusted quantile levels from the bias and acceleration constants."""
     from statistics import NormalDist  # off the import path: it loads fractions and decimal
@@ -165,6 +172,7 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
     interval and the result is flagged.
     """
     from statistics import NormalDist  # off the import path: it loads fractions and decimal
+    check_alpha("alpha", alpha)
     theta = np.array([e.point.intercept, e.point.slope])
     bounds = np.empty((2, 2))
     fallback = False

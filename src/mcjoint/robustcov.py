@@ -16,7 +16,8 @@ does not depend on which rows it is batched with; the MCD's depends only
 on whether there are any (see ``_search_rows``).  The MCD grows singular
 elemental starts by random points on decisions guessed in Python from
 running moments, and checks every guessed subset of all rows with the
-exact test, one call per subset length (``_grow_singular``).
+exact test, one call per subset length; a row whose check contradicts a
+guess grows once more on exact decisions alone (``_grow_singular``).
 
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
@@ -404,16 +405,16 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
     ``Generator.integers`` equal its scalar draws, so the sequence is the
     one each row would draw alone.
 
-    Each row first grows in Python on decisions guessed from running
+    Every row first grows in Python on decisions guessed from running
     moments (``_guess_singular``); a subset the guess cannot call is
-    settled by ``_subset_stats`` at once.  Every guessed subset is then
+    settled by ``_subset_stats`` at once.  Every grown subset is then
     checked with ``_subset_stats`` and ``_is_singular``, one call per subset
     length over all rows and starts, and a start's stats are stored from
     the call of its final length.  A row whose check contradicts a guess
-    grows again from its first contradicted subset, whose decision is then
-    known, until no guess is contradicted.  So every stored stat and every
-    decision is the exact test's: a C-ordered (g, L) gather gives each
-    subset the bits of its own (1, L) gather.
+    grows once more, from its first singular start, on exact decisions
+    alone, and its stats are stored through the same check.  So every
+    stored stat and every decision is the exact test's: a C-ordered (g, L)
+    gather gives each subset the bits of its own (1, L) gather.
     """
     rs, cs = np.nonzero(_is_singular(S))
     if rs.size == 0:
@@ -427,26 +428,20 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
     bounds = np.searchsorted(rs, np.arange(m + 1)).tolist()
     moments = np.column_stack([T[rs, cs], 2.0 * S[rs, cs, 0, 0], 2.0 * S[rs, cs, 1, 1],
                                2.0 * S[rs, cs, 0, 1]])
-    # rows to grow: (row, position among its singular starts, members known
-    # to be singular and their moments, or None for the start itself, pointer)
-    grow = [(r, 0, None, None, 0) for r in np.unique(rs).tolist()]
-    while grow:
-        # a run is one start's guessed growth: (row, start, position among the
-        # row's singular starts, first length to check, length, whether it
-        # ends in an exact fit), six entries of ``runs``; its members follow
-        # the previous run's in ``members``, each added one beside the draw
-        # pointer after it in ``pointers``
-        runs, members, pointers = [], [], []
-        for row, k, mem, mom, p in grow:
+    rows = np.unique(rs).tolist()
+    for guessed in (True, False):
+        # a run is one start's growth: (row, start, length, whether it ends in
+        # an exact fit), four entries of ``runs``; its members follow the
+        # previous run's in ``members``
+        runs, members = [], []
+        for row in rows:
             js = cs[bounds[row]:bounds[row + 1]].tolist()
             moms = moments[bounds[row]:bounds[row + 1]].tolist()
             xs, ys = Z0[row].tolist(), Z1[row].tolist()
-            while True:
-                if mem is None:
-                    mem, mom = list(start_lists[js[k]]), moms[k]
-                n = known = len(mem)
-                mx, my, cxx, cyy, cxy = mom
-                ptrs = [0] * known
+            p = 0
+            for j, (mx, my, cxx, cyy, cxy) in zip(js, moms):
+                mem = list(start_lists[j])
+                n = 3
                 while True:
                     while True:
                         if p == len(draws):
@@ -456,7 +451,6 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
                         if e not in mem:
                             break
                     mem.append(e)
-                    ptrs.append(p)
                     x, y = xs[e], ys[e]
                     n += 1
                     dx, dy = x - mx, y - my
@@ -465,67 +459,44 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
                     cxx += dx * (x - mx)
                     cyy += dy * (y - my)
                     cxy += dx * (y - my)
-                    singular_now = _guess_singular(n, mx, my, cxx, cyy, cxy)
+                    singular_now = _guess_singular(n, mx, my, cxx, cyy, cxy) if guessed else None
                     if singular_now is None:
                         _, Si, _ = _subset_stats(Z0[row, [mem]], Z1[row, [mem]])
                         s00, s01, _, s11 = Si.ravel().tolist()
                         singular_now = not _regular(s00, s01, s11)
                     if not singular_now or n >= h:
                         break
-                runs += (row, js[k], k, known + 1, n, singular_now)
+                runs += (row, j, n, singular_now)
                 members += mem
-                pointers += ptrs
-                k, mem = k + 1, None
-                if singular_now or k == len(js):
+                if singular_now:
                     break
 
-        # check the guesses one length at a time; a row's first contradiction
-        # is its least (start position, length), kept with its exact stats
-        row_a, col_a, k_a, lo_a, len_a, fit_a = np.array(runs).reshape(-1, 6).T
+        # check the runs one length at a time; a run's subsets are singular
+        # up to its last, which is regular unless the run ends in an exact
+        # fit.  A run is stored at its last length unless a check has
+        # contradicted its row (whose second growth overwrites what it
+        # stored), and an exact fit has the greatest length, so it is stored
+        # only for a row that no check contradicts
+        row_a, col_a, len_a, fit_a = np.array(runs).reshape(-1, 4).T
         fit_a = fit_a.astype(bool)
         members = np.array(members)
         off = np.cumsum(len_a) - len_a
-        first, fits = {}, {}
-        for L in range(lo_a.min(), len_a.max() + 1):
-            act = np.flatnonzero((lo_a <= L) & (len_a >= L))
-            idx = members[off[act, None] + np.arange(L)] + (B * row_a[act])[:, None]
+        wrong = np.zeros(m, dtype=bool)
+        for L in range(4, len_a.max() + 1):
+            act = np.flatnonzero(len_a >= L)
+            r = row_a[act]
+            idx = members[off[act, None] + np.arange(L)] + (B * r)[:, None]
             Ti, Si, di = _subset_stats(flat0[idx], flat1[idx])
-            singular_now = _is_singular(Si)
-            # a run's subsets are singular up to its last, which is regular
-            # unless the run ends in an exact fit
             last, fit = len_a[act] == L, fit_a[act]
-            wrong = singular_now != (fit | ~last)
-            store = np.flatnonzero(last & ~fit & ~wrong)
-            if store.size:
-                rows, cols = row_a[act[store]], col_a[act[store]]
-                T[rows, cols], S[rows, cols], det[rows, cols] = Ti[store], Si[store], di[store]
-            for pos in np.flatnonzero(last & fit & ~wrong).tolist():
-                fits[int(row_a[act[pos]])] = Ti[pos], Si[pos]
-            for pos in np.flatnonzero(wrong).tolist():
-                i = int(act[pos])
-                row, k = int(row_a[i]), int(k_a[i])
-                if row not in first or k < first[row][0]:
-                    first[row] = (k, L, i, bool(singular_now[pos]), Ti[pos], Si[pos], di[pos])
-
-        # a contradicted row's later starts grow again and overwrite what
-        # this pass stored for them, unless the row ends in an exact fit,
-        # which leaves the search; an exact fit waits for a clean row
-        for row, (Ti, Si) in fits.items():
-            if row not in first:
-                best_T[row], best_S[row], exact[row] = Ti, Si, True
-        grow = []
-        for row, (k, L, i, singular_now, Ti, Si, di) in first.items():
-            j, p = col_a[i], pointers[off[i] + L - 1]
-            if not singular_now:
-                T[row, j], S[row, j], det[row, j] = Ti, Si, di
-                if bounds[row] + k + 1 < bounds[row + 1]:
-                    grow.append((row, k + 1, None, None, p))
-            elif L >= h:
-                best_T[row], best_S[row], exact[row] = Ti, Si, True
-            else:
-                c = (L - 1) * Si
-                grow.append((row, k, members[off[i]:off[i] + L].tolist(),
-                             (Ti[0], Ti[1], c[0, 0], c[1, 1], c[0, 1]), p))
+            wrong[r[_is_singular(Si) != (fit | ~last)]] = True
+            done = last & ~wrong[r]
+            store, ends = np.flatnonzero(done & ~fit), np.flatnonzero(done & fit)
+            rr, cc = r[store], col_a[act[store]]
+            T[rr, cc], S[rr, cc], det[rr, cc] = Ti[store], Si[store], di[store]
+            best_T[r[ends]], best_S[r[ends]], exact[r[ends]] = Ti[ends], Si[ends], True
+        rows = np.flatnonzero(wrong).tolist()
+        if not rows:
+            break
 
 
 def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,

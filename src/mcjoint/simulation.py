@@ -46,7 +46,7 @@ from .dataset import GeneratorSpec, generate
 from .errors import McjointError, ValidationError
 from .estimators import METHODS
 from .jetest import H0, je_test
-from .resampling import MIN_REPLICATES, bca_ci, bootstrap
+from .resampling import MIN_REPLICATES, bca_ci, bootstrap, check_alpha
 from .robustcov import COV_METHODS
 
 # verdict kind -> (type1_table.csv label, whether it judges intercept and slope together, as
@@ -95,8 +95,11 @@ class SimulationPlan:
             raise ValidationError("need at least 50 replicates per grid point")
         if self.B < MIN_REPLICATES:
             raise ValidationError(f"B must be >= {MIN_REPLICATES}, got {self.B}")
-        if not self.je_alphas or not all(0.0 < a < 1.0 for a in (self.ci_alpha, *self.je_alphas)):
-            raise ValidationError("ci_alpha and the je_alphas (at least one) must be in (0, 1)")
+        if not self.je_alphas:
+            raise ValidationError("je_alphas must not be empty")
+        check_alpha("ci_alpha", self.ci_alpha)
+        for alpha in self.je_alphas:
+            check_alpha("je_alphas", alpha)
         if self.grid_param not in _NULL_LINE:
             raise ValidationError("grid_param must be 'slope' or 'intercept'")
         if not self.grid:
@@ -401,7 +404,7 @@ def read_curve_csv(path) -> List[CurvePoint]:
     """The points of a curve.csv; a row that does not parse or names a kind not in VERDICTS
     raises ValidationError."""
     try:
-        with Path(path).open(newline="") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             points = [CurvePoint(**{name: conv(row[name]) for name, conv in _CURVE_COLUMNS})
                       for row in csv.DictReader(fh)]
         for p in points:

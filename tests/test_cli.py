@@ -108,8 +108,9 @@ def write_unusable_paths(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--ci-alpha", 0), ("--ci-alpha", 1.5), ("--je-alpha", 1.5), ("--lam", 0), ("--b", 10),
-    ("--seed", -1), ("--input", "a-directory"), ("--input", "latin-1.csv"), ("--out", "a-file"),
+    ("--ci-alpha", 0), ("--ci-alpha", 1.5), ("--je-alpha", 1.5), ("--lam", 0), ("--lam", "inf"),
+    ("--b", 10), ("--seed", -1), ("--input", "a-directory"), ("--input", "latin-1.csv"),
+    ("--out", "a-file"),
 ])
 def test_validate_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     write_unusable_paths(tmp_path)
@@ -566,6 +567,17 @@ def test_fit_power_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     assert_one_line_error(err)
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "a-file").read_text() == ""
+
+
+def test_fit_power_reads_a_curve_file_with_a_byte_order_mark(tmp_path, capsys):
+    curves = write_power_curve(tmp_path / "curve.csv")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + curves.read_bytes())
+    for path, out in ((curves, "out"), (bom, "out-bom")):
+        rc, _, _ = run(capsys, "fit-power", "--curves", path, "--out", tmp_path / out)
+        assert rc == 0
+    table = (tmp_path / "out" / "power_table.csv").read_bytes()
+    assert (tmp_path / "out-bom" / "power_table.csv").read_bytes() == table
 
 
 def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcjoint as mj
-from mcjoint.dataset import GeneratorSpec, generate, round_significant
+from mcjoint.dataset import GeneratorSpec, generate, hemoglobin_path, round_significant
 
 SHORT = dict(xmin=3.0, xmax=8.0, sigmax=0.12, sigmay=0.12)
 LONG = dict(xmin=0.0, xmax=110.0, sigmax=1.2, sigmay=1.2)
@@ -169,6 +169,16 @@ def test_read_csv_non_numeric_reports_position(tmp_path):
     p.write_text("m1,m2\n1,2\n3,oops\n5,6\n")
     with pytest.raises(mj.ValidationError, match=r"row 3, column 2"):
         mj.read_csv(p)
+
+
+def test_read_csv_reads_past_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
+    text = hemoglobin_path().read_bytes()
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+    plain, bom = mj.read_csv(tmp_path / "plain.csv"), mj.read_csv(tmp_path / "bom.csv")
+    assert bom.label == plain.label == "D10 vs Cobas"
+    assert np.array_equal(bom.x, plain.x) and np.array_equal(bom.y, plain.y)
 
 
 def test_read_csv_missing_column(tmp_path):

@@ -93,6 +93,20 @@ def test_deming_degenerate_sxy_zero():
         fit(s, "dem")
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
+def test_deming_config_requires_a_finite_positive_lam(lam):
+    with pytest.raises(mj.ValidationError, match="lam must be finite and > 0"):
+        DemingConfig(lam=lam)
+
+
+def test_an_unknown_method_is_a_validation_error():
+    s = line_sample(1.0, 0.0)
+    for call in (lambda: fit(s, "foo"), lambda: mj.bootstrap(s, "foo", B=199),
+                 lambda: mj.validate(s, "foo", B=199)):
+        with pytest.raises(mj.ValidationError, match="unknown method 'foo'"):
+            call()
+
+
 def test_deming_symmetry_under_swap():
     s = line_sample(1.8, -0.5, noise=0.4, seed=3)
     f_xy = fit(s, "dem")

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import mcjoint as mj
+from mcjoint import jetest
 from mcjoint.estimators import DemingConfig
 from mcjoint.jetest import (
     REJECTED,
@@ -144,6 +145,21 @@ def test_validate_stage_label_on_error():
 def test_validate_rejects_a_negative_seed():
     with pytest.raises(mj.ValidationError, match="stage fit: seeds must be >= 0"):
         validate(mj.load_hemoglobin(), "dem", CFG, cov_method="classic", B=199, seed=-1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -1.0, math.nan])
+def test_je_test_rejects_an_alpha_outside_0_1(alpha):
+    with pytest.raises(mj.ValidationError, match=r"^alpha must be in \(0, 1\)"):
+        je_test_from_model(model_at([0.0, 1.0]), alpha)
+
+
+@pytest.mark.parametrize("alphas", [dict(ci_alpha=0.0), dict(ci_alpha=1.5), dict(je_alpha=2.0),
+                                    dict(je_alpha=-1.0)])
+def test_validate_rejects_an_alpha_outside_0_1_before_its_bootstrap(alphas, monkeypatch):
+    monkeypatch.setattr(jetest, "bootstrap", lambda *args, **kw: pytest.fail("bootstrapped"))
+    name, value = next(iter(alphas.items()))
+    with pytest.raises(mj.ValidationError, match=rf"^{name} must be in \(0, 1\), got {value}$"):
+        validate(mj.load_hemoglobin(), "dem", CFG, cov_method="classic", B=199, seed=0, **alphas)
 
 
 def test_report_json_six_significant_digits():

@@ -281,7 +281,8 @@ def test_mcd_search_matches_reference(name, monkeypatch):
             # subsets of points a few 1e-15 apart pass the exact test as
             # regular, on moments that are rounding noise; guessed from such
             # moments (no spread guard), the guess is wrong, and growth
-            # reruns each contradicted row to the same result
+            # regrows each contradicted row on exact decisions to the same
+            # result
             with monkeypatch.context() as patch:
                 patch.setattr(rc, "_GUESS_SPREAD", 0.0)
                 calls = count_guesses(patch)
@@ -491,11 +492,12 @@ def test_grown_starts_match_reference(name):
 
 def test_wrong_guesses_rerun_to_the_reference(monkeypatch):
     # guesses left to the exact test or wrong at random: every contradicted
-    # row grows again from its first contradicted subset.  With this draw
-    # the contradictions include a regular subset guessed singular (before
-    # h points and at h), a singular one guessed regular (before h, and at
-    # h, an exact fit), and exact fits a contradiction drops.  The rows that
-    # go on keep the reference's grown starts, and the others its exact fits
+    # row grows again from its first singular start on exact decisions
+    # alone.  With this draw the contradictions include a regular subset
+    # guessed singular (before h points and at h), a singular one guessed
+    # regular (before h, and at h, an exact fit), and exact fits a
+    # contradiction drops.  The rows that go on keep the reference's grown
+    # starts, and the others its exact fits
     (X, Y), (Xt, Yt) = collinear_growth_rows(), tied_mmdem_rows(8)
     X, Y = np.vstack([X, Xt]), np.vstack([Y, Yt])
     rng, guess = np.random.default_rng(9), rc._guess_singular

@@ -149,6 +149,12 @@ def test_bca_symmetric_ensemble_close_to_percentile(clean_ensemble):
     assert abs(b.slope_hi - p_hi) < 0.35 * width
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
+def test_bca_rejects_an_alpha_outside_0_1(clean_ensemble, alpha):
+    with pytest.raises(mj.ValidationError, match=r"^alpha must be in \(0, 1\)"):
+        bca_ci(clean_ensemble, alpha)
+
+
 def test_bca_monotone_nesting(clean_ensemble):
     wide = bca_ci(clean_ensemble, alpha=0.01)
     narrow = bca_ci(clean_ensemble, alpha=0.10)

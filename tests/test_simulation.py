@@ -65,6 +65,12 @@ def test_plan_validation():
         small_plan(cov_methods=("nope",))
     with pytest.raises(mj.ValidationError):
         small_plan(grid_param="sigma")
+    with pytest.raises(mj.ValidationError, match="je_alphas must not be empty"):
+        small_plan(je_alphas=())
+    for name, bad in (("ci_alpha", 0.0), ("ci_alpha", 1.5), ("je_alphas", (0.05, 2.0)),
+                      ("je_alphas", (-1.0,))):
+        with pytest.raises(mj.ValidationError, match=rf"^{name} must be in \(0, 1\)"):
+            small_plan(**{name: bad})
     # a value listed twice would give two series of one name
     for repeat in (dict(methods=("dem", "dem")), dict(cov_methods=("classic", "CLASSIC")),
                    dict(je_alphas=(0.05, 0.05))):
