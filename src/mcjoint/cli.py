@@ -17,10 +17,11 @@ Every command exits 2 with one line when --out names a path that cannot be
 made a directory, such as an existing file.  validate exits 2, before it
 creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
-outside (0, 1) and on a --curves file it cannot read (or that names a kind
-not in VERDICTS).  simulate exits 2, before it creates --out, when the plan
-file is missing, malformed (not UTF-8 key=value text, or a repeated key) or
-out of range (a negative master_seed too, or a list naming a value twice),
+outside (0, 1), a non-finite --null-value and a --curves file it cannot
+read (or that names a kind not in VERDICTS).  simulate exits 2, before it
+creates --out, when the plan file is missing, malformed (not UTF-8
+key=value text, or a repeated key) or out of range (a non-finite
+generator value, a negative master_seed, or a list naming a value twice),
 or fails its kind's check; and it exits 2, leaving them as they are, on
 saved run files it cannot resume from (see ``simulation.simulate``).
 """
@@ -202,8 +203,9 @@ def cmd_fit_power(args) -> int:
     path = Path(args.curves)
     if not path.exists():
         raise ValidationError(f"curve file not found: {path}")
-    if not 0.0 < args.target < 1.0:
-        raise ValidationError(f"--target must be in (0, 1), got {args.target}")
+    check_alpha("--target", args.target)
+    if not np.isfinite(args.null_value):
+        raise ValidationError(f"--null-value must be finite, got {args.null_value}")
     points = read_curve_csv(path)
     groups = {}
     for p in points:

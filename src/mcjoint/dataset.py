@@ -9,6 +9,7 @@ optional rounding to a fixed number of significant digits.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -70,6 +71,9 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("xmin", "xmax", "slope", "intercept", "sigmax", "sigmay", "detmin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.xmin <= self.xmax:
             raise ValidationError(f"xmin {self.xmin} must be <= xmax {self.xmax}")
         if self.n < 3:

@@ -13,20 +13,14 @@ The MCD search and the S fixed point each run on a leading row axis:
 MM fit starts every bootstrap row in one call, and ``fast_mcd``,
 ``s_cov`` and ``rocke_cov`` are their one-row cases.  A row's arithmetic
 does not depend on which rows it is batched with; the MCD's depends only
-on whether there are any (see ``_search_rows``).  The MCD grows singular
-elemental starts by random points on decisions guessed in Python from
-running moments, and checks every guessed subset of all rows with the
-exact test, one call per subset length; a row whose check contradicts a
-guess grows once more on exact decisions alone (``_grow_singular``).
+on whether there are any (see ``_mcd_search``).
 
 The two bulk passes work in cache-sized blocks of about ``_BLOCK_ELEMS``
 elements: every MCD concentration step runs over a flat list of
 candidates (start subsets of any rows), and Stahel-Donoho forms its
 projections and takes their medians one block of its 1000 random
 directions at a time, one GEMM per block, so the (B, directions) matrix
-never exists whole.  The same budget sizes the MCD's per-candidate
-stacks: one search takes as many rows as keep rows x starts within
-``_BLOCK_ELEMS``.  Blocking changes no arithmetic, only where the
+never exists whole.  Blocking changes no arithmetic, only where the
 temporaries live.
 
 All estimators rescale their scatter so that squared Mahalanobis distances
@@ -235,7 +229,7 @@ class McdRows(NamedTuple):
 
     center: np.ndarray      # (m, 2)
     scatter: np.ndarray     # (m, 2, 2)
-    singular: np.ndarray    # (m,) exact fit or collinear optimum
+    singular: np.ndarray    # (m,) exact fit: the raw optimum is singular
     correction: np.ndarray  # (m,) consistency factor applied to the raw scatter
     raw_det: np.ndarray     # (m,) determinant of the raw optimum
     h: int
@@ -348,28 +342,6 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
     return starts, rng
 
 
-def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int, bufs: list):
-    """Raw MCD optimum of each row: center, scatter, determinant, exact-fit flag.
-
-    The elemental starts are drawn once, and so are the random points that
-    grow singular starts: every row reads the same sequence from its own
-    pointer, the draws of the generator after the starts, extended as a row
-    needs more, so a row's grown starts do not depend on the other rows
-    (``_grow_singular``).  The rows are then searched by ``_search_rows``
-    as many at a time as keep rows x starts within ``_BLOCK_ELEMS``, the
-    budget of the (rows x starts) candidate stacks, all through the block
-    buffers ``bufs``.  A row's result does not depend on which rows are
-    searched with it.
-    """
-    B = Z0.shape[1]
-    starts, rng = _elemental_starts(B, seed, n_starts)
-    draws = rng.integers(0, B, size=64).tolist()
-    step = max(1, _BLOCK_ELEMS // len(starts))
-    blocks = [_search_rows(Z0[lo:lo + step], Z1[lo:lo + step], starts, draws, rng, h, bufs)
-              for lo in range(0, len(Z0), step)]
-    return tuple(np.concatenate(part) for part in zip(*blocks))
-
-
 # Where running moments cannot call a subset singular or not: det/ht^2 (ht
 # its scatter's half trace) inside the band, whose lower end sits above the
 # rounding noise of collinear points (under 1e-14); or a spread below
@@ -393,14 +365,15 @@ def _guess_singular(n: int, mx: float, my: float, cxx: float, cyy: float, cxy: f
 
 
 def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
-                   rng: np.random.Generator, h: int, T, S, det, best_T, best_S, exact):
+                   rng: np.random.Generator, h: int, T, S, det):
     """Grow each row's singular elemental starts by random points until they can be inverted.
 
     A row takes its singular starts in order and reads the shared sequence
     ``draws`` from its beginning through one pointer: each start adds the
     next drawn point not already in it, until its scatter is ``_regular``
-    (its stats then replace the start's in ``T``/``S``/``det``) or it holds
-    h collinear points (an exact fit, which ends the row).  When the rows
+    or it holds h collinear points (an exact fit, which ends the row's
+    growth).  Each grown start's final stats replace its own in
+    ``T``/``S``/``det``, an exact fit's included.  When the rows
     have read all of ``draws``, ``rng`` extends it in place; array draws of
     ``Generator.integers`` equal its scalar draws, so the sequence is the
     one each row would draw alone.
@@ -474,9 +447,9 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
         # check the runs one length at a time; a run's subsets are singular
         # up to its last, which is regular unless the run ends in an exact
         # fit.  A run is stored at its last length unless a check has
-        # contradicted its row (whose second growth overwrites what it
-        # stored), and an exact fit has the greatest length, so it is stored
-        # only for a row that no check contradicts
+        # contradicted its row, whose second growth overwrites what it stored
+        # up to its own end; an exact fit has the greatest length, so it is
+        # stored only for a row that no check contradicts
         row_a, col_a, len_a, fit_a = np.array(runs).reshape(-1, 4).T
         fit_a = fit_a.astype(bool)
         members = np.array(members)
@@ -490,128 +463,116 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
             last, fit = len_a[act] == L, fit_a[act]
             wrong[r[_is_singular(Si) != (fit | ~last)]] = True
             done = last & ~wrong[r]
-            store, ends = np.flatnonzero(done & ~fit), np.flatnonzero(done & fit)
-            rr, cc = r[store], col_a[act[store]]
-            T[rr, cc], S[rr, cc], det[rr, cc] = Ti[store], Si[store], di[store]
-            best_T[r[ends]], best_S[r[ends]], exact[r[ends]] = Ti[ends], Si[ends], True
+            rr, cc = r[done], col_a[act[done]]
+            T[rr, cc], S[rr, cc], det[rr, cc] = Ti[done], Si[done], di[done]
         rows = np.flatnonzero(wrong).tolist()
         if not rows:
             break
 
 
-def _search_rows(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: list,
-                 rng: np.random.Generator, h: int, bufs: list):
-    """The MCD search of a block of rows from the elemental ``starts``.
+def _mcd_search(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int, h: int, bufs: list):
+    """Raw MCD optimum of each row: center, scatter and determinant.
 
-    Every row runs the same search: two concentration steps from every
-    elemental start, then the ``_MCD_KEEP`` lowest determinants iterated
-    until none improves; a candidate that did not improve is not stepped
-    again.  A row ends early, with an exact fit, as soon as a candidate's h
-    points are collinear.  Singular elemental starts first grow by the
-    random points of ``draws`` (``_grow_singular``: guessed row by row,
-    then checked in one exact pass per subset length over all rows).
+    Every row runs the same search from the same elemental starts: two
+    concentration steps from every start, then the ``_MCD_KEEP`` lowest
+    determinants stepped until none improves (at most ``_MCD_MAX_STEPS``),
+    each candidate only while its own determinant falls.  Singular starts
+    first grow by random points (``_grow_singular``); every row reads the
+    same draws, those of the generator after the starts, from its own
+    pointer.  A row's exact fit (h collinear points) is its first singular
+    candidate after growth or after any step, since growth leaves no
+    earlier start singular and every candidate is checked after each of
+    its steps; it ends the row, with determinant 0.  Rows are searched in
+    blocks of as many as keep rows x starts within ``_BLOCK_ELEMS``, the
+    budget of the (rows, starts) candidate stacks, all through the block
+    buffers ``bufs``.
     """
     Z0, Z1 = np.ascontiguousarray(Z0), np.ascontiguousarray(Z1)
     m, B = Z0.shape
-    best_T = np.empty((m, 2))
-    best_S = np.empty((m, 2, 2))
-    best_det = np.zeros(m)
-    exact = np.zeros(m, dtype=bool)
+    starts, rng = _elemental_starts(B, seed, n_starts)
+    draws = rng.integers(0, B, size=64).tolist()
+    best_T, best_S, best_det = np.empty((m, 2)), np.empty((m, 2, 2)), np.zeros(m)
 
-    def finish_exact(rows, hit, T, S):
+    def end_exact(rows, T, S, *more):
+        # each row's first singular candidate is its exact fit; drop its row
+        hit = _is_singular(S)
         done = hit.any(axis=1)
+        if not done.any():
+            return (rows, T, S) + more
         first = hit.argmax(axis=1)[done]
-        best_T[rows[done]] = T[done, first]
-        best_S[rows[done]] = S[done, first]
-        exact[rows[done]] = True
-        return done
+        best_T[rows[done]], best_S[rows[done]] = T[done, first], S[done, first]
+        return tuple(a[~done] for a in (rows, T, S) + more)
 
-    # the starts' stats into C-contiguous (rows, starts) stacks, a slice of
-    # starts at a time so the gathered subsets (6 values per row and start)
-    # stay within _BLOCK_ELEMS; each slice takes every row, since einsum
-    # rounds the sums of a one-row gather otherwise than those of several
-    # (the row axis lies innermost)
     c = len(starts)
-    T, S, det = np.empty((m, c, 2)), np.empty((m, c, 2, 2)), np.empty((m, c))
-    per = max(1, _BLOCK_ELEMS // (6 * m))
-    for lo in range(0, c, per):
-        j = slice(lo, lo + per)
-        T[:, j], S[:, j], det[:, j] = _subset_stats(Z0[:, starts[j]], Z1[:, starts[j]])
-    _grow_singular(Z0, Z1, starts, draws, rng, h, T, S, det, best_T, best_S, exact)
+    step = max(1, _BLOCK_ELEMS // c)
+    for lo in range(0, m, step):
+        block = slice(lo, lo + step)
+        rows = np.arange(m)[block]
+        n = len(rows)
+        # the starts' stats into C-contiguous (rows, starts) stacks, a slice
+        # of starts at a time so the gathered subsets (6 values per row and
+        # start) stay within _BLOCK_ELEMS; each slice takes every row, since
+        # einsum rounds the sums of a one-row gather otherwise than those of
+        # several (the row axis lies innermost)
+        T, S, det = np.empty((n, c, 2)), np.empty((n, c, 2, 2)), np.empty((n, c))
+        per = max(1, _BLOCK_ELEMS // (6 * n))
+        for k in range(0, c, per):
+            j = slice(k, k + per)
+            T[:, j], S[:, j], det[:, j] = _subset_stats(Z0[block, starts[j]], Z1[block, starts[j]])
+        _grow_singular(Z0[block], Z1[block], starts, draws, rng, h, T, S, det)
+        rows, T, S, det = end_exact(rows, T, S, det)
 
-    # the kernel steps the stacks in place through flat views; they are
-    # copied only to drop rows that have ended
-    rows = np.flatnonzero(~exact)
-    if len(rows) < m:
-        T, S, det = T[rows], S[rows], det[rows]
-    for _ in range(_MCD_INITIAL_STEPS):
-        _c_step(Z0, Z1, np.repeat(rows, det.shape[1]), T.reshape(-1, 2), S.reshape(-1, 2, 2),
-                det.reshape(-1), h, bufs)
-        done = finish_exact(rows, _is_singular(S), T, S)
-        if done.any():
-            rows, T, S, det = rows[~done], T[~done], S[~done], det[~done]
+        # the kernel steps the stacks in place through flat views; they are
+        # copied only to drop rows that have ended
+        for _ in range(_MCD_INITIAL_STEPS):
+            _c_step(Z0, Z1, np.repeat(rows, c), T.reshape(-1, 2), S.reshape(-1, 2, 2),
+                    det.reshape(-1), h, bufs)
+            rows, T, S, det = end_exact(rows, T, S, det)
 
-    order = np.argsort(det, axis=1, kind="stable")[:, :_MCD_KEEP]
-    T = np.take_along_axis(T, order[..., None], axis=1)
-    S = np.take_along_axis(S, order[..., None, None], axis=1)
-    det = np.take_along_axis(det, order, axis=1)
-    # only the candidates that improved on their last step take another
-    active = np.ones(det.shape, dtype=bool)
-    for _ in range(_MCD_MAX_STEPS):
-        r, j = np.nonzero(active)
-        if r.size == 0:
-            break
-        T2, S2, det2 = T[r, j], S[r, j], det[r, j]  # copies: det keeps the last step's
-        _c_step(Z0, Z1, rows[r], T2, S2, det2, h, bufs)
-        active[r, j] = det2 < det[r, j]
-        T[r, j], S[r, j], det[r, j] = T2, S2, det2
-        hit = np.zeros(det.shape, dtype=bool)
-        hit[r, j] = _is_singular(S2)
-        active[finish_exact(rows, hit, T, S)] = False
+        order = np.argsort(det, axis=1, kind="stable")[:, :_MCD_KEEP]
+        T = np.take_along_axis(T, order[..., None], axis=1)
+        S = np.take_along_axis(S, order[..., None, None], axis=1)
+        det = np.take_along_axis(det, order, axis=1)
+        # only the candidates that improved on their last step take another
+        active = np.ones(det.shape, dtype=bool)
+        for _ in range(_MCD_MAX_STEPS):
+            r, j = np.nonzero(active)
+            if r.size == 0:
+                break
+            T2, S2, det2 = T[r, j], S[r, j], det[r, j]  # copies: det keeps the last step's
+            _c_step(Z0, Z1, rows[r], T2, S2, det2, h, bufs)
+            active[r, j] = det2 < det[r, j]
+            T[r, j], S[r, j], det[r, j] = T2, S2, det2
+            rows, T, S, det, active = end_exact(rows, T, S, det, active)
 
-    left = ~exact[rows]
-    best = np.argmin(det[left], axis=1)
-    best_T[rows[left]] = T[left, best]
-    best_S[rows[left]] = S[left, best]
-    best_det[rows[left]] = det[left, best]
-    return best_T, best_S, best_det, exact
+        best = np.argmin(det, axis=1)
+        i = np.arange(len(rows))
+        best_T[rows], best_S[rows], best_det[rows] = T[i, best], S[i, best], det[i, best]
+    return best_T, best_S, best_det
 
 
 def mcd_rows(Z0: np.ndarray, Z1: np.ndarray, seed: int, n_starts: int) -> McdRows:
     """FAST-MCD of every row of row-stacked coordinates ``Z0``/``Z1`` (m, B).
 
-    One ``_mcd_search`` draws the elemental starts and searches as many
-    rows at once as keep rows x starts within ``_BLOCK_ELEMS``, through one
-    set of block buffers: the 200 rows of an n=40 MMDem bootstrap with 120
-    starts are one search, rows of n=20 with all 1,140 elemental starts go
-    28 at a time.  Inside a search, each row's singular elemental starts
-    grow by random points, every row reading the same draws from its own
-    pointer; the growth is guessed in Python from running moments, then
-    every guessed subset of all rows is checked by the exact test, one call
-    per subset length (``_grow_singular``).  The concentration steps run in
-    cache-sized blocks of candidates whatever the row count and write each
-    candidate's stats over its input.
+    Each row's raw optimum over subsets of h = (B + 3) // 2 of its B >= 10
+    points is searched from ``n_starts`` elemental starts drawn from
+    ``seed`` (``_mcd_search``), then consistency-corrected and reweighted
+    (``_finish_mcd``).
     """
     B = Z0.shape[1]
     if B < 10:
         raise ValidationError("need at least 10 points")
     h = (B + 3) // 2
-    T, S, raw_det, exact = _mcd_search(Z0, Z1, seed, n_starts, h, _c_step_buffers(B, h))
-    return _finish_mcd(Z0, Z1, T, S, raw_det, exact, h)
+    T, S, raw_det = _mcd_search(Z0, Z1, seed, n_starts, h, _c_step_buffers(B, h))
+    return _finish_mcd(Z0, Z1, T, S, raw_det, h)
 
 
 def fast_mcd(points: np.ndarray, seed: int = 0) -> CovarianceModel:
-    """Minimum covariance determinant scatter via concentration steps.
+    """Minimum covariance determinant location and scatter of a (B, 2) cloud.
 
-    The subset size is h = (B + 3) // 2 of the B points, the maximal
-    breakdown choice.  Elemental (p+1)-subsets seed the search (all of
-    them when few enough, otherwise ``_MCD_STARTS`` random ones); each start
-    takes two concentration steps; the 10 candidates with the smallest
-    determinants are iterated until none improves (at most 60 steps), each
-    candidate only while its own determinant still falls.  Every step runs
-    in cache-sized blocks of candidates.  An exactly collinear best subset
-    is reported as a singular model, never inverted.  This is the one-row
-    case of ``mcd_rows``.
+    The one-row case of ``mcd_rows`` with ``_MCD_STARTS`` starts: subsets
+    of h = (B + 3) // 2 points, the maximal breakdown choice.  An exactly
+    collinear best subset is reported as a singular model, never inverted.
     """
     Z = _points(points)
     r = mcd_rows(Z[None, :, 0], Z[None, :, 1], seed, _MCD_STARTS)
@@ -641,17 +602,17 @@ def _weighted_moments(Z0: np.ndarray, Z1: np.ndarray, w: np.ndarray, scratch=Non
     return sw, T, C
 
 
-def _finish_mcd(Z0, Z1, T, S, raw_det, exact, h: int) -> McdRows:
+def _finish_mcd(Z0, Z1, T, S, raw_det, h: int) -> McdRows:
     """Consistency-correct each row's raw optimum, then one-step reweighting.
 
     The raw subset scatter gets the asymptotic trimming factor and an
     empirical median factor (small-sample correction); the usual
     reweighted estimate (drop points beyond the 97.5% quantile, rescale
-    for the truncation) recovers efficiency the raw optimum lacks.  Exact
-    fits and collinear optima come back as they are, flagged singular.
+    for the truncation) recovers efficiency the raw optimum lacks.  A
+    singular optimum (an exact fit) comes back as it is, flagged singular.
     """
     B = Z0.shape[1]
-    singular = exact | _is_singular(S)
+    singular = _is_singular(S)
     alpha = h / B
     c1 = alpha / _chi2_4_cdf(_chi2_2_ppf(alpha))
     V = S * c1

@@ -237,13 +237,17 @@ class CurvePoint:
     replicates: int
 
 
-def _rejection_rate(entries: Sequence[Dict], kind: str, cov: str, alpha: float):
-    """(rate, binomial se, count) of one series' rejections over the ok entries with a verdict."""
+def _rejection_rate(entries: Sequence[Dict], kind: str, cov: str, alpha):
+    """(rate, binomial se, count) of one series' rejections over the ok entries with a verdict.
+
+    ``alpha`` may be an array of levels (the je rule compares element-wise);
+    the rate and se are then arrays of its shape.
+    """
     verdicts = [v for v in (VERDICTS[kind][3](e, cov, alpha) for e in entries if e["ok"])
                 if v is not None]
     m = len(verdicts)  # an empty series is nan, with no mean of nothing to warn on stderr
-    rate = float(np.mean(verdicts)) if m else float("nan")
-    return rate, float(np.sqrt(rate * (1.0 - rate) / m)) if m else float("nan"), m
+    rate = np.mean(verdicts, axis=0) if m else np.full(np.shape(alpha), np.nan)
+    return rate, np.sqrt(rate * (1.0 - rate) / m) if m else rate, m
 
 
 def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) -> List[CurvePoint]:
@@ -254,8 +258,8 @@ def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) ->
         for kind, (_, _, series, _) in VERDICTS.items():
             for cov, alpha in series(plan):
                 rate, se, n_used = _rejection_rate(entries, kind, cov, alpha)
-                out.append(CurvePoint(method, kind, cov, alpha, plan.grid[gi], rate, se,
-                                      n_used, len(recs) - n_used, len(recs)))
+                out.append(CurvePoint(method, kind, cov, alpha, plan.grid[gi], float(rate),
+                                      float(se), n_used, len(recs) - n_used, len(recs)))
     return out
 
 
@@ -444,8 +448,9 @@ def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
     rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
     for method in plan.methods:
         entries = [r[method] for r in records]
-        rows += [[method, cov, repr(float(a)), repr(_rejection_rate(entries, "je", cov, a)[0])]
-                 for cov in plan.cov_methods for a in nominal]
+        for cov in plan.cov_methods:
+            rates = _rejection_rate(entries, "je", cov, nominal)[0]
+            rows += [[method, cov, repr(float(a)), repr(float(r))] for a, r in zip(nominal, rates)]
     write_csv(out / "pp_data.csv", rows)
 
 

@@ -189,6 +189,18 @@ def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("xmax", "inf"), ("sigmay", "nan")])
+def test_simulate_non_finite_generator_value_exits_2(tmp_path, capsys, key, value):
+    # xmax = inf overflowed numpy's uniform draw after --out existed, and
+    # sigmay = nan censored every reading and wrote a table of nan rates
+    plan = write_plan(tmp_path / "plan.cfg", {key: value}, kind="type1", grid="1.0")
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert "malformed plan" in err and f"{key} must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("generator, run, reason", [
     ({}, {"grid": "1.0"}, "at least 2 grid values"),
     ({"intercept": 0.5}, {}, "intercept must be 0.0"),
@@ -556,6 +568,7 @@ def test_fit_power_tabulates_each_fittable_series(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--target", 0), ("--target", 1), ("--target", -0.2),
+                                         ("--null-value", "inf"), ("--null-value", "nan"),
                                          ("--out", "a-file")])
 def test_fit_power_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     curves = write_power_curve(tmp_path / "curve.csv")

@@ -133,6 +133,15 @@ def test_generated_values_positive():
     dict(error_model="weird"),
     dict(precision_x=5),
     dict(n=2),
+    dict(xmax=np.inf),
+    dict(xmin=-np.inf),
+    dict(xmax=np.nan),
+    dict(sigmax=np.inf),
+    dict(sigmay=np.nan),
+    dict(detmin=np.inf),
+    dict(detmin=np.nan),
+    dict(slope=np.nan),
+    dict(intercept=np.inf),
 ])
 def test_invalid_spec_rejected(bad):
     kw = dict(xmin=3.0, xmax=8.0, n=40)

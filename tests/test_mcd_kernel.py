@@ -180,9 +180,17 @@ def _mcd_search(Z0, Z1, seed: int, n_starts: int, h: int, kept_masks=None, growt
 # ---------------------------------------------------------------------------
 
 def assert_same_bits(got, want):
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+def assert_same_search(got, want):
+    """``robustcov._mcd_search``'s (T, S, det) equal the reference's, and its
+    singular scatters are the reference's exact fits."""
+    assert_same_bits(got, want[:3])
+    assert np.array_equal(_is_singular(got[1]), want[3])
 
 
 def bootstrap_cloud(method, B, precision=None, data_seed=7):
@@ -276,7 +284,7 @@ def test_mcd_search_matches_reference(name, monkeypatch):
     for seed in (0, 5, mc_ties_mcd_seed(0)) if near else (0, 5):
         masks, grown = [], []
         want = _mcd_search(Z0, Z1, seed, n_starts, h, masks, grown)
-        assert_same_bits(rc._mcd_search(Z0, Z1, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
+        assert_same_search(rc._mcd_search(Z0, Z1, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
         if near:
             # subsets of points a few 1e-15 apart pass the exact test as
             # regular, on moments that are rounding noise; guessed from such
@@ -287,7 +295,7 @@ def test_mcd_search_matches_reference(name, monkeypatch):
                 patch.setattr(rc, "_GUESS_SPREAD", 0.0)
                 calls = count_guesses(patch)
                 got = rc._mcd_search(Z0, Z1, seed, n_starts, h, rc._c_step_buffers(B, h))
-            assert_same_bits(got, want)
+            assert_same_search(got, want)
             assert len(calls) > sum(size - 3 for _, size, _ in grown)
         if name.startswith("continuous"):
             # some kept candidates stop improving while others go on
@@ -331,11 +339,12 @@ def test_mcd_rows_matches_reference_across_blocks():
     want = [_mcd_search(X[lo:lo + step], Y[lo:lo + step], 0, n_starts, h)
             for lo in range(0, len(X), step)]
     T, S, raw_det, exact = (np.concatenate(part) for part in zip(*want))
+    assert np.array_equal(_is_singular(S), exact)
     got = rc.mcd_rows(X, Y, seed=0, n_starts=n_starts)
-    assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, exact, h)[:5])
+    assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, h)[:5])
     # all rows in one search: the same bits per row
-    assert_same_bits(rc._mcd_search(X, Y, 0, n_starts, h, rc._c_step_buffers(B, h)),
-                     (T, S, raw_det, exact))
+    assert_same_search(rc._mcd_search(X, Y, 0, n_starts, h, rc._c_step_buffers(B, h)),
+                       (T, S, raw_det, exact))
 
 
 def test_start_stats_of_a_search_are_those_of_one_gather():
@@ -349,7 +358,7 @@ def test_start_stats_of_a_search_are_those_of_one_gather():
     B = X.shape[1]
     h = (B + 3) // 2
     want = _mcd_search(X, Y, 0, rc._S_MCD_STARTS, h)
-    assert_same_bits(rc._mcd_search(X, Y, 0, rc._S_MCD_STARTS, h, rc._c_step_buffers(B, h)), want)
+    assert_same_search(rc._mcd_search(X, Y, 0, rc._S_MCD_STARTS, h, rc._c_step_buffers(B, h)), want)
     alone = _mcd_search(X[3:4], Y[3:4], 0, rc._S_MCD_STARTS, h)
     assert want[3][3] and not np.array_equal(alone[0][0], want[0][3])
 
@@ -365,8 +374,9 @@ def test_mcd_rows_matches_reference_on_mmdem_rows():
     assert (len(X) * rc._S_MCD_STARTS) % (rc._BLOCK_ELEMS // B) != 0
     T, S, raw_det, exact = _mcd_search(X, Y, 0, rc._S_MCD_STARTS, h)
     assert exact.any() and not exact.all()
+    assert np.array_equal(_is_singular(S), exact)
     got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
-    assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, exact, h)[:5])
+    assert_same_bits(got[:5], rc._finish_mcd(X, Y, T, S, raw_det, h)[:5])
 
 
 @pytest.mark.parametrize("B", [40, 999])
@@ -444,26 +454,35 @@ def validate_ties_cloud():
     return mj.bootstrap(mj.generate(spec), "paba", B=2000, seed=0).pairs
 
 
+def first_singular(S):
+    """Index of the first singular scatter of one row's stack."""
+    return np.flatnonzero(_is_singular(S))[0]
+
+
 def grow_both(X, Y, seed, n_starts, grown=None):
-    """(T, S, det, best_T, best_S, exact) after the reference's growth and after
-    ``robustcov._grow_singular``, from the same elemental starts and draws;
-    ``grown`` collects the reference's grown starts as ``_grow`` does."""
+    """The (T, S, det) stacks after the reference's growth, each exact fit
+    written at its row's first still-singular start, and the reference's
+    exact-fit flags; then the stacks after ``robustcov._grow_singular``,
+    from the same elemental starts and draws.  ``grown`` collects the
+    reference's grown starts as ``_grow`` does."""
     m, B = X.shape
     h = (B + 3) // 2
     starts, rng = _elemental_starts(B, seed, n_starts)
     state = rng.bit_generator.state
     stats = _subset_stats(X[:, starts], Y[:, starts])
     assert _is_singular(stats[1]).any()
-
-    def fresh():
-        rng.bit_generator.state = state
-        return [a.copy() for a in stats] + [np.zeros((m, 2)), np.zeros((m, 2, 2)), np.zeros(m, dtype=bool)]
-
-    want = fresh()
-    _grow(X, Y, starts, rng, h, *want, growths=grown)
-    got = fresh()
+    want, got = [a.copy() for a in stats], [a.copy() for a in stats]
+    best_T, best_S, exact = np.zeros((m, 2)), np.zeros((m, 2, 2)), np.zeros(m, dtype=bool)
+    _grow(X, Y, starts, rng, h, *want, best_T, best_S, exact, growths=grown)
+    T, S, det = want
+    for r in np.flatnonzero(exact):
+        # the det of _subset_stats, bit for bit
+        (s00, s01), (_, s11) = best_S[r]
+        j = first_singular(S[r])
+        T[r, j], S[r, j], det[r, j] = best_T[r], best_S[r], s00 * s11 - s01 * s01
+    rng.bit_generator.state = state
     rc._grow_singular(X, Y, starts, rng.integers(0, B, size=64).tolist(), rng, h, *got)
-    return want, got
+    return want, exact, got
 
 
 def single_row(points):
@@ -485,9 +504,9 @@ GROWTH_INPUTS = {
 def test_grown_starts_match_reference(name):
     # every grown start's stats, every untouched start's, and each row's
     # exact fit, not only the search's result
-    want, got = grow_both(*GROWTH_INPUTS[name]())
+    want, exact, got = grow_both(*GROWTH_INPUTS[name]())
     assert_same_bits(got, want)
-    assert want[5].any() == (name == "collinear-growth-rows")
+    assert exact.any() == (name == "collinear-growth-rows")
 
 
 def test_wrong_guesses_rerun_to_the_reference(monkeypatch):
@@ -497,7 +516,9 @@ def test_wrong_guesses_rerun_to_the_reference(monkeypatch):
     # guessed singular (before h points and at h), a singular one guessed
     # regular (before h, and at h, an exact fit), and exact fits a
     # contradiction drops.  The rows that go on keep the reference's grown
-    # starts, and the others its exact fits
+    # starts.  An exact row's fit sits at the reference's first singular
+    # start, after the reference's grown starts; the later starts may keep
+    # stats of the discarded guessed growth, which the search never reads
     (X, Y), (Xt, Yt) = collinear_growth_rows(), tied_mmdem_rows(8)
     X, Y = np.vstack([X, Xt]), np.vstack([Y, Yt])
     rng, guess = np.random.default_rng(9), rc._guess_singular
@@ -508,11 +529,14 @@ def test_wrong_guesses_rerun_to_the_reference(monkeypatch):
 
     monkeypatch.setattr(rc, "_guess_singular", wrong)
     calls, grown = count_guesses(monkeypatch), []
-    want, got = grow_both(X, Y, 0, rc._S_MCD_STARTS, grown)
-    on = ~want[5]
-    assert_same_bits([a[on] for a in got[:3]], [a[on] for a in want[:3]])
-    assert_same_bits(got[3:], want[3:])
-    assert want[5][:3].all() and on[3:].all()
+    want, exact, got = grow_both(X, Y, 0, rc._S_MCD_STARTS, grown)
+    on = ~exact
+    assert_same_bits([a[on] for a in got], [a[on] for a in want])
+    for r in np.flatnonzero(exact):
+        j = first_singular(want[1][r])
+        assert first_singular(got[1][r]) == j
+        assert_same_bits([a[r, :j + 1] for a in got], [a[r, :j + 1] for a in want])
+    assert exact[:3].all() and on[3:].all()
     assert len(calls) > sum(size - 3 for _, size, _ in grown)
 
 @pytest.mark.parametrize("B", [10, 39, 40, 999, 2000])
@@ -554,7 +578,7 @@ def search_both(X, Y, seed=0, n_starts=rc._S_MCD_STARTS):
     h = (B + 3) // 2
     grown = []
     want = _mcd_search(X, Y, seed, n_starts, h, growths=grown)
-    assert_same_bits(rc._mcd_search(X, Y, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
+    assert_same_search(rc._mcd_search(X, Y, seed, n_starts, h, rc._c_step_buffers(B, h)), want)
     return want, grown, h
 
 
@@ -586,6 +610,17 @@ def test_mcd_rows_equals_one_row_calls():
             for i in range(len(X))]
     assert_same_bits(got[:5], [np.concatenate(part) for part in zip(*(r[:5] for r in rows))])
     assert got.singular.any() and not got.singular.all()
+
+
+@pytest.mark.parametrize("rows", [lambda: tied_mmdem_rows(40), collinear_growth_rows,
+                                  lambda: hemoglobin_rows(28), lambda: hemoglobin_rows(301, seed=0)],
+                         ids=["tied", "collinear", "hemoglobin", "hemoglobin-exact-fits"])
+def test_mcd_rows_flags_a_row_singular_where_its_scatter_is(rows):
+    # an exact fit comes back as its raw scatter, and every other row's
+    # finished scatter is regular
+    X, Y = rows()
+    got = rc.mcd_rows(X, Y, seed=0, n_starts=rc._S_MCD_STARTS)
+    assert np.array_equal(got.singular, _is_singular(got.scatter))
 
 
 def test_mcd_rows_equals_one_row_calls_across_row_blocks():
