@@ -311,41 +311,36 @@ def _mm_starts(X, Y):
 
     Both S-estimators start a row from the same MCD, so a row whose MCD is
     singular fails both.  Returns ``(b0, b1, ok, failure)``; where ``ok`` is
-    False, ``failure`` holds a StartFailureError naming the last starter
-    failure (None when the starters converged to a line that is not finite).
+    False, ``failure`` holds a StartFailureError naming the row's last
+    starter failure (None when the starters converged to a line that is not
+    finite).  An MCD start that cannot be taken at all is every row's cause.
     """
     from . import robustcov
 
     m = len(X)
     b0, b1 = np.full(m, np.nan), np.full(m, np.nan)
     todo = np.ones(m, dtype=bool)
-    failure = np.full(m, None, dtype=object)
+    cause = np.full(m, None, dtype=object)
+    starters = (robustcov.S_BISQUARE, robustcov.S_ROCKE)
     try:
         start = robustcov.s_start(X, Y)
     except ValidationError as err:
-        failure.fill(StartFailureError(f"both covariance starters failed: {err}"))
-        return b0, b1, ~todo, failure
-    starters = (robustcov.S_BISQUARE, robustcov.S_ROCKE)
-    last = np.zeros(m, dtype=np.intp)  # code of the row's last starter failure; -1: indeterminate slope
-    last_by = np.zeros(m, dtype=np.intp)  # index of that starter
-    for k, estimator in enumerate(starters):
+        cause.fill(err)
+        starters = ()
+    for estimator in starters:
         rows = np.flatnonzero(todo)
         center, scatter, code = robustcov.s_rows(X[rows], Y[rows], start.take(rows), estimator)
         sxx, sxy, syy = scatter[:, 0, 0], scatter[:, 0, 1], scatter[:, 1, 1]
-        code[(code == 0) & ((sxx <= 0.0) | (sxy == 0.0))] = -1
+        indeterminate = (code == 0) & ((sxx <= 0.0) | (sxy == 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             c1 = 0.5 * (sxy / sxx + syy / sxy)
             c0 = center[:, 1] - c1 * center[:, 0]
-        good = (code == 0) & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
-        hit = code != 0
-        last[rows[hit]], last_by[rows[hit]] = code[hit], k
+        good = (code == 0) & ~indeterminate & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
+        cause[rows[code != 0]] = [robustcov.s_failure(c, estimator) for c in code[code != 0]]
+        cause[rows[indeterminate]] = DegenerateDataError("covariance start gives indeterminate slope")
         b0[rows[good]], b1[rows[good]], todo[rows[good]] = c0[good], c1[good], False
-    for i in np.flatnonzero(todo):
-        if last[i] == -1:
-            cause = DegenerateDataError("covariance start gives indeterminate slope")
-        else:
-            cause = robustcov.s_failure(last[i], starters[last_by[i]]) if last[i] else None
-        failure[i] = StartFailureError(f"both covariance starters failed: {cause}")
+    failure = np.full(m, None, dtype=object)
+    failure[todo] = [StartFailureError(f"both covariance starters failed: {c}") for c in cause[todo]]
     return b0, b1, ~todo, failure
 
 

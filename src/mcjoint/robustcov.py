@@ -103,31 +103,29 @@ def median_rows(A: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarr
     """Median along the last axis: ``np.median(A, axis=-1)``, bit for bit.
 
     ``np.median`` partitions at the middle and at the end (to catch NaNs),
-    which takes numpy's slow multi-kth path; one partition point takes its
-    vectorised selection.  Only the sign of a zero median may differ.
-    The partition runs on a copy of ``A``: in ``scratch`` when given (an
-    array of A's shape, overwritten), else in a new array.  A median is an
-    order statistic, so where the copy lives cannot change it.
+    which takes numpy's slow multi-kth path.  A row of at most 64 values is
+    sorted, which gives both middle values; a longer one takes one partition
+    point, numpy's vectorised selection.  Only the sign of a zero median may
+    differ.  This runs on a copy of ``A``: in ``scratch`` when given (A's
+    shape, overwritten), else in a new array; a median is an order statistic,
+    so where the copy lives cannot change it.
     """
     A = np.asarray(A, dtype=float)
-    h = A.shape[-1] // 2
+    n = A.shape[-1]
+    h = n // 2
     part = np.empty_like(A) if scratch is None else scratch
     np.copyto(part, A)
-    part.partition(h, axis=-1)
+    if n <= 64:
+        part.sort(axis=-1)
+    else:
+        part.partition(h, axis=-1)
     med = part[..., h]
-    if A.shape[-1] % 2 == 0:
-        # the lower middle value is the largest of the h before the
-        # partition point; over many short rows (16 h or more) a running
-        # maximum down the h columns beats numpy's strided row reduction
-        if part.size >= 16 * h * A.shape[-1]:
-            low = part[..., 0].copy()
-            for j in range(1, h):
-                np.maximum(low, part[..., j], out=low)
-        else:
-            low = part[..., :h].max(axis=-1)
+    if n % 2 == 0:
+        # the lower middle value is the largest of the h before the middle
+        low = part[..., h - 1] if n <= 64 else part[..., :h].max(axis=-1)
         med = (low + med) / 2
     # NaNs sort after every number, so a row's NaN lies at or beyond its
-    # partition point; one pass over the whole array rules them all out first
+    # middle; one pass over the whole array rules them all out first
     nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
     return np.where(nan, np.nan, med)
 
@@ -793,40 +791,38 @@ def s_start(Z0: np.ndarray, Z1: np.ndarray) -> McdRows:
     return mcd_rows(Z0, Z1, seed=0, n_starts=_S_MCD_STARTS)
 
 
-def _m_scale(d: np.ndarray, rho_upsi, b0: float, s: np.ndarray, run: np.ndarray):
-    """Solve mean rho(d/s) = b0 per row by a safeguarded Newton step in log s.
+def _m_scale(d: np.ndarray, rho_upsi, b0: float, s: np.ndarray):
+    """Solve mean rho(d/s) = b0 for every row by a safeguarded Newton step in log s.
 
     With u = d/s, v = mean rho(u) and q = mean u psi(u), the slope of v in
     -log s, a row steps to s exp((v - b0)/q) where q >= v/2, and otherwise
     takes the fixed-point step s sqrt(v/b0): rows near breakdown, which the
     fixed point cannot settle, so still fail as unsettled.  ``s`` holds the
-    starting scales; only rows with ``run`` set iterate.  Returns the scales
-    and a failure code per row.  A row's scale is written back when it
-    stops, so an iteration in which every row moves on costs only the step.
+    starting scales.  Returns the scales and a failure code per row.  A row
+    leaves when it stops, its scale written then, so an iteration in which
+    every row moves on costs only the step.
     """
-    s = s.copy()
+    out = np.empty(len(d))
     code = np.zeros(len(d), dtype=np.intp)
-    rows = np.flatnonzero(run)
-    d_run, s_run = d[rows], s[rows]
+    rows = np.arange(len(d))
     target = d.shape[1] * b0  # sums over the row stand for the means
     for _ in range(_M_SCALE_MAX_ITER):
         if rows.size == 0:
-            return s, code
-        r, g = rho_upsi(d_run / s_run[:, None])
+            return out, code
+        r, g = rho_upsi(d / s[:, None])
         val, q = np.add.reduce(r, axis=1), np.add.reduce(g, axis=1)
         zero = val <= 0.0
         step = np.where(q >= _NEWTON_SLOPE * val, (val - target) / q, 0.5 * np.log(val / target))
-        s_new = s_run * np.exp(step)
-        stop = zero | (np.abs(s_new - s_run) <= _M_SCALE_TOL * s_run)
+        s_new = s * np.exp(step)
+        stop = zero | (np.abs(s_new - s) <= _M_SCALE_TOL * s)
         if stop.any():
-            s[rows[stop]] = s_new[stop]
+            out[rows[stop]] = s_new[stop]
             code[rows[zero]] = _UNATTAINABLE
-            moving = ~stop
-            rows, d_run, s_new = rows[moving], d_run[moving], s_new[moving]
-        s_run = s_new
-    s[rows] = s_run
+            rows, d, s_new = rows[~stop], d[~stop], s_new[~stop]
+        s = s_new
+    out[rows] = s
     code[rows] = _UNSETTLED
-    return s, code
+    return out, code
 
 
 def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
@@ -835,45 +831,53 @@ def s_rows(Z0: np.ndarray, Z1: np.ndarray, start: McdRows, est: SEstimator):
     Each row iterates: distances under the current determinant-one shape,
     the M-scale s solving mean rho(d/s) = b0 (``_m_scale``, from the
     previous s after the first step), weights w(d/s), and the weighted
-    mean and shape; it stops once s moves by at most ``_S_TOL`` relative.
-    Returns centers (m, 2), scatters (m, 2, 2) and a failure code per row:
-    0 where the row converged, else the code ``s_failure`` turns into its
-    exception.
+    mean and shape.  The live rows' data, center, shape and s are gathered
+    once and stepped in place.  A row leaves at its first failure, with the
+    state it failed from, or once s moves by at most ``_S_TOL`` relative;
+    only then are its state and code written back.  Returns centers (m, 2),
+    scatters (m, 2, 2) and a failure code per row: 0 where the row
+    converged, else the code ``s_failure`` turns into its exception.
     """
-    m = len(Z0)
     T = start.center.copy()
-    s = np.zeros(m)
+    s = np.zeros(len(Z0))
     code = np.where(start.singular, _SINGULAR_START, 0)
     rows = np.flatnonzero(code == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         V = start.scatter
         G = V / np.sqrt(V[:, 0, 0] * V[:, 1, 1] - V[:, 0, 1] ** 2)[:, None, None]
+        z0, z1, t, g, sv = Z0[rows], Z1[rows], T[rows], G[rows], s[rows]
+
+        def leave(out, why):  # write the live rows ``out`` back with code ``why``
+            nonlocal rows, z0, z1, t, g, sv
+            T[rows[out]], G[rows[out]], s[rows[out]], code[rows[out]] = t[out], g[out], sv[out], why
+            rows, z0, z1, t, g, sv = rows[~out], z0[~out], z1[~out], t[~out], g[~out], sv[~out]
+
         for it in range(_S_MAX_ITER):
             if rows.size == 0:
                 break
-            Za0, Za1 = Z0[rows], Z1[rows]
-            d = np.sqrt(_mahalanobis_rows(Za0, Za1, T[rows], G[rows]))
-            med = median_rows(d)
-            med = np.where(med > 0, med, d.mean(axis=1))
-            status = np.where(med > 0, 0, _COINCIDENT)
-            s_init = med / math.sqrt(_chi2_2_ppf(0.5)) if it == 0 else s[rows]
-            s_new, scale_status = _m_scale(d, est.rho_upsi, est.b0, s_init, status == 0)
-            status = np.where(status == 0, scale_status, status)
+            d = np.sqrt(_mahalanobis_rows(z0, z1, t, g))
+            mean = d.mean(axis=1)
+            live = mean > 0  # coincident: no positive mean or median; read the median only there
+            if not live.all():
+                live[~live] = median_rows(d[~live]) > 0
+                leave(~live, _COINCIDENT)
+                d, mean = d[live], mean[live]
+            if it == 0:  # the first M-scale starts from the median distance, or the mean where it is 0
+                med = median_rows(d)
+                s_first = np.where(med > 0, med, mean) / math.sqrt(_chi2_2_ppf(0.5))
+            s_new, status = _m_scale(d, est.rho_upsi, est.b0, sv if it else s_first)
             w = est.weight(d / s_new[:, None])
-            sw, T_new, C = _weighted_moments(Za0, Za1, w)
+            sw, t_new, C = _weighted_moments(z0, z1, w)
             status[(status == 0) & ((sw <= 0) | ((w > 0).sum(axis=1) < 3))] = _REJECTED
             detC = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] ** 2
             status[(status == 0) & _is_singular(C)] = _COLLAPSED
             ok = status == 0
-            shift = np.abs(s_new - s[rows]) / s_new if it else np.full(len(rows), np.inf)
-            code[rows] = status
-            done, moving = rows[ok], ok & ~(shift <= _S_TOL)
-            T[done] = T_new[ok]
-            G[done] = C[ok] / np.sqrt(detC[ok])[:, None, None]
-            s[done] = s_new[ok]
-            rows = rows[moving]
+            out = ~ok | (np.abs(s_new - sv) / s_new <= _S_TOL)  # never in the first step: sv is 0
+            t[ok], g[ok], sv[ok] = t_new[ok], C[ok] / np.sqrt(detC[ok])[:, None, None], s_new[ok]
+            if out.any():
+                leave(out, status[out])
+        leave(np.ones(rows.size, dtype=bool), _NOT_CONVERGED)
         scatter = (s * s)[:, None, None] * G
-    code[rows] = _NOT_CONVERGED
     return T, scatter, code
 
 

@@ -41,9 +41,9 @@ def hemoglobin_solves():
     solves = []
     m_scale = rc._m_scale
 
-    def record(d, rho_upsi, b0, s_init, run):
-        s_out, code = m_scale(d, rho_upsi, b0, s_init, run)
-        solves.extend((d[i], rho_upsi, b0, s_init[i], s_out[i], code[i]) for i in np.flatnonzero(run))
+    def record(d, rho_upsi, b0, s_init):
+        s_out, code = m_scale(d, rho_upsi, b0, s_init)
+        solves.extend((d[i], rho_upsi, b0, s_init[i], s_out[i], code[i]) for i in range(len(d)))
         return s_out, code
 
     with pytest.MonkeyPatch.context() as mp:

@@ -33,11 +33,13 @@ def assert_same_bits(got, want):
     assert (np.signbit(got) == np.signbit(want)).all()
 
 
-@pytest.mark.parametrize("width", [999, 998, 41, 40])
+@pytest.mark.parametrize("width", [999, 998, 65, 64, 41, 40])
 def test_median_rows_equals_np_median(width):
+    # rows of at most 64 values are sorted, longer ones partitioned
     rng = np.random.default_rng(width)
     A = rng.normal(size=(50, width))
     assert_same_bits(median_rows(A), np.median(A, axis=-1))
+    assert_same_bits(median_rows(A[:1]), np.median(A[:1], axis=-1))  # one row
     tied = np.round(np.abs(A), 1)  # few distinct values, many ties
     assert_same_bits(median_rows(tied), np.median(tied, axis=-1))
     huge = rng.uniform(0.9, 1.0, size=(50, width)) * 1.7e308  # the middle pair's sum overflows
@@ -99,8 +101,8 @@ def median_rows_by_row_max(A):
 
 @pytest.mark.parametrize("shape", [(2001, 20), (2001, 40), (999, 40), (320, 20), (200, 40), (16, 2000)])
 def test_even_width_median_equals_the_row_reduction(shape):
-    # MDem's residual medians (n=20 and n=40 over bootstrap rows) take a
-    # running maximum down the columns; fewer rows take the row reduction
+    # MDem's residual medians (n=20 and n=40 over bootstrap rows) are sorted;
+    # rows longer than 64 values take the row reduction
     rows, width = shape
     rng = np.random.default_rng(rows + width)
     A = rng.normal(size=shape)

@@ -493,3 +493,26 @@ def test_s_cov_and_rocke_cov_raise_the_reference_failure():
         # under 5 points the reference stopped at its own "need at least 5
         # points"; the MCD start's check now speaks for every short sample
         assert_same_failure(_outcome(got_fn, line[:4]), _outcome(want_fn, line[:8]))
+
+
+def test_robust_start_is_row_independent():
+    # a row's S-estimates and MMDem start, failures included, do not depend
+    # on the rows batched with it: the tied rows and mm_rows' collinear and
+    # coincident rows give the same bits reversed and split into two batches
+    X, Y = (np.vstack(pair) for pair in zip(mm_rows(), tied_rows()))
+    start = rc.s_start(X, Y)
+
+    def run(rows):
+        out = [a for estimator in (rc.S_BISQUARE, rc.S_ROCKE)
+               for a in rc.s_rows(X[rows], Y[rows], start.take(rows), estimator)]
+        b0, b1, ok, failure = est._mm_starts(X[rows], Y[rows])
+        return out + [b0, b1, ok, np.array([repr(f) for f in failure])]
+
+    whole = run(np.arange(len(X)))
+    assert (whole[2] != 0).any() and (whole[5] != 0).any() and not whole[-2].all()
+    cut = len(X) // 3
+    rev = [a[::-1] for a in run(np.arange(len(X))[::-1])]
+    split = [np.concatenate(pair) for pair in zip(run(np.arange(cut)), run(np.arange(cut, len(X))))]
+    for got in (rev, split):
+        for g, w in zip(got, whole):
+            assert g.shape == w.shape and np.ascontiguousarray(g).tobytes() == w.tobytes()
