@@ -9,7 +9,10 @@ Carlo machinery to study calibration and power.
 modules, nothing more.  The process pool (multiprocessing,
 concurrent.futures) loads with the first ``run_plan`` that starts one
 (more than one worker), and scipy with the first rejection-curve fit
-(``fit-power``).
+(``fit-power``).  A ``validate`` run or a Monte Carlo replicate loads
+numpy.random (the resamples and the robust covariances' random starts)
+and statistics (the BCa interval's normal distribution) beyond that; it
+never loads numpy.ma, scipy or a pool.
 
 Importing the package pins BLAS to one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1.  Every matrix here is two

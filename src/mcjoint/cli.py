@@ -42,7 +42,7 @@ from .errors import McjointError, ValidationError
 from .estimators import METHODS, DemingConfig
 from .jetest import VALIDATED, report_to_json, validate
 from .powerfit import MIN_POINTS, fit_rejection_curve, invert_for_power, type1_at_null
-from .resampling import MIN_REPLICATES, check_alpha
+from .resampling import check_alpha, check_replicates
 from .robustcov import COV_METHODS
 from .simulation import (
     VERDICTS,
@@ -125,8 +125,7 @@ def _validate_config(args) -> DemingConfig:
     """Check the numeric flags of ``validate``; raises ValidationError."""
     check_alpha("--je-alpha", args.je_alpha)
     check_alpha("--ci-alpha", args.ci_alpha)
-    if args.b < MIN_REPLICATES:
-        raise ValidationError(f"--b must be >= {MIN_REPLICATES}, got {args.b}")
+    check_replicates("--b", args.b)
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     return DemingConfig(lam=args.lam)

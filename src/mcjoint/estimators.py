@@ -98,14 +98,15 @@ def _weighted_deming(X, Y, W, lam, scratch=None):
 
     Minimizes sum(w * (d^2 + lam * e^2)) at the optimal decomposition,
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
-    with an indeterminate slope (s_xy = 0) get ok=False.  ``scratch`` is
-    the moments' three work arrays of X's shape (``_weighted_moments``).
+    with an indeterminate slope (s_xy = 0, or a form that overflows at a
+    huge lam) get ok=False.  ``scratch`` is the moments' three work arrays
+    of X's shape (``_weighted_moments``).
     """
     sw, T, C = _weighted_moments(X, Y, W, scratch)
     xm, ym = T[:, 0], T[:, 1]
     sxx, syy, sxy = C[:, 0, 0] / sw, C[:, 1, 1] / sw, C[:, 0, 1] / sw
     t = lam * syy - sxx
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b1 = (t + np.sqrt(t * t + 4.0 * lam * sxy * sxy)) / (2.0 * lam * sxy)
     ok = (sxy != 0.0) & np.isfinite(b1) & (b1 != 0.0)
     b0 = ym - b1 * xm
@@ -428,7 +429,8 @@ class _Method(NamedTuple):
 
 
 _METHOD_TABLE = {
-    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0)"),
+    "dem": _Method("Dem", batch_dem, _check_dem,
+                   "dem: slope indeterminate (s_xy = 0, or lam overflows the closed form)"),
     "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit"),
     "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit"),
     "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit"),

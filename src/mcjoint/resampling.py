@@ -9,6 +9,7 @@ together, exceed 5% of B raises EnsembleQualityError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,6 +23,7 @@ from .estimators import fit  # noqa: F401
 from .rng import seed_path, task_rng
 
 MIN_REPLICATES = 199
+MAX_REPLICATES = 100_000  # 50 times the paper's B = 2000
 MAX_FAIL_FRACTION = 0.05
 
 
@@ -78,8 +80,7 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     fit counts, and once more than 5% of B have failed the ensemble raises
     EnsembleQualityError before the next round.
     """
-    if B < MIN_REPLICATES:
-        raise ValidationError(f"B must be >= {MIN_REPLICATES}")
+    check_replicates("B", B)
     check_sample(s, method)
     n = s.n
     path = seed_path(seed)
@@ -118,6 +119,14 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
     )
 
 
+def check_replicates(name: str, B: int) -> None:
+    """The one rule for a bootstrap size: ``B`` in [MIN_REPLICATES,
+    MAX_REPLICATES], else ValidationError naming ``name``.  The upper bound
+    stops a mistyped size (say 1e11) before its (B, n) index matrix is allocated."""
+    if not MIN_REPLICATES <= B <= MAX_REPLICATES:
+        raise ValidationError(f"{name} must be in [{MIN_REPLICATES}, {MAX_REPLICATES}], got {B}")
+
+
 def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
     n = s.n
     keep = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
@@ -133,10 +142,14 @@ def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_alpha(name: str, alpha: float) -> None:
-    """The one rule for a test or interval level: ``alpha`` in (0, 1), else
-    ValidationError naming ``name``."""
+    """The one rule for a test or interval level: ``alpha`` in (0, 1) and
+    above 2**-53, else ValidationError naming ``name``.  At or below 2**-53,
+    1 - alpha/2 rounds to 1, whose normal quantile is infinite."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"{name} must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValidationError(f"{name} must exceed 2**-53 (at or below it, 1 - alpha/2 "
+                              f"rounds to 1), got {alpha}")
 
 
 def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
@@ -164,12 +177,50 @@ def _acceleration(jack_col: np.ndarray) -> float:
     return float((dev ** 3).sum() / (6.0 * denom))
 
 
+def _linear_quantiles(values: np.ndarray, levels) -> list:
+    """``np.quantile(values, levels)`` of 1-D ``values``, bit for bit.
+
+    numpy's default ('linear') rule: level q sits at virtual index
+    v = (n - 1) q, between the order statistics of ranks floor(v) and
+    floor(v) + 1 at weight t = v - floor(v).  At v >= n - 1 both ranks are
+    the largest value's and the lower rank counts as -1 in t; at v < 0 both
+    are the smallest's.  One partition places every rank, and the smallest
+    and largest values as numpy's does, so equal values (0.0 and -0.0)
+    land where they land in numpy's; a NaN, which sorts last, makes every
+    quantile NaN.  The interpolation is numpy's ``_lerp``: a + (b - a) t,
+    or b - (b - a)(1 - t) for t >= 0.5.  This keeps ``np.quantile`` off
+    the path, which loads numpy.ma through ``np.unique``.
+    """
+    n = values.size
+    ranks = []
+    for q in levels:
+        v = (n - 1) * q
+        if v >= n - 1:
+            ranks.append((n - 1, n - 1, v + 1.0))
+        elif v < 0:
+            ranks.append((0, 0, v))
+        else:
+            lo = math.floor(v)
+            ranks.append((lo, lo + 1, v - lo))
+    part = np.partition(values, sorted({0, n - 1}.union(*(r[:2] for r in ranks))))
+    if math.isnan(part[-1]):
+        return [math.nan] * len(ranks)
+    out = []
+    for lo, hi, t in ranks:
+        a, b = float(part[lo]), float(part[hi])
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
-    """Bias-corrected and accelerated interval per parameter.
+    """Bias-corrected and accelerated interval per parameter (Efron 1987).
 
     When every replicate falls on one side of the point estimate the bias
     correction is infinite; that parameter falls back to the percentile
-    interval and the result is flagged.
+    interval and the result is flagged.  Both endpoints are the
+    replicates' quantiles at the adjusted levels (at alpha/2 and
+    1 - alpha/2 for the fallback) by numpy's default linear rule, read
+    through ``_linear_quantiles``, so they equal ``np.quantile``'s bit for bit.
     """
     from statistics import NormalDist  # off the import path: it loads fractions and decimal
     check_alpha("alpha", alpha)
@@ -180,12 +231,12 @@ def bca_ci(e: BootstrapEnsemble, alpha: float = 0.05) -> IntervalPair:
         frac = float((e.pairs[:, col] < theta[col]).mean())
         if frac <= 0.0 or frac >= 1.0:
             fallback = True
-            lo, hi = np.quantile(e.pairs[:, col], [alpha / 2.0, 1.0 - alpha / 2.0])
+            lo, hi = _linear_quantiles(e.pairs[:, col], (alpha / 2.0, 1.0 - alpha / 2.0))
         else:
             z0 = NormalDist().inv_cdf(frac)
             a = _acceleration(e.jack[:, col])
             a1, a2 = _bca_levels(z0, a, alpha)
-            lo, hi = np.quantile(e.pairs[:, col], [a1, a2])
+            lo, hi = _linear_quantiles(e.pairs[:, col], (a1, a2))
         bounds[col] = (lo, hi)
     return IntervalPair(
         slope_lo=float(bounds[1, 0]), slope_hi=float(bounds[1, 1]),

@@ -396,10 +396,11 @@ def _grow_singular(Z0: np.ndarray, Z1: np.ndarray, starts: np.ndarray, draws: li
     # row r's singular starts are cs[bounds[r]:bounds[r + 1]]; the guesses
     # start from their means and sums of centered cross products (twice the
     # scatter of 3 points)
-    bounds = np.searchsorted(rs, np.arange(m + 1)).tolist()
+    bounds = np.searchsorted(rs, np.arange(m + 1))
+    rows = np.flatnonzero(np.diff(bounds)).tolist()  # the rows with a singular start
+    bounds = bounds.tolist()
     moments = np.column_stack([T[rs, cs], 2.0 * S[rs, cs, 0, 0], 2.0 * S[rs, cs, 1, 1],
                                2.0 * S[rs, cs, 0, 1]])
-    rows = np.unique(rs).tolist()
     for guessed in (True, False):
         # a run is one start's growth: (row, start, length, whether it ends in
         # an exact fit), four entries of ``runs``; its members follow the

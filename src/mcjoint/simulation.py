@@ -46,7 +46,7 @@ from .dataset import GeneratorSpec, generate
 from .errors import McjointError, ValidationError
 from .estimators import METHODS
 from .jetest import H0, je_test
-from .resampling import MIN_REPLICATES, bca_ci, bootstrap, check_alpha
+from .resampling import bca_ci, bootstrap, check_alpha, check_replicates
 from .robustcov import COV_METHODS
 
 # verdict kind -> (type1_table.csv label, whether it judges intercept and slope together, as
@@ -93,8 +93,7 @@ class SimulationPlan:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.replicates < 50:
             raise ValidationError("need at least 50 replicates per grid point")
-        if self.B < MIN_REPLICATES:
-            raise ValidationError(f"B must be >= {MIN_REPLICATES}, got {self.B}")
+        check_replicates("B", self.B)
         if not self.je_alphas:
             raise ValidationError("je_alphas must not be empty")
         check_alpha("ci_alpha", self.ci_alpha)
@@ -445,12 +444,13 @@ def _write_type1_outputs(out: Path, plan: SimulationPlan, points, records):
          repr(float(1.0 - p.rate)), p.n_used]
         for p in points])
     nominal = np.linspace(0.002, 0.2, 100)  # the P-P curve: JE rejection vs nominal alpha
-    rows = [["method", "cov", "nominal_alpha", "empirical_rejection"]]
+    rows = [["method", "cov", "nominal_alpha", "empirical_rejection", "n_used"]]
     for method in plan.methods:
         entries = [r[method] for r in records]
         for cov in plan.cov_methods:
-            rates = _rejection_rate(entries, "je", cov, nominal)[0]
-            rows += [[method, cov, repr(float(a)), repr(float(r))] for a, r in zip(nominal, rates)]
+            rates, _, n_used = _rejection_rate(entries, "je", cov, nominal)
+            rows += [[method, cov, repr(float(a)), repr(float(r)), n_used]
+                     for a, r in zip(nominal, rates)]
     write_csv(out / "pp_data.csv", rows)
 
 

@@ -110,7 +110,7 @@ def write_unusable_paths(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--ci-alpha", 0), ("--ci-alpha", 1.5), ("--je-alpha", 1.5), ("--lam", 0), ("--lam", "inf"),
     ("--b", 10), ("--seed", -1), ("--input", "a-directory"), ("--input", "latin-1.csv"),
-    ("--out", "a-file"),
+    ("--out", "a-file"), ("--ci-alpha", 1e-17), ("--b", 100_000_000_000),
 ])
 def test_validate_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     write_unusable_paths(tmp_path)
@@ -122,6 +122,21 @@ def test_validate_bad_flag_value_exits_2(tmp_path, capsys, flag, value):
     assert_one_line_error(err)
     assert not (tmp_path / "out").exists()
     assert (tmp_path / "a-file").read_text() == ""
+
+
+@pytest.mark.parametrize("method", ["dem", "wdem", "mdem", "mmdem"])
+@pytest.mark.parametrize("lam", ["1e160", "1e300"])
+def test_validate_huge_lam_exits_1_with_one_line_and_no_warning(tmp_path, capsys, method, lam):
+    # the closed form's t * t overflowed, and numpy warned on stderr before the message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, "validate", "--input", hemoglobin_path(), "--out",
+                         tmp_path / "out", "--method", method, "--cov", "classic", "--b", 199,
+                         "--lam", lam)
+    assert rc == 1
+    assert_one_line_error(err)
+    assert "s_xy = 0)" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_singular_scatter_on_ties_exits_1(tmp_path, capsys):
@@ -179,6 +194,7 @@ def test_simulate_unparsable_plan_file_exits_2(tmp_path, capsys, text):
     ("b", 100), ("ci_alpha", 0), ("je_alphas", "0.05, 1.5"), ("je_alphas", ","),
     ("methods", ","), ("paper_factor", 0), ("je_alphas", "0.05, abc"), ("master_seed", -1),
     ("methods", "dem, dem"), ("cov_methods", "classic, CLASSIC"), ("je_alphas", "0.05, 0.05"),
+    ("ci_alpha", "1e-17"), ("b", 100_000_000_000),
 ])
 def test_simulate_out_of_range_plan_value_exits_2(tmp_path, capsys, key, value):
     plan = write_plan(tmp_path / "plan.cfg", kind="type1", grid="1.0", **{key: value})
@@ -479,6 +495,24 @@ def test_simulate_series_without_je_p_values_writes_nan_without_warnings(tmp_pat
     assert len(rates) == 100 and set(rates) == {"nan"}
 
 
+def test_simulate_pp_data_counts_the_replicates_each_series_rests_on(tmp_path, capsys):
+    # on 2-significant-digit data the MCD scatter of some PaBa clouds is singular,
+    # so the mcd series rests on fewer replicates than the classic one
+    plan = write_plan(tmp_path / "plan.cfg", dict(precision_x=2, precision_y=2), kind="type1",
+                      grid="1.0", methods="paba", cov_methods="classic, mcd", master_seed=5)
+    out = tmp_path / "out"
+    assert simulate(capsys, plan, out, "--workers", 1)[0] == 0
+    with (out / "pp_data.csv").open(newline="") as fh:
+        pp = list(csv.DictReader(fh))
+    with (out / "type1_table.csv").open(newline="") as fh:
+        table = {row["column"]: int(row["n_used"]) for row in csv.DictReader(fh)}
+    used = {}
+    for row in pp:
+        used.setdefault(row["cov"], set()).add(int(row["n_used"]))
+    assert used == {"classic": {table["JE.CLASSIC5%"]}, "mcd": {table["JE.MCD5%"]}}
+    assert table["JE.MCD5%"] < table["JE.CLASSIC5%"] == 50
+
+
 ARTIFACT_PLANS = {
     "type1": "[generator]\nxmin = 3.0\nxmax = 8.0\nn = 25\n\n[run]\nkind = type1\n"
              "methods = dem, paba\ncov_methods = classic, mcd\nreplicates = 50\nb = 199\n"
@@ -489,15 +523,17 @@ ARTIFACT_PLANS = {
              "replicates = 50\nb = 199\nmaster_seed = 5\n",
 }
 # sha256 of each simulate artifact of ARTIFACT_PLANS, recorded before the two
-# plan kinds shared one stream loop
+# plan kinds shared one stream loop; pp_data.csv's was re-recorded when it
+# gained its n_used column, and without that column it keeps the old bytes
 ARTIFACT_SHA256 = {
     "type1/curve.csv": "58b3c4489b430e5194c4817561a958630fee7ef11df38b9ffaf43e6cd4c6da13",
     "type1/manifest.json": "72d3b93eb8b745aabe33982e8d67cd619ce764ccde3acce33e6dc9b3f02c6a2f",
     "type1/type1_table.csv": "22ba39c31dc99738f97f9ddb7b03e1931caed1cf7c17a3d48adbe33fa4c14e33",
-    "type1/pp_data.csv": "d5100639536a94cc3278a2376bea30492c64b3af9052b4fabbc009b69f931e10",
+    "type1/pp_data.csv": "b9115b2e88fd9431591c7c75e921bda882a051cf213ee99de4e22987e9c579e0",
     "power/curve.csv": "fa53ad50655d716f16c0470cbb86a06131a02a4e9da70ccc1c99700e926cbe8e",
     "power/manifest.json": "b86fead07acf55753ab5548b47d73898993b6b8e97e9c1ef83c894f907ecf754",
 }
+PP_DATA_WITHOUT_N_USED_SHA256 = "d5100639536a94cc3278a2376bea30492c64b3af9052b4fabbc009b69f931e10"
 # fit-power on the power plan's curve.csv, recorded with those hashes; compared by
 # value, since the fit's 4x4 solve may differ in its last bits between BLAS kernels
 POWER_TABLE = [
@@ -517,6 +553,9 @@ def test_simulate_and_fit_power_artifacts_keep_their_bytes(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ARTIFACT_SHA256}
     assert got == ARTIFACT_SHA256
+    pp_lines = (tmp_path / "type1" / "pp_data.csv").read_bytes().split(b"\r\n")[:-1]
+    assert hashlib.sha256(b"".join(line.rsplit(b",", 1)[0] + b"\r\n" for line in pp_lines)
+                          ).hexdigest() == PP_DATA_WITHOUT_N_USED_SHA256
     assert sorted(f.name for f in (tmp_path / "type1").iterdir()) == [
         "curve.csv", "manifest.json", "pp_data.csv", "type1_table.csv"]
     assert sorted(f.name for f in (tmp_path / "power").iterdir()) == ["curve.csv", "manifest.json"]

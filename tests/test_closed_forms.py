@@ -133,3 +133,47 @@ def test_import_loads_no_scipy():
     scipy_modules, off_path = out.stdout.splitlines()
     assert scipy_modules == "[]"
     assert off_path == "[]"
+
+
+# every validate method x covariance on hemoglobin and on a 2-significant-digit
+# sample (whose MCD starts grow through singular subsets), then one replicate of
+# each benchmark plan kind: continuous, tied, and MMDem
+_RUN_EVERY_PATH = """
+import contextlib, io, sys, tempfile
+from dataclasses import replace
+from pathlib import Path
+import mcjoint as mj
+from mcjoint import cli
+from mcjoint.estimators import METHODS
+from mcjoint.robustcov import COV_METHODS
+from mcjoint.simulation import SimulationPlan, evaluate_replicate
+
+gen = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40)
+tied = mj.GeneratorSpec(xmin=3.0, xmax=8.0, n=40, precision_x=2, precision_y=2)
+with tempfile.TemporaryDirectory() as tmp:
+    s = mj.generate(replace(tied, seed=(0, 1)))
+    csv = Path(tmp) / "tied.csv"
+    csv.write_text("reference,test\\n"
+                   + "".join(f"{a!r},{b!r}\\n" for a, b in zip(s.x.tolist(), s.y.tolist())))
+    quiet = io.StringIO()
+    for src in (mj.dataset.hemoglobin_path(), csv):
+        for method in METHODS:
+            for cov in COV_METHODS:
+                with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                    cli.main(["validate", "--input", str(src), "--method", method, "--cov", cov,
+                              "--b", "199", "--out", str(Path(tmp) / "out")])
+four = dict(methods=("dem", "wdem", "mdem", "paba"), cov_methods=("classic", "mcd", "sde"), B=999)
+for plan in (SimulationPlan(generator=gen, **four), SimulationPlan(generator=tied, **four),
+             SimulationPlan(generator=gen, methods=("mmdem",), cov_methods=("classic",), B=199)):
+    evaluate_replicate(plan, 0, 0)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_validate_and_replicates_load_no_numpy_ma():
+    # np.quantile and np.unique load numpy.ma, which nothing here uses
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _RUN_EVERY_PATH], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines() == ["[]"]

@@ -9,9 +9,11 @@ from mcjoint.dataset import GeneratorSpec, PairedSample, generate
 from mcjoint.estimators import DemingConfig
 from mcjoint import resampling
 from mcjoint.resampling import (
+    MAX_REPLICATES,
     BootstrapEnsemble,
     IntervalPair,
     _bca_levels,
+    _linear_quantiles,
     bca_ci,
     bootstrap,
 )
@@ -38,6 +40,13 @@ def identity_sample(n=12):
 def test_bootstrap_rejects_small_B(clean_sample):
     with pytest.raises(mj.ValidationError):
         bootstrap(clean_sample, "dem", CFG, B=100, seed=0)
+
+
+def test_bootstrap_rejects_a_B_above_the_bound_before_it_allocates(clean_sample):
+    # B = 1e11 raised numpy's _ArrayMemoryError from the (B + 1, n) index matrix
+    for B in (MAX_REPLICATES + 1, 100_000_000_000):
+        with pytest.raises(mj.ValidationError, match=rf"^B must be in \[199, {MAX_REPLICATES}\]"):
+            bootstrap(clean_sample, "dem", CFG, B=B, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, (0, -1)])
@@ -153,6 +162,40 @@ def test_bca_symmetric_ensemble_close_to_percentile(clean_ensemble):
 def test_bca_rejects_an_alpha_outside_0_1(clean_ensemble, alpha):
     with pytest.raises(mj.ValidationError, match=r"^alpha must be in \(0, 1\)"):
         bca_ci(clean_ensemble, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 2.0 ** -53, 5e-324])
+def test_bca_rejects_an_alpha_whose_upper_level_rounds_to_1(clean_ensemble, alpha):
+    # 1 - alpha/2 == 1.0 had NormalDist.inv_cdf raise StatisticsError
+    assert 1.0 - alpha / 2.0 == 1.0
+    with pytest.raises(mj.ValidationError, match=r"^alpha must exceed 2\*\*-53"):
+        bca_ci(clean_ensemble, alpha)
+    assert bca_ci(clean_ensemble, 2.0 ** -52).alpha == 2.0 ** -52
+
+
+def test_linear_quantiles_equal_np_quantile_bit_for_bit():
+    rng = np.random.default_rng(2105)
+    cases = 0
+    for _ in range(2600):
+        n = int(np.exp(rng.uniform(np.log(3), np.log(3001))))
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        if rng.random() < 0.4:  # ties, and signed zeros among them
+            values = np.round(values, int(rng.integers(0, 2)))
+        if rng.random() < 0.02:
+            values[rng.integers(n)] = np.nan
+        k = int(rng.integers(n))
+        levels = [0.0, 1.0,                               # the ends
+                  rng.uniform(0.0, 1.0 / (n - 1)),        # below the second order statistic
+                  k / (n - 1), 0.5,                       # integer virtual indexes
+                  1.0 - rng.uniform(0.0, 1.0 / (n - 1)),  # above the second-largest
+                  5e-324, 1.0 - 2.0 ** -53,               # a virtual index at a rounding edge
+                  *rng.random(8), *rng.uniform(0.0, 0.05, 4), *rng.uniform(0.95, 1.0, 4)]
+        rng.shuffle(levels)
+        for lo, hi in zip(levels[::2], levels[1::2]):
+            got = np.array(_linear_quantiles(values, (lo, hi)))
+            assert got.tobytes() == np.quantile(values, [lo, hi]).tobytes(), (n, lo, hi)
+            cases += 1
+    assert cases >= 10_000
 
 
 def test_bca_monotone_nesting(clean_ensemble):

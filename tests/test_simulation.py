@@ -78,6 +78,15 @@ def test_plan_validation():
             small_plan(**repeat)
 
 
+def test_plan_rejects_a_level_whose_upper_quantile_rounds_to_1_and_a_huge_B():
+    for name, bad in (("ci_alpha", 1e-17), ("je_alphas", (0.05, 1e-17))):
+        with pytest.raises(mj.ValidationError, match=rf"^{name} must exceed 2\*\*-53"):
+            small_plan(**{name: bad})
+    for B in (100, 100_001, 100_000_000_000):
+        with pytest.raises(mj.ValidationError, match=r"^B must be in \[199, 100000\], got"):
+            small_plan(B=B)
+
+
 def test_serial_parallel_identical():
     plan = small_plan(grid=(0.9, 1.0, 1.1), replicates=50, methods=("dem", "paba"))
     serial = dict(run_plan(plan, workers=1))
