@@ -18,7 +18,8 @@ made a directory, such as an existing file.  validate exits 2, before it
 creates --out, on a negative --seed and on an --input it cannot read
 (missing, a directory, or not text); fit-power does so on a --target
 outside (0, 1), a non-finite --null-value and a --curves file it cannot
-read (or that names a kind not in VERDICTS).  simulate exits 2, before it
+read (or that names a kind not in VERDICTS, or holds a rate neither nan
+nor in [0, 1]).  simulate exits 2, before it
 creates --out, when the plan file is missing, malformed (not UTF-8
 key=value text, or a repeated key) or out of range (a non-finite
 generator value, a negative master_seed, or a list naming a value twice),

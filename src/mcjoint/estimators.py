@@ -155,8 +155,6 @@ def _robust_scale(A, scratch):
 
 def batch_dem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized plain Deming over row-stacked samples."""
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
     b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
     m = X.shape[0]
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), ~ok)
@@ -221,8 +219,6 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
 
 def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized weighted Deming (inverse squared level weights)."""
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
 
     def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
         level = np.subtract(Ya, b0[:, None], out=W)  # 0.5 * (x + (y - b0) / b1)
@@ -240,8 +236,6 @@ def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
 
 def batch_mdem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized Huber-weighted Deming (weights applied on both axes)."""
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
     lam = cfg.lam
 
     def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
@@ -274,8 +268,6 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     flagged degenerate, and their start failures are returned as
     ``start_failure``.
     """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
     lam = cfg.lam
     # (near-)collinear rows defeat the covariance starters but are simply a
     # perfect fit; they keep the closed-form line
@@ -387,8 +379,6 @@ def batch_paba(X, Y) -> BatchFit:
     rows at a time, so the (rows, pairs) temporaries of B=2000 bootstrap
     rows never exist at once; each row's slopes do not depend on the others.
     """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
     m, n = X.shape
     rows = max(1, _PABA_BLOCK_SLOPES // max(1, n * (n - 1) // 2))
     b1 = np.empty(m)
@@ -423,7 +413,7 @@ def _check_wdem(s: PairedSample):
 
 class _Method(NamedTuple):
     label: str
-    batch: Callable[..., BatchFit]          # (X, Y, cfg) over row-stacked samples
+    batch: Callable[..., BatchFit]          # (X, Y, cfg) over row-stacked float arrays
     check: Optional[Callable[[PairedSample], None]]  # raises for a sample not worth fitting
     no_fit: str                             # the message of a degenerate fit
 
@@ -484,5 +474,5 @@ def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> Reg
 
 
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:
-    """Batched dispatch over row-stacked samples (bootstrap fast path)."""
-    return _method(method).batch(X, Y, cfg)
+    """Batched dispatch over row-stacked samples; the engines receive them as float arrays."""
+    return _method(method).batch(np.asarray(X, float), np.asarray(Y, float), cfg)

@@ -118,8 +118,6 @@ def _sig6(x):
         return int(x)
     if isinstance(x, (float, np.floating)):
         return float(f"{float(x):.6g}")
-    if isinstance(x, np.ndarray):
-        return [_sig6(v) for v in x.tolist()]
     if isinstance(x, (list, tuple)):
         return [_sig6(v) for v in x]
     if isinstance(x, dict):

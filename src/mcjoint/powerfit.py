@@ -91,7 +91,6 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
     a, b, s, mu = p.amplitude, p.shape, p.scale, p.location
     u = np.abs(x - mu) / s
     f = subbotin_density(x, p)
-    f = np.atleast_1d(f)
     ub = u ** b
     with np.errstate(divide="ignore", invalid="ignore"):
         log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), 0.0)
@@ -109,10 +108,7 @@ def _start_values(x: np.ndarray, y: np.ndarray) -> SubbotinParams:
     """Data-driven starting point; only the scale start needs care."""
     from scipy.special import gamma
 
-    if len(x) >= 3:
-        smooth = np.convolve(y, np.ones(3) / 3.0, mode="same")
-    else:
-        smooth = y
+    smooth = np.convolve(y, np.ones(3) / 3.0, mode="same")
     mu0 = float(x[int(np.argmax(smooth))])
     peak = float(max(y.max(), 1e-6))
     half = peak / 2.0
@@ -216,7 +212,7 @@ def pointwise_band(p: SubbotinParams, x) -> Tuple[np.ndarray, np.ndarray]:
     g = subbotin_gradient(x, p)
     var = np.einsum("ij,jk,ik->i", g, p.covariance, g).clip(min=0.0)
     half = NormalDist().inv_cdf(0.5 + _BAND_LEVEL / 2.0) * np.sqrt(var)
-    f = np.atleast_1d(subbotin_density(x, p))
+    f = subbotin_density(x, p)
     return f - half, f + half
 
 

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import PairedSample
-from .errors import ConvergenceError, EnsembleQualityError, ValidationError
+from .errors import ConvergenceError, DegenerateDataError, EnsembleQualityError, ValidationError
 from .estimators import DemingConfig, RegressionFit, batch_fit, check_sample, row_fit
 # imported only for the traced benchmark run (bench/layers.py), which wraps ``resampling.fit``
 from .estimators import fit  # noqa: F401
@@ -167,14 +167,20 @@ def _bca_levels(z0: float, a: float, alpha: float) -> Tuple[float, float]:
 
 
 def _acceleration(jack_col: np.ndarray) -> float:
+    """BCa's acceleration from the finite jackknife values; DegenerateDataError
+    where their squared or cubed deviations overflow and it is not finite."""
     vals = jack_col[np.isfinite(jack_col)]
     if len(vals) < 3:
         return 0.0
-    dev = vals.mean() - vals
-    denom = (dev ** 2).sum() ** 1.5
-    if denom == 0.0:
-        return 0.0
-    return float((dev ** 3).sum() / (6.0 * denom))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = vals.mean() - vals
+        denom = (dev ** 2).sum() ** 1.5
+        if denom == 0.0:
+            return 0.0
+        a = float((dev ** 3).sum() / (6.0 * denom))
+    if not math.isfinite(a):
+        raise DegenerateDataError("BCa acceleration is not finite: the jackknife values overflow")
+    return a
 
 
 def _linear_quantiles(values: np.ndarray, levels) -> list:

@@ -21,8 +21,8 @@ type-I plan runs as the null grid point alone.  ``simulate`` runs a plan
 into its run directory and saves each grid point as it arrives.
 ``VERDICTS`` is the one table of verdict kinds; curve.csv, type1_table.csv,
 pp_data.csv, the resume check and fit-power all read it.
-``aggregate_curve`` aggregates a whole record set in one call and is kept
-for the benchmark.
+``aggregate_curve`` turns records per grid index into curve points: for each
+grid point simulate saves, for the resume check's count, and for the benchmark.
 """
 
 from __future__ import annotations
@@ -249,24 +249,20 @@ def _rejection_rate(entries: Sequence[Dict], kind: str, cov: str, alpha):
     return rate, np.sqrt(rate * (1.0 - rate) / m) if m else rate, m
 
 
-def aggregate_grid_point(plan: SimulationPlan, gi: int, recs: Sequence[Dict]) -> List[CurvePoint]:
-    """One point per method, VERDICTS kind and series; a replicate with no verdict fails."""
-    out: List[CurvePoint] = []
-    for method in plan.methods:
-        entries = [r[method] for r in recs]
-        for kind, (_, _, series, _) in VERDICTS.items():
-            for cov, alpha in series(plan):
-                rate, se, n_used = _rejection_rate(entries, kind, cov, alpha)
-                out.append(CurvePoint(method, kind, cov, alpha, plan.grid[gi], float(rate),
-                                      float(se), n_used, len(recs) - n_used, len(recs)))
-    return out
-
-
-# kept for the benchmark: bench/run.py checks its records with it and
-# bench/layers.py wraps it; simulate aggregates per grid point instead
 def aggregate_curve(plan: SimulationPlan, records: Dict[int, List[Dict]]) -> List[CurvePoint]:
-    """The curve points of every grid point in ``records``, in grid-index order."""
-    return [p for gi in sorted(records) for p in aggregate_grid_point(plan, gi, records[gi])]
+    """The curve points of every grid point in ``records``, in grid-index order: one
+    per method, VERDICTS kind and series; a replicate with no verdict fails."""
+    out: List[CurvePoint] = []
+    for gi in sorted(records):
+        recs = records[gi]
+        for method in plan.methods:
+            entries = [r[method] for r in recs]
+            for kind, (_, _, series, _) in VERDICTS.items():
+                for cov, alpha in series(plan):
+                    rate, se, n_used = _rejection_rate(entries, kind, cov, alpha)
+                    out.append(CurvePoint(method, kind, cov, alpha, plan.grid[gi], float(rate),
+                                          float(se), n_used, len(recs) - n_used, len(recs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +400,17 @@ def write_curve_csv(points: Iterable[CurvePoint], path) -> None:
 
 
 def read_curve_csv(path) -> List[CurvePoint]:
-    """The points of a curve.csv; a row that does not parse or names a kind not in VERDICTS
-    raises ValidationError."""
+    """The points of a curve.csv; a row that does not parse, names a kind not in VERDICTS
+    or has a rate neither nan nor in [0, 1] raises ValidationError."""
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             points = [CurvePoint(**{name: conv(row[name]) for name, conv in _CURVE_COLUMNS})
                       for row in csv.DictReader(fh)]
-        for p in points:
+        for row, p in enumerate(points, 1):
             if p.kind not in VERDICTS:
                 raise ValueError(f"kind {p.kind!r} is not one of {', '.join(VERDICTS)}")
+            if not (np.isnan(p.rate) or 0.0 <= p.rate <= 1.0):
+                raise ValueError(f"data row {row} has rate {p.rate!r}, not a rejection rate in [0, 1]")
     except (OSError, ValueError, LookupError, TypeError, csv.Error) as err:
         raise ValidationError(f"unreadable curve file {path}: {type(err).__name__}: {err}") from None
     return points
@@ -465,7 +463,7 @@ def _resume(plan: SimulationPlan, out: Path):
         return [], []
     try:
         saved = json.loads(manifest_path.read_text())
-        if saved.get("plan") != plan_to_dict(plan) or saved.get("kind") != "power":
+        if saved.get("plan") != plan_to_dict(plan):
             return [], []
         completed = list(saved.get("completed", []))
         if any(type(gi) is not int or not 0 <= gi < len(plan.grid) for gi in completed):
@@ -474,7 +472,7 @@ def _resume(plan: SimulationPlan, out: Path):
             raise ValueError(f"completed {completed} lists an index twice")
         per_value = Counter(plan.grid[gi] for gi in completed)
         points = [p for p in read_curve_csv(curve_path) if p.grid_value in per_value]
-        size = len(aggregate_grid_point(plan, 0, []))
+        size = len(aggregate_curve(plan, {0: []}))
         if Counter(p.grid_value for p in points) != {v: k * size for v, k in per_value.items()}:
             raise ValueError(f"{curve_path} does not hold the points of completed {completed}")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as err:
@@ -499,7 +497,7 @@ def simulate(plan: SimulationPlan, kind: str, out: Path, workers: int, progress)
     completed, points = _resume(plan, out) if kind == "power" else ([], [])
     todo = [gi for gi in range(len(plan.grid)) if gi not in completed]
     for gi, records in run_plan(plan, workers=workers, grid_subset=todo, progress=progress):
-        points.extend(aggregate_grid_point(plan, gi, records))
+        points.extend(aggregate_curve(plan, {gi: records}))
         completed.append(gi)
         write_curve_csv(points, out / "curve.csv")
         write_manifest(out / "manifest.json", plan, completed, kind)

@@ -35,7 +35,7 @@ class PlotPayload:
     intervals: IntervalPair
     h0: Tuple[float, float]
     center: Tuple[float, float]
-    title: str = ""
+    title: str
 
 
 def payload_from_report(report: ValidationReport) -> PlotPayload:
@@ -113,11 +113,10 @@ def render_box_ellipse(p: PlotPayload) -> str:
         f'viewBox="0 0 {_W} {_H}">'
     )
     out.append(f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>')
-    if p.title:
-        out.append(
-            f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(p.title)}</text>'
-        )
+    out.append(
+        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{_escape(p.title)}</text>'
+    )
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
         f'fill="none" stroke="black" stroke-width="1"/>'

@@ -6,6 +6,7 @@ import hashlib
 import json
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +137,23 @@ def test_validate_huge_lam_exits_1_with_one_line_and_no_warning(tmp_path, capsys
     assert rc == 1
     assert_one_line_error(err)
     assert "s_xy = 0)" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_bca_acceleration_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # hemoglobin with both columns times 1e150: the jackknife deviations' cubes overflow,
+    # and the NaN acceleration ended in a ValueError traceback
+    header, *rows = hemoglobin_path().read_text().splitlines()
+    src = tmp_path / "huge.csv"
+    src.write_text("\n".join([header] + [",".join(repr(float(v) * 1e150) for v in row.split(","))
+                                          for row in rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",
+                         "--method", "paba", "--cov", "classic", "--b", 199)
+    assert rc == 1
+    assert_one_line_error(err)
+    assert "BCa acceleration is not finite" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -424,7 +442,8 @@ def finished_power_run(tmp_path_factory):
 
 @pytest.mark.parametrize("corrupt", ["manifest", "curve", "index-below-grid", "index-above-grid",
                                      "index-twice", "index-not-int", "curve-header-only",
-                                     "curve-point-missing", "curve-rows-twice"])
+                                     "curve-point-missing", "curve-rows-twice",
+                                     "curve-rate-above-one"])
 def test_simulate_unreadable_resume_files_exit_2_and_stay(tmp_path, capsys, corrupt,
                                                          finished_power_run):
     # a finished run's files, then corrupted
@@ -450,6 +469,8 @@ def test_simulate_unreadable_resume_files_exit_2_and_stay(tmp_path, capsys, corr
         write_curve_csv(points[1:], out / "curve.csv")
     if corrupt == "curve-rows-twice":
         write_curve_csv(points + [p for p in points if p.grid_value == 1.02], out / "curve.csv")
+    if corrupt == "curve-rate-above-one":
+        write_curve_csv([replace(points[0], rate=1.5)] + points[1:], out / "curve.csv")
     before = {f.name: f.read_bytes() for f in out.iterdir()}
     rc, _, err = simulate(capsys, plan, out, "--workers", 1)
     assert rc == 2
@@ -648,6 +669,19 @@ def test_fit_power_unreadable_curve_file_exits_2(tmp_path, capsys):
     assert rc == 2
     assert_one_line_error(err)
     assert "'JE'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_power_rate_outside_0_1_exits_2(tmp_path, capsys):
+    # a rate of -0.1 was fitted into nonsense power levels, one of 1e10 into overflow warnings
+    curves = tmp_path / "curve.csv"
+    points = read_curve_csv(write_power_curve(curves))
+    write_curve_csv([replace(points[0], rate=1.5), replace(points[1], rate=-0.1)] + points[2:],
+                    curves)
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert str(curves) in err and "rate 1.5" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 """Bootstrap machinery: reproducibility, interval math, textbook oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -171,6 +173,19 @@ def test_bca_rejects_an_alpha_whose_upper_level_rounds_to_1(clean_ensemble, alph
     with pytest.raises(mj.ValidationError, match=r"^alpha must exceed 2\*\*-53"):
         bca_ci(clean_ensemble, alpha)
     assert bca_ci(clean_ensemble, 2.0 ** -52).alpha == 2.0 ** -52
+
+
+def test_bca_raises_a_package_error_when_the_acceleration_overflows(clean_ensemble):
+    # jackknife intercepts near 1e150: their cubed deviations overflow, and the NaN
+    # acceleration ended in ValueError (a NaN quantile level) before
+    e = clean_ensemble
+    jack = e.jack.copy()
+    jack[:, 0] = 1e150 * (1.0 + e.jack[:, 0])
+    with pytest.raises(mj.DegenerateDataError, match="BCa acceleration is not finite"):
+        bca_ci(replace(e, jack=jack), 0.05)
+    jack[:, 0] = 1e100 * (1.0 + e.jack[:, 0])  # finite cubes, and the acceleration is scale-free
+    got, want = bca_ci(replace(e, jack=jack), 0.05), bca_ci(e, 0.05)
+    assert (got.int_lo, got.int_hi) == pytest.approx((want.int_lo, want.int_hi), rel=1e-9)
 
 
 def test_linear_quantiles_equal_np_quantile_bit_for_bit():

@@ -15,7 +15,6 @@ from mcjoint.dataset import GeneratorSpec
 from mcjoint.simulation import (
     SimulationPlan,
     aggregate_curve,
-    aggregate_grid_point,
     check_power_plan,
     curve_rows,
     evaluate_replicate,
@@ -157,7 +156,7 @@ def test_type1_plan_reasonable_acceptance(tmp_path):
 @pytest.mark.parametrize("alphas", [(0.05,), (0.05, 0.01)])
 def test_grid_point_has_one_point_per_method_kind_and_series(methods, covs, alphas):
     plan = small_plan(methods=methods, cov_methods=covs, je_alphas=alphas)
-    points = aggregate_grid_point(plan, 0, [])
+    points = aggregate_curve(plan, {0: []})
     assert len(points) == len(methods) * (3 + len(covs) * len(alphas))
     assert all(np.isnan(p.rate) and p.n_used == 0 for p in points)
     per_method = [("ci_int", "", 0.05), ("ci_slope", "", 0.05), ("ci_total", "", 0.05)] + [
