@@ -5,14 +5,13 @@ intervals, robust covariance of the bootstrap coefficient cloud, the
 chi-square(2) joint test of (intercept, slope) = (0, 1), and the Monte
 Carlo machinery to study calibration and power.
 
-``import mcjoint`` loads numpy, the package and a few light standard
-modules, nothing more.  The process pool (multiprocessing,
-concurrent.futures) loads with the first ``run_plan`` that starts one
-(more than one worker), and scipy with the first rejection-curve fit
-(``fit-power``).  A ``validate`` run or a Monte Carlo replicate loads
-numpy.random (the resamples and the robust covariances' random starts)
-and statistics (the BCa interval's normal distribution) beyond that; it
-never loads numpy.ma, scipy or a pool.
+numpy is the only dependency.  ``import mcjoint`` loads numpy, the
+package and a few light standard modules, nothing more.  The process
+pool (multiprocessing, concurrent.futures) loads with the first
+``run_plan`` that starts one (more than one worker).  A ``validate`` run
+or a Monte Carlo replicate loads numpy.random (the resamples and the
+robust covariances' random starts) and statistics (the BCa interval's
+normal distribution) beyond that; it never loads numpy.ma or a pool.
 
 Importing the package pins BLAS to one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1.  Every matrix here is two

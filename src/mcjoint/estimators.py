@@ -98,9 +98,9 @@ def _weighted_deming(X, Y, W, lam, scratch=None):
 
     Minimizes sum(w * (d^2 + lam * e^2)) at the optimal decomposition,
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
-    with an indeterminate slope (s_xy = 0, or a form that overflows at a
-    huge lam) get ok=False.  ``scratch`` is the moments' three work arrays
-    of X's shape (``_weighted_moments``).
+    with no finite line (s_xy = 0, or a form that overflows at a huge lam
+    or data scale) get ok=False.  ``scratch`` is the moments' three work
+    arrays of X's shape (``_weighted_moments``).
     """
     sw, T, C = _weighted_moments(X, Y, W, scratch)
     xm, ym = T[:, 0], T[:, 1]
@@ -108,8 +108,8 @@ def _weighted_deming(X, Y, W, lam, scratch=None):
     t = lam * syy - sxx
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b1 = (t + np.sqrt(t * t + 4.0 * lam * sxy * sxy)) / (2.0 * lam * sxy)
-    ok = (sxy != 0.0) & np.isfinite(b1) & (b1 != 0.0)
     b0 = ym - b1 * xm
+    ok = (sxy != 0.0) & np.isfinite(b1) & (b1 != 0.0) & np.isfinite(b0)
     return b0, b1, ok
 
 
@@ -163,8 +163,8 @@ def batch_dem(X, Y, cfg: DemingConfig) -> BatchFit:
 def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     """Shared IRWLS driver: refit weighted Deming until the slope settles.
 
-    ``start`` is the starting line per row, ``(b0, b1, ok)``; rows with
-    ``ok`` False are not iterated and come back degenerate.
+    ``start`` is the starting line per row, ``(b0, b1, ok)``, finite where
+    ``ok``; rows with ``ok`` False are not iterated and come back degenerate.
     ``weight_fn(rows, Xa, Ya, b0, b1, W, scratch)`` gets the indices and
     data of the k active rows, writes their per-point weights into the
     (k, n) array ``W`` and returns a boolean mask of rows to flag
@@ -212,7 +212,6 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
         done = ok & (delta < TOL)
         converged[active[done]] = True
         active = active[ok & ~done]
-    degenerate |= ~np.isfinite(b1) | ~np.isfinite(b0)
     converged &= ~degenerate
     return BatchFit(b0, b1, converged, iters, degenerate)
 
@@ -253,9 +252,8 @@ def batch_mdem(X, Y, cfg: DemingConfig) -> BatchFit:
 
 def _mean_distance(X, Y, b0, b1, lam):
     """Mean Euclidean (d, e) residual per row; NaN where the line is not finite."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        d, e = _deming_residuals(X, Y, b0, b1, lam)
-        return np.hypot(d, e).mean(axis=1)
+    d, e = _deming_residuals(X, Y, b0, b1, lam)
+    return np.hypot(d, e).mean(axis=1)
 
 
 def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
@@ -392,8 +390,8 @@ def batch_paba(X, Y) -> BatchFit:
         b1[lo:lo + rows] = 0.5 * (_rank_value(S, r_lo) + _rank_value(S, r_hi))
     ok &= np.isfinite(b1) & (b1 != 0.0)
     b1 = np.where(ok, b1, np.nan)
-    with np.errstate(invalid="ignore"):
-        b0 = median_rows(Y - b1[:, None] * X)
+    b0 = median_rows(Y - b1[:, None] * X)
+    ok &= np.isfinite(b0)
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), ~ok)
 
 
@@ -419,13 +417,13 @@ class _Method(NamedTuple):
 
 
 _METHOD_TABLE = {
-    "dem": _Method("Dem", batch_dem, _check_dem,
-                   "dem: slope indeterminate (s_xy = 0, or lam overflows the closed form)"),
+    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0, "
+                   "or the closed form overflows at this lam or data scale)"),
     "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit"),
     "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit"),
     "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit"),
     "paba": _Method("PaBa", lambda X, Y, cfg: batch_paba(X, Y), None,
-                    "paba: no determinate pairwise-slope median"),
+                    "paba: no determinate pairwise-slope median, or the intercept overflows"),
 }
 METHODS = tuple(_METHOD_TABLE)
 
@@ -474,5 +472,9 @@ def fit(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig()) -> Reg
 
 
 def batch_fit(X, Y, method: str, cfg: DemingConfig = DemingConfig()) -> BatchFit:
-    """Batched dispatch over row-stacked samples; the engines receive them as float arrays."""
-    return _method(method).batch(np.asarray(X, float), np.asarray(Y, float), cfg)
+    """Batched dispatch over row-stacked samples; the engines receive them as float arrays.
+
+    Overflow inside a fit raises no numpy warning: every engine flags a
+    row whose line is not finite as degenerate, or as a start failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _method(method).batch(np.asarray(X, float), np.asarray(Y, float), cfg)

@@ -17,6 +17,7 @@ pointwise confidence band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -63,14 +64,24 @@ class PowerLevel:
 
 
 def subbotin_density(x, p: SubbotinParams) -> np.ndarray:
-    """Evaluate the four-parameter exponential-power form."""
-    from scipy.special import gamma
-
+    """Evaluate the four-parameter exponential-power form; 0 where Gamma(1/shape) overflows."""
     x = np.asarray(x, float)
     u = np.abs(x - p.location) / p.scale
-    norm_const = p.shape / (2.0 * p.scale * gamma(1.0 / p.shape))
+    norm_const = p.shape / (2.0 * p.scale) * math.exp(-math.lgamma(1.0 / p.shape))
     out = p.amplitude * norm_const * np.exp(-(u ** p.shape))
     return out if out.ndim else float(out)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to
+    x >= 10, then the asymptotic series through the x**-10 term."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = t * (1 / 12 - t * (1 / 120 - t * (1 / 252 - t * (1 / 240 - t / 132))))
+    return acc + math.log(x) - 0.5 / x - series
 
 
 def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
@@ -85,10 +96,8 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
     whose location sits on a grid value goes on when its shape dips to 1
     or below.
     """
-    from scipy.special import digamma
-
     x = np.atleast_1d(np.asarray(x, float))
-    a, b, s, mu = p.amplitude, p.shape, p.scale, p.location
+    a, b, s, mu = p.as_array()  # numpy floats: b * b may underflow to 0
     u = np.abs(x - mu) / s
     f = subbotin_density(x, p)
     ub = u ** b
@@ -96,7 +105,7 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
         log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), 0.0)
     g = np.empty((len(x), 4))
     g[:, 0] = f / a
-    g[:, 1] = f * (1.0 / b + digamma(1.0 / b) / (b * b) - ub * log_u)
+    g[:, 1] = f * (1.0 / b + _digamma(1.0 / b) / (b * b) - ub * log_u)
     g[:, 2] = f * (b * ub - 1.0) / s
     with np.errstate(divide="ignore", invalid="ignore"):
         dmu_mag = np.where(u > 0.0, f * b * u ** (b - 1.0) / s, 0.0)
@@ -106,8 +115,6 @@ def subbotin_gradient(x, p: SubbotinParams) -> np.ndarray:
 
 def _start_values(x: np.ndarray, y: np.ndarray) -> SubbotinParams:
     """Data-driven starting point; only the scale start needs care."""
-    from scipy.special import gamma
-
     smooth = np.convolve(y, np.ones(3) / 3.0, mode="same")
     mu0 = float(x[int(np.argmax(smooth))])
     peak = float(max(y.max(), 1e-6))
@@ -121,7 +128,7 @@ def _start_values(x: np.ndarray, y: np.ndarray) -> SubbotinParams:
         hw = (x.max() - x.min()) / 4.0
     s0 = hw / np.sqrt(np.log(2.0))
     b0 = 2.0
-    a0 = peak * 2.0 * s0 * gamma(1.0 / b0) / b0
+    a0 = peak * 2.0 * s0 * math.gamma(1.0 / b0) / b0
     return SubbotinParams(a0, b0, s0, mu0)
 
 

@@ -140,13 +140,18 @@ def test_validate_huge_lam_exits_1_with_one_line_and_no_warning(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_bca_acceleration_overflow_exits_1_with_one_line(tmp_path, capsys):
-    # hemoglobin with both columns times 1e150: the jackknife deviations' cubes overflow,
-    # and the NaN acceleration ended in a ValueError traceback
+def write_huge_hemoglobin(path):
+    """Hemoglobin with both columns times 1e150, whose squares overflow."""
     header, *rows = hemoglobin_path().read_text().splitlines()
-    src = tmp_path / "huge.csv"
-    src.write_text("\n".join([header] + [",".join(repr(float(v) * 1e150) for v in row.split(","))
-                                          for row in rows]) + "\n")
+    path.write_text("\n".join([header] + [",".join(repr(float(v) * 1e150) for v in row.split(","))
+                                           for row in rows]) + "\n")
+    return path
+
+
+def test_validate_bca_acceleration_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # the jackknife deviations' cubes overflow, and the NaN acceleration ended in a
+    # ValueError traceback
+    src = write_huge_hemoglobin(tmp_path / "huge.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",
@@ -154,6 +159,24 @@ def test_validate_bca_acceleration_overflow_exits_1_with_one_line(tmp_path, caps
     assert rc == 1
     assert_one_line_error(err)
     assert "BCa acceleration is not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, cause", [
+    ("dem", "overflows at this lam or data scale"),
+    ("mmdem", "both covariance starters failed: initial scatter is singular"),
+], ids=["dem", "mmdem"])
+def test_validate_huge_units_exit_1_with_one_line_and_no_warning(tmp_path, capsys, method, cause):
+    # the moments overflow inside the fit; numpy warned on stderr ahead of the message
+    # (MMDem's MCD start), and Dem's message blamed lam alone
+    src = write_huge_hemoglobin(tmp_path / "huge.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",
+                         "--method", method, "--cov", "classic", "--b", 199)
+    assert rc == 1
+    assert_one_line_error(err)
+    assert cause in err
     assert not (tmp_path / "out").exists()
 
 

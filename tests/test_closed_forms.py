@@ -111,28 +111,46 @@ def test_rocke_constants_match_solver():
 
 # -- import footprint ---------------------------------------------------------
 
-# besides scipy, which only fit-power needs: modules that only the SVG title
-# escape (xml.sax, which pulls in urllib, http, email, ssl and socket), a
-# process pool, the normal distribution of the BCa interval and the power
-# band (statistics, which pulls in fractions and decimal), or the plan-file
-# reader (configparser) would load
+# modules that only the SVG title escape (xml.sax, which pulls in urllib,
+# http, email, ssl and socket), a process pool, the normal distribution of
+# the BCa interval and the power band (statistics, which pulls in fractions
+# and decimal), or the plan-file reader (configparser) would load
 _OFF_IMPORT_PATH = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
                     "multiprocessing", "concurrent.futures", "statistics", "fractions", "decimal",
                     "configparser")
 
+# after the import, fit-power on a nine-point acceptance bump, which takes
+# the gamma function and digamma in its fit
+_FIT_POWER = """
+import contextlib, csv, io, math, tempfile
+from pathlib import Path
+from mcjoint.simulation import CurvePoint, write_curve_csv
+with tempfile.TemporaryDirectory() as tmp:
+    grid = [0.96 + 0.01 * i for i in range(9)]
+    rates = [1.0 - 0.95 * math.exp(-abs((g - 1.0) / 0.02) ** 2.5) for g in grid]
+    write_curve_csv([CurvePoint("dem", "je", "classic", 0.05, g, r, 0.01, 100, 0, 100)
+                     for g, r in zip(grid, rates)], Path(tmp) / "curve.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = mcjoint.cli.main(["fit-power", "--curves", str(Path(tmp) / "curve.csv"),
+                               "--out", str(Path(tmp) / "fit")])
+    row, = csv.DictReader((Path(tmp) / "fit" / "power_table.csv").read_text().splitlines())
+    assert rc == 0 and row["note"] == "" and float(row["p80_est"]) > 1.0, (rc, row)
+"""
+
 
 def test_import_loads_no_scipy():
-    code = ("import sys, mcjoint, mcjoint.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+    code = ("import sys, mcjoint, mcjoint.cli\n"
             f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') "
-            f"for p in {_OFF_IMPORT_PATH!r})))")
+            f"for p in {_OFF_IMPORT_PATH!r})))\n"
+            + _FIT_POWER
+            + "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    scipy_modules, off_path = out.stdout.splitlines()
-    assert scipy_modules == "[]"
+    off_path, scipy_modules = out.stdout.splitlines()
     assert off_path == "[]"
+    assert scipy_modules == "[]"
 
 
 # every validate method x covariance on hemoglobin and on a 2-significant-digit

@@ -461,6 +461,13 @@ def test_paba_all_x_identical_degenerate():
         fit(sample([2, 2, 2, 2], [1, 2, 3, 4]), "paba")
 
 
+def test_paba_intercept_overflow_is_degenerate():
+    # slopes near 1e304 at x near 1e10: the median of y - b1 x is -inf, which was a fit
+    x = 1e10 + np.arange(20) * 1e-5
+    with pytest.raises(mj.DegenerateDataError, match="intercept overflows"):
+        fit(sample(x, np.arange(20) * 1e299), "paba")
+
+
 # -- shared properties -------------------------------------------------------
 
 @pytest.mark.parametrize("method", ["dem", "wdem", "mdem", "mmdem", "paba"])

@@ -1,15 +1,18 @@
 """Exponential-power fitting: density identities, gradients, calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import digamma
 from scipy.stats import norm
 
 import mcjoint as mj
 from mcjoint.powerfit import (
     PowerLevel,
+    _digamma,
     SubbotinParams,
     fit_rejection_curve,
     invert_for_power,
@@ -49,6 +52,25 @@ def test_density_integrates_to_amplitude():
         p = params(a=a, b=b, s=s, mu=mu)
         val, _ = quad(lambda x: subbotin_density(x, p), -np.inf, np.inf)
         assert val == pytest.approx(a, abs=1e-6)
+
+
+def test_digamma_matches_scipy():
+    # both sides of the switch to the series at 10, and the root near 1.4616
+    xs = np.concatenate([np.geomspace(1e-3, 1e6, 2001), np.linspace(9.99, 10.01, 101),
+                         np.linspace(1.45, 1.48, 61), [1.4616321449683623]])
+    for x in xs:
+        want = digamma(x)
+        assert abs(_digamma(float(x)) - want) <= 1e-13 * max(1.0, abs(want)), x
+
+
+def test_tiny_shape_gives_zero_density_and_gradient():
+    # Gamma(1 / 0.005) overflows a float: the curve is 0 there, not an OverflowError
+    p = params(a=1.0, b=0.005, s=1.0, mu=0.0)
+    xs = np.linspace(-2.0, 2.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (subbotin_density(xs, p) == 0.0).all()
+        assert (subbotin_gradient(xs, p) == 0.0).all()
 
 
 def test_gradient_matches_finite_differences():

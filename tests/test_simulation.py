@@ -2,6 +2,7 @@
 
 import csv
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import mcjoint as mj
 from mcjoint import cli, simulation
 from mcjoint.dataset import GeneratorSpec
+from mcjoint.estimators import METHODS
 from mcjoint.simulation import (
     SimulationPlan,
     aggregate_curve,
@@ -283,3 +285,15 @@ def mean_atom(plan):
 
 def _with_grid(plan):
     return replace(plan, grid=(0.95, 1.0, 1.05))
+
+
+def test_replicate_of_huge_y_errors_fails_every_method_without_a_warning():
+    # sigmay = 1e300: the moments, MMDem's spread and the MCD and S starts overflow
+    # inside each fit, which numpy reported on stderr while the replicate went on
+    plan = small_plan(generator=replace(GEN, n=20, sigmay=1e300), methods=METHODS,
+                      cov_methods=("classic", "mcd", "sde"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = evaluate_replicate(plan, 0, 0)
+    assert set(rec) == set(plan.methods)
+    assert not any(entry["ok"] for entry in rec.values())
