@@ -2,13 +2,16 @@
 
 Exit codes are verdict-coded so shell pipelines can branch on them:
 0 validated by the joint test, 3 rejected by the joint test, 2 usage or
-input error, 1 runtime failure.  All commands honor --seed and read no
-entropy from the clock or the environment.  Without --workers, simulate
-runs MCJOINT_THREADS worker processes, or one per CPU; the flag and the
-variable must be an integer >= 1, anything else is a usage error.  Each
-simulate call starts one pool, which never exceeds the number of tasks,
-and streams the grid points through it; stderr shows the replicates done,
-their rate and an ETA.
+input error, 1 runtime failure.  ``main`` alone gives a package error its
+exit code and one stderr line: a ValidationError exits 2 as ``mcjoint:
+<err>``, any other McjointError 1 as ``mcjoint: <noun> failed: <err>``,
+the noun naming the command (validation, simulation, power fit).  All
+commands honor --seed and read no entropy from the clock or the
+environment.  Without --workers, simulate runs MCJOINT_THREADS worker
+processes, or one per CPU; the flag and the variable must be an integer
+>= 1, anything else is a usage error.  Each simulate call starts one
+pool, which never exceeds the number of tasks, and streams the grid
+points through it; stderr shows the replicates done, their rate and an ETA.
 Each process runs BLAS on one thread: OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS default to 1, and a value set in the
 environment is kept.
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ci-alpha", type=float, default=0.05)
     v.add_argument("--lam", type=float, default=1.0, help="error variance ratio")
     v.add_argument("--out", required=True, help="output directory")
-    v.set_defaults(run=cmd_validate)
+    v.set_defaults(run=cmd_validate, noun="validation")
 
     s = sub.add_parser("simulate", help="run a Monte Carlo plan file")
     s.add_argument("--plan", required=True, help="key=value plan file")
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scale", default="desk", choices=("desk", "paper"),
                    help="paper scale multiplies replicate counts")
     s.add_argument("--workers", type=int, default=None)
-    s.set_defaults(run=cmd_simulate)
+    s.set_defaults(run=cmd_simulate, noun="simulation")
 
     f = sub.add_parser("fit-power", help="fit curves and tabulate power levels")
     f.add_argument("--curves", required=True, help="curve CSV from simulate")
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target", type=float, default=0.2, help="target rejection (power 80%%)")
     f.add_argument("--side", default="above", choices=("above", "below"))
     f.add_argument("--null-value", type=float, default=1.0)
-    f.set_defaults(run=cmd_fit_power)
+    f.set_defaults(run=cmd_fit_power, noun="power fit")
     return ap
 
 
@@ -137,16 +140,8 @@ def cmd_validate(args) -> int:
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
     cfg = _validate_config(args)
-    sample = read_csv(path)
-    try:
-        report = validate(
-            sample, args.method, cfg,
-            cov_method=args.cov, B=args.b, seed=args.seed,
-            je_alpha=args.je_alpha, ci_alpha=args.ci_alpha,
-        )
-    except McjointError as err:
-        print(f"mcjoint: validation failed: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    report = validate(read_csv(path), args.method, cfg, cov_method=args.cov, B=args.b,
+                      seed=args.seed, je_alpha=args.je_alpha, ci_alpha=args.ci_alpha)
     out = _out_dir(args.out)
     _atomic_write(out / "report.json", report_to_json(report) + "\n")
     _atomic_write(out / "plot.svg", render_box_ellipse(payload_from_report(report)))
@@ -184,13 +179,7 @@ def cmd_simulate(args) -> int:
     if args.scale == "paper":
         plan = replace(plan, replicates=plan.replicates * factor)
     out = _out_dir(args.out)
-    try:
-        simulate(plan, kind, out, workers, _progress())
-    except ValidationError:
-        raise
-    except McjointError as err:
-        print(f"mcjoint: simulation failed: {err}", file=sys.stderr)
-        return EXIT_ERROR
+    simulate(plan, kind, out, workers, _progress())
     print(f"wrote {out / 'curve.csv'}")
     return EXIT_OK
 
@@ -243,13 +232,16 @@ def cmd_fit_power(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ValidationError it raises is a usage error, one line on stderr."""
+    """Run one command, and give each package error it raises its exit code and one stderr line."""
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except ValidationError as err:
         print(f"mcjoint: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except McjointError as err:
+        print(f"mcjoint: {args.noun} failed: {err}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ MAX_ITER_MM = 500      # refit budget of the MMDem bisquare step
 HUBER_K = 1.345        # Huber cutoff of MDem (95% Gaussian efficiency)
 BISQUARE_C = 4.685     # Tukey bisquare cutoff of MMDem (95% Gaussian efficiency)
 _PABA_BLOCK_SLOPES = 2 * _BLOCK_ELEMS  # pairwise slopes PaBa forms and sorts per block of rows
+_TINY = np.finfo(float).tiny  # a square below it has underflowed
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ class RegressionFit:
 
 
 class BatchFit(NamedTuple):
-    """Row-wise fit results from a batched engine."""
+    """Row-wise fit results from a batched engine.  No engine marks a degenerate
+    row converged, so ``converged`` alone marks the rows that hold a usable line."""
 
     intercept: np.ndarray
     slope: np.ndarray
@@ -99,17 +101,20 @@ def _weighted_deming(X, Y, W, lam, scratch=None):
     Minimizes sum(w * (d^2 + lam * e^2)) at the optimal decomposition,
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
     with no finite line (s_xy = 0, or a form that overflows at a huge lam
-    or data scale) get ok=False.  ``scratch`` is the moments' three work
-    arrays of X's shape (``_weighted_moments``).
+    or data scale, or whose s_xy^2 or non-zero t^2 underflows, at a tiny
+    one) get ok=False.  ``scratch`` is the moments' three work arrays of
+    X's shape (``_weighted_moments``).
     """
     sw, T, C = _weighted_moments(X, Y, W, scratch)
     xm, ym = T[:, 0], T[:, 1]
     sxx, syy, sxy = C[:, 0, 0] / sw, C[:, 1, 1] / sw, C[:, 0, 1] / sw
     t = lam * syy - sxx
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b1 = (t + np.sqrt(t * t + 4.0 * lam * sxy * sxy)) / (2.0 * lam * sxy)
+        tt = t * t
+        b1 = (t + np.sqrt(tt + 4.0 * lam * sxy * sxy)) / (2.0 * lam * sxy)
     b0 = ym - b1 * xm
-    ok = (sxy != 0.0) & np.isfinite(b1) & (b1 != 0.0) & np.isfinite(b0)
+    ok = (sxy * sxy >= _TINY) & ((tt >= _TINY) | (t == 0.0)) & np.isfinite(b1) & (b1 != 0.0) \
+        & np.isfinite(b0)
     return b0, b1, ok
 
 
@@ -271,7 +276,7 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     # perfect fit; they keep the closed-form line
     b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), lam)
     spread = X.std(axis=1) + Y.std(axis=1)
-    final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * np.maximum(spread, 1.0))
+    final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * spread)
     started = np.zeros_like(final)
     start_failure = np.full(len(X), None, dtype=object)
     rows = np.flatnonzero(~final)
@@ -302,9 +307,9 @@ def _mm_starts(X, Y):
 
     Both S-estimators start a row from the same MCD, so a row whose MCD is
     singular fails both.  Returns ``(b0, b1, ok, failure)``; where ``ok`` is
-    False, ``failure`` holds a StartFailureError naming the row's last
-    starter failure (None when the starters converged to a line that is not
-    finite).  An MCD start that cannot be taken at all is every row's cause.
+    False, ``failure`` holds a StartFailureError naming why the row's last
+    starter failed: its S failure, an indeterminate slope, or a line that is
+    not finite.  An MCD start that cannot be taken at all is every row's cause.
     """
     from . import robustcov
 
@@ -328,6 +333,8 @@ def _mm_starts(X, Y):
             c0 = center[:, 1] - c1 * center[:, 0]
         good = (code == 0) & ~indeterminate & np.isfinite(c0) & np.isfinite(c1) & (c1 != 0.0)
         cause[rows[code != 0]] = [robustcov.s_failure(c, estimator) for c in code[code != 0]]
+        cause[rows[(code == 0) & ~good]] = DegenerateDataError(
+            "covariance start gives a line that is not finite")
         cause[rows[indeterminate]] = DegenerateDataError("covariance start gives indeterminate slope")
         b0[rows[good]], b1[rows[good]], todo[rows[good]] = c0[good], c1[good], False
     failure = np.full(m, None, dtype=object)
@@ -399,11 +406,6 @@ def batch_paba(X, Y) -> BatchFit:
 # public single-sample API
 # ---------------------------------------------------------------------------
 
-def _check_dem(s: PairedSample):
-    if np.var(s.x) == 0.0:
-        raise DegenerateDataError("dem: x has zero variance")
-
-
 def _check_wdem(s: PairedSample):
     if (s.x <= 0).any() or (s.y <= 0).any():
         raise DegenerateDataError("wdem: requires positive measurements")
@@ -417,8 +419,8 @@ class _Method(NamedTuple):
 
 
 _METHOD_TABLE = {
-    "dem": _Method("Dem", batch_dem, _check_dem, "dem: slope indeterminate (s_xy = 0, "
-                   "or the closed form overflows at this lam or data scale)"),
+    "dem": _Method("Dem", batch_dem, None, "dem: slope indeterminate (s_xy = 0, or the closed "
+                   "form underflows or overflows at this lam or data scale)"),
     "wdem": _Method("WDem", batch_wdem, _check_wdem, "wdem: data admit no determinate fit"),
     "mdem": _Method("MDem", batch_mdem, None, "mdem: data admit no determinate fit"),
     "mmdem": _Method("MMDem", batch_mmdem, None, "mmdem: data admit no determinate fit"),
@@ -436,8 +438,8 @@ def _method(method: str) -> _Method:
 
 
 def check_sample(s: PairedSample, method: str):
-    """Raise what ``fit`` raises before it fits: Dem's zero-variance x and
-    WDem's non-positive measurements are DegenerateDataError."""
+    """Raise what ``fit`` raises before it fits: WDem's non-positive
+    measurements are DegenerateDataError."""
     check = _method(method).check
     if check is not None:
         check(s)

@@ -95,7 +95,7 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
         raise ConvergenceError(f"{method}: full-sample fit did not converge")
     idx = rows[1:]
     pairs = np.column_stack([res.intercept[1:], res.slope[1:]])
-    pending = np.flatnonzero(~(res.converged & ~res.degenerate)[1:])
+    pending = np.flatnonzero(~res.converged[1:])
     failed = pending.size
     redraw_rngs = {}
     while pending.size and failed <= MAX_FAIL_FRACTION * B:
@@ -104,10 +104,9 @@ def bootstrap(s: PairedSample, method: str, cfg: DemingConfig = DemingConfig(),
                 redraw_rngs[i] = task_rng(*path, int(i))
             idx[i] = redraw_rngs[i].integers(0, n, n)
         r2 = batch_fit(s.x[idx[pending]], s.y[idx[pending]], method, cfg)
-        good = r2.converged & ~r2.degenerate
         pairs[pending] = np.column_stack([r2.intercept, r2.slope])
-        failed += int((~good).sum())
-        pending = pending[~good]
+        failed += int((~r2.converged).sum())
+        pending = pending[~r2.converged]
     if failed > MAX_FAIL_FRACTION * B:
         raise EnsembleQualityError(
             f"{method}: {failed} failed replicates exceeds {MAX_FAIL_FRACTION:.0%} of B={B}"
@@ -132,8 +131,7 @@ def _jackknife(s: PairedSample, method: str, cfg: DemingConfig) -> np.ndarray:
     keep = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
     res = batch_fit(s.x[keep], s.y[keep], method, cfg)
     jack = np.column_stack([res.intercept, res.slope])
-    bad = ~(res.converged & ~res.degenerate)
-    jack[bad] = np.nan
+    jack[~res.converged] = np.nan
     return jack
 
 

@@ -208,9 +208,9 @@ def _points(points: np.ndarray) -> np.ndarray:
 
 def classic_cov(points: np.ndarray) -> CovarianceModel:
     """Sample mean and unbiased sample covariance."""
-    Z = np.asarray(points, float)
-    if Z.ndim != 2 or Z.shape[1] != 2 or len(Z) < 3:
-        raise ValidationError("need a (B, 2) array with B >= 3")
+    Z = _points(points)
+    if len(Z) < 3:
+        raise ValidationError("need at least 3 points")
     center = Z.mean(axis=0)
     scatter = np.cov(Z, rowvar=False, ddof=1)
     if _is_singular(scatter):
@@ -344,7 +344,8 @@ def _elemental_starts(B: int, seed: int, n_starts: int):
 # its scatter's half trace) inside the band, whose lower end sits above the
 # rounding noise of collinear points (under 1e-14); or a spread below
 # _GUESS_SPREAD of the squared mean, where rounding the mean can move
-# det/ht^2 past _REL_SINGULAR
+# det/ht^2 past _REL_SINGULAR; or a trace whose square underflows (units
+# below about 1e-77)
 _GUESS_BAND = (1e-14, 1e-10)
 _GUESS_SPREAD = 1e-14
 
@@ -356,7 +357,7 @@ def _guess_singular(n: int, mx: float, my: float, cxx: float, cyy: float, cxy: f
     trace = cxx + cyy
     if trace == 0.0:
         return True  # n equal points
-    if trace < _GUESS_SPREAD * n * (mx * mx + my * my):
+    if trace < _GUESS_SPREAD * n * (mx * mx + my * my) or trace * trace == 0.0:
         return None
     q = 4.0 * (cxx * cyy - cxy * cxy) / (trace * trace)
     return True if q < _GUESS_BAND[0] else False if q > _GUESS_BAND[1] else None

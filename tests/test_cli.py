@@ -189,6 +189,38 @@ def test_validate_singular_scatter_on_ties_exits_1(tmp_path, capsys):
     assert "singular" in err
 
 
+def test_validate_dem_on_a_constant_x_exits_1_with_its_no_fit_message(tmp_path, capsys):
+    src = tmp_path / "flat.csv"
+    src.write_text("x,y\n" + "".join(f"5.0,{float(v)!r}\n" for v in mj.load_hemoglobin().y))
+    rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",
+                     "--method", "dem", "--cov", "classic", "--b", 199)
+    assert rc == 1
+    assert_one_line_error(err)
+    assert "validation failed: stage fit: dem: slope indeterminate (s_xy = 0, " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, noun", [
+    ("validate", "validation"), ("simulate", "simulation"), ("fit-power", "power fit")])
+@pytest.mark.parametrize("error, code", [(mj.DegenerateDataError, 1), (mj.ValidationError, 2)],
+                         ids=["runtime", "input"])
+def test_main_alone_gives_a_package_error_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                        command, noun, error, code):
+    # validate took a ValidationError raised inside the run for a runtime failure
+    def planted(*args, **kwargs):
+        raise error("planted")
+
+    name, argv = {
+        "validate": ("validate", ["--input", hemoglobin_path()]),
+        "simulate": ("simulate", ["--plan", write_plan(tmp_path / "plan.cfg"), "--workers", 1]),
+        "fit-power": ("read_curve_csv", ["--curves", write_power_curve(tmp_path / "curve.csv")]),
+    }[command]
+    monkeypatch.setattr(cli, name, planted)
+    rc, out, err = run(capsys, command, *argv, "--out", tmp_path / "out")
+    assert (rc, out) == (code, "")
+    assert err == (f"mcjoint: {noun} failed: planted\n" if code == 1 else "mcjoint: planted\n")
+
+
 def test_validate_escapes_the_svg_title(tmp_path, capsys):
     src = write_sample(tmp_path / "in.csv", header="A&B,<c>")
     rc, _, _ = run(capsys, "validate", "--input", src, "--out", tmp_path / "out",

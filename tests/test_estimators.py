@@ -93,6 +93,16 @@ def test_deming_degenerate_sxy_zero():
         fit(s, "dem")
 
 
+def test_deming_constant_x_fails_with_its_no_fit_message():
+    # the closed form's s_xy = 0 rejects a constant x, with no pre-check
+    s = sample(np.full(20, 5.0), mj.load_hemoglobin().y)
+    no_fit = "^dem: slope indeterminate \\(s_xy = 0, "
+    with pytest.raises(mj.DegenerateDataError, match=no_fit):
+        fit(s, "dem")
+    with pytest.raises(mj.DegenerateDataError, match=no_fit):
+        mj.bootstrap(s, "dem", CFG, B=199, seed=0)
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
 def test_deming_config_requires_a_finite_positive_lam(lam):
     with pytest.raises(mj.ValidationError, match="lam must be finite and > 0"):
@@ -341,6 +351,21 @@ def test_fit_mmdeming_start_failure(mm_rows):
         fit(sample(X[COINCIDENT], Y[COINCIDENT]), "mmdem")
 
 
+def test_mmdem_start_whose_line_is_not_finite_names_its_cause(monkeypatch):
+    # a starter that converges to an infinite center left the cause None,
+    # and the message read "both covariance starters failed: None"
+    s_rows = robustcov.s_rows
+
+    def infinite_center(*args):
+        center, scatter, code = s_rows(*args)
+        return np.full_like(center, np.inf), scatter, np.zeros_like(code)
+
+    monkeypatch.setattr(robustcov, "s_rows", infinite_center)
+    with pytest.raises(mj.StartFailureError, match="^both covariance starters failed: "
+                       "covariance start gives a line that is not finite$"):
+        fit(mj.load_hemoglobin(), "mmdem")
+
+
 def test_failed_mmdem_start_is_searched_once(mm_rows, monkeypatch):
     # the batch carries each row's start failure, so no second start explains it
     X, Y, _ = mm_rows
@@ -490,6 +515,59 @@ def test_scale_equivariance(method):
     f1 = fit(sample(s.x, c * s.y), method, cfg2 if method != "paba" else CFG)
     assert f1.slope == pytest.approx(c * f0.slope, rel=1e-8)
     assert f1.intercept == pytest.approx(c * f0.intercept, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [1e-60, 1e-13, 1e13, 1e60])
+@pytest.mark.parametrize("method", est.METHODS)
+def test_unit_scale_equivariance_on_hemoglobin(method, k):
+    # MMDem took every row under 1e-12 units for an exact fit and returned Dem's line
+    s = mj.load_hemoglobin()
+    f0, f1 = fit(s, method), fit(sample(k * s.x, k * s.y), method)
+    assert f1.slope == pytest.approx(f0.slope, rel=1e-9)
+    assert f1.intercept / k == pytest.approx(f0.intercept, rel=1e-7)
+
+
+def test_fits_whose_squares_underflow_fail_and_paba_holds():
+    # at 1e-100 units the closed form's squares underflow: its root was 0, and
+    # Dem returned slope -0.0897 as a fit; the MCD start divided by zero
+    s = mj.load_hemoglobin()
+    tiny = sample(1e-100 * s.x, 1e-100 * s.y)
+    for method in ("dem", "wdem", "mdem"):
+        with pytest.raises(mj.DegenerateDataError):
+            fit(tiny, method)
+    with pytest.raises(mj.StartFailureError):
+        fit(tiny, "mmdem")
+    f0, f1 = fit(s, "paba"), fit(tiny, "paba")
+    assert f1.slope == pytest.approx(f0.slope, rel=1e-9)
+    assert f1.intercept / 1e-100 == pytest.approx(f0.intercept, rel=1e-7)
+
+
+def _row_kinds():
+    """Rows of n=20: hemoglobin, hemoglobin's y at a constant x, and a sample
+    that fails MMDem's start (12 points on y = x make its MCD an exact fit)."""
+    h = mj.load_hemoglobin()
+    line = np.arange(1.0, 13.0)
+    x = np.concatenate([line, np.arange(13.0, 21.0)])
+    y = np.concatenate([line, [13.7, 13.5, 16.1, 15.1, 17.4, 16.7, 19.8, 19.4]])
+    return np.vstack([h.x, np.full(20, 5.0), x]), np.vstack([h.y, h.y, y])
+
+
+def test_converged_rows_are_never_degenerate(monkeypatch):
+    # bootstrap and the jackknife read ``converged`` alone as a usable line
+    X, Y = _row_kinds()
+    seen = Counter()
+    for budget in (None, 2):
+        if budget:  # the iterative fits stop at their budget, unconverged
+            monkeypatch.setattr(est, "MAX_ITER", budget)
+            monkeypatch.setattr(est, "MAX_ITER_MM", budget)
+        for method in est.METHODS:
+            res = est.batch_fit(X, Y, method)
+            assert not (res.converged & res.degenerate).any(), (method, budget)
+            seen["degenerate"] += res.degenerate[1]
+            seen["capped"] += (~res.converged & ~res.degenerate)[0]
+            if res.start_failure is not None:
+                seen["start failure"] += res.start_failure[2] is not None
+    assert seen == {"degenerate": 10, "capped": 3, "start failure": 2}
 
 
 @pytest.mark.parametrize("method", ["wdem", "mdem", "mmdem"])

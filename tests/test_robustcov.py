@@ -114,6 +114,12 @@ def test_mcd_exact_fit_reported_not_inverted():
         mahalanobis_sq(m, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("k", [1e-100, 1e-150, 1e-160])
+def test_mcd_of_a_cloud_whose_squares_underflow_is_singular(k):
+    # the subset guess divided by its trace's underflowed square: ZeroDivisionError
+    assert fast_mcd(gaussian_cloud(199, 0) * k).singular
+
+
 def test_mcd_deterministic_per_seed():
     Z = gaussian_cloud(300, 12)
     a = fast_mcd(Z, seed=5)
