@@ -20,10 +20,13 @@ MMDem) share one IRWLS driver and differ only in their starting line and
 weight function; MMDem's robust covariance start is itself batched over
 rows (``robustcov.mcd_rows`` and ``s_rows``), and the batch carries each
 row's start failure for ``row_fit`` to raise.  ``_iterate_weighted``
-allocates its (m, n) work arrays once per call, and each step, weight
+allocates five (m, n) work arrays once per call, and each step, weight
 function and weighted-moment pass writes into their leading rows in
 place of new temporaries: the same operations on the same values in the
 same order, so a row's fit is bit for bit what per-step temporaries give.
+The unit-weight closed forms (Dem, and the starts of the iterative fits)
+weigh every point by a broadcast view of 1.0, with no (m, n) array
+behind it: 1.0 * x is x and a row of n ones sums to n, exactly.
 
 ``DemingConfig`` carries only ``lam``.  The tuning values no caller varies
 are the module constants ``TOL``, ``MAX_ITER``, ``MAX_ITER_MM``,
@@ -102,7 +105,7 @@ def _weighted_deming(X, Y, W, lam, scratch=None):
     lam being the x/y error-variance ratio.  Returns (b0, b1, ok); rows
     with no finite line (s_xy = 0, or a form that overflows at a huge lam
     or data scale, or whose s_xy^2 or non-zero t^2 underflows, at a tiny
-    one) get ok=False.  ``scratch`` is the moments' three work arrays of
+    one) get ok=False.  ``scratch`` is the moments' two work arrays of
     X's shape (``_weighted_moments``).
     """
     sw, T, C = _weighted_moments(X, Y, W, scratch)
@@ -160,7 +163,7 @@ def _robust_scale(A, scratch):
 
 def batch_dem(X, Y, cfg: DemingConfig) -> BatchFit:
     """Vectorized plain Deming over row-stacked samples."""
-    b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
+    b0, b1, ok = _weighted_deming(X, Y, np.broadcast_to(1.0, X.shape), cfg.lam)
     m = X.shape[0]
     return BatchFit(b0, b1, ok, np.ones(m, dtype=int), ~ok)
 
@@ -173,10 +176,10 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     ``weight_fn(rows, Xa, Ya, b0, b1, W, scratch)`` gets the indices and
     data of the k active rows, writes their per-point weights into the
     (k, n) array ``W`` and returns a boolean mask of rows to flag
-    degenerate; ``scratch`` is three more (k, n) arrays it may overwrite.
+    degenerate; ``scratch`` is two more (k, n) arrays it may overwrite.
 
-    Each call allocates six (m, n) buffers once, for the active rows' data,
-    weights and scratch; a step works in their leading k rows, which are
+    Each call allocates five (m, n) buffers once, for the active rows' data,
+    weights and two scratch; a step works in their leading k rows, which are
     C-contiguous, so every row sum adds the values a new array would hold
     in the same order, and a row's fit is that of per-step temporaries.
     The data are gathered again only when rows have left.
@@ -187,7 +190,7 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     converged = np.zeros(m, dtype=bool)
     degenerate = ~ok
     active = np.flatnonzero(ok)
-    work = np.empty((6, m, n))
+    work = np.empty((5, m, n))
     held = 0  # the active rows only shrink, so the buffers hold them while their count stands
     for _ in range(max_iter):
         k = active.size
@@ -234,7 +237,7 @@ def batch_wdem(X, Y, cfg: DemingConfig) -> BatchFit:
             np.divide(1.0, np.multiply(level, level, out=W), out=W)
         return bad
 
-    start = _weighted_deming(X, Y, np.ones_like(X), cfg.lam)
+    start = _weighted_deming(X, Y, np.broadcast_to(1.0, X.shape), cfg.lam)
     return _iterate_weighted(X, Y, cfg.lam, weight_fn, MAX_ITER, start)
 
 
@@ -243,15 +246,15 @@ def batch_mdem(X, Y, cfg: DemingConfig) -> BatchFit:
     lam = cfg.lam
 
     def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
-        d, e, part = scratch
-        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (d, e)):
+        e, part = scratch  # d is weighted in W, e in its own array, part holds the MAD's copy
+        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (W, e)):
             np.abs(r, out=r)
             r /= _robust_scale(r, part)[:, None]
             _huber_weight(r, HUBER_K)
-        np.multiply(d, e, out=W)
+        W *= e
         return np.zeros(len(rows), dtype=bool)
 
-    start = _weighted_deming(X, Y, np.ones_like(X), lam)
+    start = _weighted_deming(X, Y, np.broadcast_to(1.0, X.shape), lam)
     return _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER, start)
 
 
@@ -274,7 +277,7 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     lam = cfg.lam
     # (near-)collinear rows defeat the covariance starters but are simply a
     # perfect fit; they keep the closed-form line
-    b0, b1, ok = _weighted_deming(X, Y, np.ones_like(X), lam)
+    b0, b1, ok = _weighted_deming(X, Y, np.broadcast_to(1.0, X.shape), lam)
     spread = X.std(axis=1) + Y.std(axis=1)
     final = ok & (_mean_distance(X, Y, b0, b1, lam) <= 1e-12 * spread)
     started = np.zeros_like(final)
@@ -288,12 +291,12 @@ def batch_mmdem(X, Y, cfg: DemingConfig) -> BatchFit:
     final |= started & (sigma == 0.0)  # the start itself fits exactly
 
     def weight_fn(rows, Xa, Ya, b0, b1, W, scratch):
-        d, e, _ = scratch
+        e = scratch[0]  # d is weighted in W, e in its own array
         s = sigma[rows, None]
-        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (d, e)):
+        for r in _deming_residuals(Xa, Ya, b0, b1, lam, (W, e)):
             r /= s
             _weight_bisquare(r, BISQUARE_C, out=r)
-        np.multiply(d, e, out=W)
+        W *= e
         return (W.sum(axis=1) <= 0.0) | ((W > 0.0).sum(axis=1) < 3)
 
     res = _iterate_weighted(X, Y, lam, weight_fn, MAX_ITER_MM, (b0, b1, started & ~final))

@@ -124,9 +124,13 @@ def median_rows(A: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarr
         # the lower middle value is the largest of the h before the middle
         low = part[..., h - 1] if n <= 64 else part[..., :h].max(axis=-1)
         med = (low + med) / 2
-    # NaNs sort after every number, so a row's NaN lies at or beyond its
-    # middle; one pass over the whole array rules them all out first
-    nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
+    # NaNs sort after every number: a sorted row holds one iff its last value
+    # is NaN, and a partitioned row's NaN lies at or beyond its middle, so
+    # one pass over the whole copy rules them all out first
+    if n <= 64:
+        nan = np.isnan(part[..., -1])
+    else:
+        nan = np.isnan(part).any() and np.isnan(part[..., h:]).any(axis=-1)
     return np.where(nan, np.nan, med)
 
 
@@ -584,21 +588,24 @@ def _weighted_moments(Z0: np.ndarray, Z1: np.ndarray, w: np.ndarray, scratch=Non
     """Per row: the weight total, the weighted mean, and the weighted sums of
     centered cross products (the scatter before normalisation).
 
-    The products are formed in three C-contiguous arrays of w's shape:
-    ``scratch`` when given (overwritten), else new ones.  Either way each
-    row sum adds the same contiguous values in the same order.
+    The products are formed in two C-contiguous arrays of w's shape:
+    ``scratch`` when given (overwritten), else new ones.  The one array
+    that holds w*D0 gives C00 and C01, D1 is written over D0's array once
+    C00 has read it, and (w*D1)*D1 takes the other; either way each row
+    sum adds the same contiguous values in the same order.  ``w`` is only
+    read, so unit weights may be a broadcast view of 1.0.
     """
-    a, b, c = np.empty((3,) + w.shape) if scratch is None else scratch
+    a, b = np.empty((2,) + w.shape) if scratch is None else scratch
     sw = w.sum(axis=1)
     T = np.stack([np.multiply(w, Z0, out=a).sum(axis=1),
                   np.multiply(w, Z1, out=a).sum(axis=1)], axis=-1) / sw[:, None]
     D0 = np.subtract(Z0, T[:, 0, None], out=a)
-    D1 = np.subtract(Z1, T[:, 1, None], out=b)
-    wD0 = np.multiply(w, D0, out=c)
+    wD0 = np.multiply(w, D0, out=b)
     C = np.empty((len(w), 2, 2))
     C[:, 0, 0] = np.multiply(wD0, D0, out=a).sum(axis=1)
-    C[:, 1, 1] = np.multiply(np.multiply(w, D1, out=a), D1, out=a).sum(axis=1)
+    D1 = np.subtract(Z1, T[:, 1, None], out=a)
     C[:, 0, 1] = C[:, 1, 0] = np.multiply(wD0, D1, out=b).sum(axis=1)
+    C[:, 1, 1] = np.multiply(np.multiply(w, D1, out=b), D1, out=b).sum(axis=1)
     return sw, T, C
 
 

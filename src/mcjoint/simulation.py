@@ -65,6 +65,7 @@ VERDICTS = {
 }
 
 _NULL_LINE = {"slope": H0[1], "intercept": H0[0]}  # the null line; a plan's grid varies one of them
+MAX_PAIRS = 10_000  # a plan's sample size n: a stop for a mistyped size, not a promise of capacity
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ class SimulationPlan:
             raise ValidationError("methods must not be empty")
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.generator.n > MAX_PAIRS:
+            raise ValidationError(f"n must be <= {MAX_PAIRS}, got {self.generator.n}")
         if self.replicates < 50:
             raise ValidationError("need at least 50 replicates per grid point")
         check_replicates("B", self.B)

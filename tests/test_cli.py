@@ -290,6 +290,16 @@ def test_simulate_non_finite_generator_value_exits_2(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_huge_sample_size_exits_2(tmp_path, capsys):
+    # n = 1e12 made --out and then died in numpy's allocation error inside generate
+    plan = write_plan(tmp_path / "plan.cfg", {"n": 1_000_000_000_000}, kind="type1", grid="1.0")
+    rc, _, err = simulate(capsys, plan, tmp_path / "out", "--workers", 1)
+    assert rc == 2
+    assert_one_line_error(err)
+    assert f"n must be <= {simulation.MAX_PAIRS}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("generator, run, reason", [
     ({}, {"grid": "1.0"}, "at least 2 grid values"),
     ({"intercept": 0.5}, {}, "intercept must be 0.0"),
