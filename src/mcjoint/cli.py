@@ -75,7 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"mcjoint {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="validate one CSV dataset")
+    v = sub.add_parser(
+        "validate", help="validate one CSV dataset",
+        epilog="Measured size of the default (paba, mcd, --je-alpha 0.01) on null samples of n=40 "
+               "at B=999, 600 replicates at each of master seeds 41 and 4242: the JE test rejected "
+               "8.5-9.7% at nominal 1% and 15.2-17.3% at 5%; --cov classic 1.0-1.8% and 3.5-6.2%.")
     v.add_argument("--input", required=True, help="two-column CSV (reference, test)")
     v.add_argument("--method", default="paba", choices=METHODS)
     v.add_argument("--cov", default="mcd", choices=COV_METHODS)

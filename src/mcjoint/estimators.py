@@ -182,7 +182,9 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     weights and two scratch; a step works in their leading k rows, which are
     C-contiguous, so every row sum adds the values a new array would hold
     in the same order, and a row's fit is that of per-step temporaries.
-    The data are gathered again only when rows have left.
+    The data are gathered again only when rows have left.  Flagged rows
+    leave before the step's fit, which restarts on the rows left; ``max_iter``
+    counts the fits.
     """
     m, n = X.shape
     b0, b1, ok = start
@@ -192,27 +194,22 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
     active = np.flatnonzero(ok)
     work = np.empty((5, m, n))
     held = 0  # the active rows only shrink, so the buffers hold them while their count stands
-    for _ in range(max_iter):
+    steps = 0
+    while active.size and steps < max_iter:
         k = active.size
-        if k == 0:
-            break
         Xa, Ya, Wa, *scratch = work[:, :k]
         if k != held:
             np.take(X, active, axis=0, out=Xa, mode="clip")
             np.take(Y, active, axis=0, out=Ya, mode="clip")
+            held = k
         bad = weight_fn(active, Xa, Ya, b0[active], b1[active], Wa, scratch)
         if bad.any():
             degenerate[active[bad]] = True
             active = active[~bad]
-            if active.size == 0:
-                break
-            work[:3, :active.size] = work[:3, :k][:, ~bad]
-            k = active.size
-            Xa, Ya, Wa, *scratch = work[:, :k]
-        held = k
+            continue
+        steps += 1
         nb0, nb1, ok = _weighted_deming(Xa, Ya, Wa, lam, scratch)
-        if (~ok).any():
-            degenerate[active[~ok]] = True
+        degenerate[active[~ok]] = True
         delta = np.abs(nb1 - b1[active])
         b0[active] = nb0
         b1[active] = nb1
@@ -220,7 +217,6 @@ def _iterate_weighted(X, Y, lam, weight_fn, max_iter, start) -> BatchFit:
         done = ok & (delta < TOL)
         converged[active[done]] = True
         active = active[ok & ~done]
-    converged &= ~degenerate
     return BatchFit(b0, b1, converged, iters, degenerate)
 
 

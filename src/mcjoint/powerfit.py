@@ -151,7 +151,6 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
     theta = _start_values(x, y).as_array()
     lam = 1e-3
     sse = float(((y - subbotin_density(x, _params(theta))) ** 2).sum())
-    converged = False
     for _ in range(_MAX_ITER):
         pc = _params(theta)
         r = y - subbotin_density(x, pc)
@@ -161,9 +160,7 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
         JtJ = J.T @ J
         gvec = J.T @ r
         if float(np.abs(gvec).max()) < 1e-12:
-            converged = True
             break
-        stepped = False
         for _ in range(60):
             A = JtJ + lam * np.diag(np.diag(JtJ).clip(min=1e-12))
             try:
@@ -177,24 +174,19 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
                 continue
             cand_sse = float(((y - subbotin_density(x, _params(cand))) ** 2).sum())
             if cand_sse <= sse:
-                rel_step = float(np.max(np.abs(delta) / (np.abs(theta) + 1e-12)))
-                theta, sse = cand, cand_sse
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                if rel_step < 1e-10:
-                    converged = True
                 break
             lam *= 4.0
-        if not stepped:
-            converged = float(np.abs(gvec).max()) < 1e-8
+        else:  # no damping gave a step: a fit only if the gradient is already flat
+            if float(np.abs(gvec).max()) < 1e-8:
+                break
+            raise _not_converged(theta)
+        rel_step = float(np.max(np.abs(delta) / (np.abs(theta) + 1e-12)))
+        theta, sse = cand, cand_sse
+        lam = max(lam / 3.0, 1e-12)
+        if rel_step < 1e-10:
             break
-        if converged:
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"exponential-power fit did not converge (last params {theta}); "
-            "a too-low or too-high scale start is the usual cause"
-        )
+    else:
+        raise _not_converged(theta)
     pc = _params(theta)
     J = subbotin_gradient(x, pc)
     dof = max(len(x) - 4, 1)
@@ -204,6 +196,11 @@ def fit_rejection_curve(grid, rejection) -> SubbotinParams:
     except np.linalg.LinAlgError:
         cov = None
     return replace(pc, covariance=cov)
+
+
+def _not_converged(theta: np.ndarray) -> ConvergenceError:
+    return ConvergenceError(f"exponential-power fit did not converge (last params {theta}); "
+                            "a too-low or too-high scale start is the usual cause")
 
 
 def _params(theta: np.ndarray) -> SubbotinParams:

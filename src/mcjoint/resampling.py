@@ -187,11 +187,12 @@ def _linear_quantiles(values: np.ndarray, levels) -> list:
     numpy's default ('linear') rule: level q sits at virtual index
     v = (n - 1) q, between the order statistics of ranks floor(v) and
     floor(v) + 1 at weight t = v - floor(v).  At v >= n - 1 both ranks are
-    the largest value's and the lower rank counts as -1 in t; at v < 0 both
-    are the smallest's.  One partition places every rank, and the smallest
-    and largest values as numpy's does, so equal values (0.0 and -0.0)
-    land where they land in numpy's; a NaN, which sorts last, makes every
-    quantile NaN.  The interpolation is numpy's ``_lerp``: a + (b - a) t,
+    the largest value's and the lower rank counts as -1 in t.  Every level
+    is in [0, 1] (BCa's are normal cdf values or exactly 0.0 or 1.0, the
+    fallback's alpha/2 and 1 - alpha/2), so v is never negative.  One
+    partition places every rank, and the smallest and largest values as
+    numpy's does, so equal values (0.0 and -0.0) land where they land in
+    numpy's; a NaN, which sorts last, makes every quantile NaN.  The interpolation is numpy's ``_lerp``: a + (b - a) t,
     or b - (b - a)(1 - t) for t >= 0.5.  This keeps ``np.quantile`` off
     the path, which loads numpy.ma through ``np.unique``.
     """
@@ -201,8 +202,6 @@ def _linear_quantiles(values: np.ndarray, levels) -> list:
         v = (n - 1) * q
         if v >= n - 1:
             ranks.append((n - 1, n - 1, v + 1.0))
-        elif v < 0:
-            ranks.append((0, 0, v))
         else:
             lo = math.floor(v)
             ranks.append((lo, lo + 1, v - lo))

@@ -101,6 +101,18 @@ def test_validate_non_numeric_csv_exits_2_and_leaves_no_directory(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [("", "empty file"), ("\n\n", "empty file"),
+                                           ("reference\n1.0\n2.0\n3.0\n", "need two columns, got 1")])
+def test_validate_empty_or_one_column_csv_exits_2(tmp_path, capsys, text, message):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    rc, _, err = run(capsys, "validate", "--input", src, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert err.strip().endswith(f"{src}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 def write_unusable_paths(tmp_path):
     """A directory, a file that is not UTF-8 text, and a plain file, by name."""
     (tmp_path / "a-directory").mkdir()
@@ -690,6 +702,37 @@ def test_fit_power_tabulates_each_fittable_series(tmp_path, capsys):
         want = invert_for_power(params).estimate
         assert float(row["p80_est"]) == pytest.approx(want, abs=1e-6)
         assert row["note"] == ""
+
+
+def test_fit_power_notes_a_series_that_never_reaches_the_target(tmp_path, capsys):
+    # a nine-point bump whose acceptance peaks at 0.5 fits, but never reaches 0.8
+    params = SubbotinParams(0.5 * 0.05 * np.sqrt(np.pi), 2.0, 0.05, 1.0)
+    assert subbotin_density(1.0, params) == pytest.approx(0.5)
+    grid = np.linspace(0.88, 1.12, 9)
+    curves = tmp_path / "curve.csv"
+    write_curve_csv([CurvePoint("dem", "je", "classic", 0.05, float(g), float(r), 0.01, 200, 0, 200)
+                     for g, r in zip(grid, 1.0 - subbotin_density(grid, params))], curves)
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 0 and err == ""
+    with (tmp_path / "out" / "power_table.csv").open(newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["method"], row["kind"], row["cov"], row["alpha"]) == ("dem", "je", "classic", "0.05")
+    assert all(row[k] == "" for k in ("p80_lci", "p80_est", "p80_uci", "t1_lci", "t1_est", "t1_uci"))
+    assert row["note"].startswith("peak acceptance 0.5000 never reaches the target 0.8000")
+
+
+def test_fit_power_with_no_series_of_enough_grid_points_exits_2(tmp_path, capsys):
+    curves = tmp_path / "curve.csv"
+    points = read_curve_csv(write_power_curve(curves))
+    short = [p for p in points if p.alpha == 0.01] + [p for p in points if p.kind == "ci_total"][:5]
+    write_curve_csv(short, curves)
+    rc, _, err = run(capsys, "fit-power", "--curves", curves, "--out", tmp_path / "out")
+    assert rc == 2
+    assert_one_line_error(err)
+    assert f"no series has the minimum {MIN_POINTS} grid points" in err
+    assert f"('dem', 'je', 'classic', 0.01): {MIN_POINTS - 1}" in err
+    assert "('paba', 'ci_total', '', 0.05): 5" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--target", 0), ("--target", 1), ("--target", -0.2),

@@ -97,17 +97,37 @@ def test_broadcast_unit_weights_give_the_bytes_of_ones():
                        est._weighted_deming(Z0, Z1, np.ones(Z0.shape), 1.0))
 
 
+def _bootstrap_batch():
+    s = generate(GeneratorSpec(xmin=3.0, xmax=8.0, n=40, seed=0))
+    idx = task_rng(0).integers(0, s.n, (2001, s.n))
+    return s.x[idx], s.y[idx]
+
+
+def _traced_fit(X, Y, method):
+    """``batch_fit``'s result and its traced peak, in units of X.nbytes."""
+    tracemalloc.start()
+    try:
+        res = est.batch_fit(X, Y, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res, peak / X.nbytes
+
+
 @pytest.mark.parametrize("method, most", [("dem", 3.0), ("wdem", 6.0), ("mdem", 6.0)])
 def test_batch_fit_peak_of_bootstrap_size(method, most):
     # Dem holds the moments' two work arrays; WDem and MDem the IRWLS loop's
     # five and the moments' scratch within them, plus the start's two
-    s = generate(GeneratorSpec(xmin=3.0, xmax=8.0, n=40, seed=0))
-    idx = task_rng(0).integers(0, s.n, (2001, s.n))
-    X, Y = s.x[idx], s.y[idx]
-    tracemalloc.start()
-    try:
-        est.batch_fit(X, Y, method)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / X.nbytes <= most
+    X, Y = _bootstrap_batch()
+    assert _traced_fit(X, Y, method)[1] <= most
+
+
+def test_batch_fit_peak_with_a_flagged_wdem_row():
+    # a row shifted below zero has levels <= 0, so WDem flags it at its first
+    # step; the rows left are gathered again into the same five arrays
+    X, Y = _bootstrap_batch()
+    X[1] -= 10.0
+    Y[1] -= 10.0
+    res, peak = _traced_fit(X, Y, "wdem")
+    assert peak <= 6.0
+    assert np.flatnonzero(res.degenerate).tolist() == [1]

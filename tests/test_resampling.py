@@ -152,6 +152,46 @@ def test_bca_reduces_to_percentile_with_injected_constants():
     assert hi == pytest.approx(1 - alpha / 2, abs=1e-12)
 
 
+def test_bca_levels_clamp_where_the_acceleration_turns_the_denominator():
+    # 1 - a (z0 + z) <= 0 gives exactly 1.0 above the bias and 0.0 below it
+    lo, hi = _bca_levels(z0=0.0, a=1.0, alpha=0.05)
+    assert hi == 1.0 and 0.0 < lo < 0.5
+    lo, hi = _bca_levels(z0=0.0, a=-1.0, alpha=0.05)
+    assert lo == 0.0 and 0.5 < hi < 1.0
+
+
+def test_bca_bound_at_a_clamped_level_is_the_extreme_replicate():
+    # one replicate of 1000 below the point gives z0 = -3.09; 39 equal jackknife
+    # values and one above them give a = -0.16, so at alpha = 1e-4 the lower
+    # level's denominator is negative and the bound is the smallest replicate
+    rng = np.random.default_rng(3)
+    pairs = np.column_stack([rng.uniform(1.0, 2.0, 1000), rng.uniform(1.0, 2.0, 1000)])
+    pairs[7] = 0.5
+    jack = np.zeros((40, 2))
+    jack[0] = 1.0
+    point = mj.RegressionFit(intercept=1.0, slope=1.0, method="dem")
+    e = BootstrapEnsemble(pairs=pairs, jack=jack, point=point, failed=0,
+                          indices=np.zeros((1000, 40), dtype=np.intp), seed=(0,))
+    assert resampling._acceleration(jack[:, 0]) == pytest.approx(-0.16, abs=0.01)
+    iv = bca_ci(e, 1e-4)
+    assert (iv.int_lo, iv.slope_lo) == (0.5, 0.5) and not iv.fallback
+
+
+@pytest.mark.parametrize("values", [[2.0], [0.0, -0.0], [-0.0, 0.0, 1.0], [3.0, 1.0, 1.0, 2.0, -5.5],
+                                    [1.0, np.inf, 2.0], [-np.inf, 1.0, 2.0], [1.0, np.nan, 0.0]])
+def test_linear_quantiles_at_the_clamped_levels_equal_np_quantile(values):
+    values = np.array(values)
+    for levels in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(values, levels)
+        assert np.array(_linear_quantiles(values, levels)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("jack", [[], [1.0], [1.0, 2.0], [1.0, np.nan, 2.0, np.inf, -np.inf]])
+def test_acceleration_is_zero_below_three_finite_jackknife_values(jack):
+    assert resampling._acceleration(np.array(jack)) == 0.0
+
+
 def test_bca_symmetric_ensemble_close_to_percentile(clean_ensemble):
     p_lo, p_hi = np.quantile(clean_ensemble.slopes, [0.025, 0.975])
     b = bca_ci(clean_ensemble, 0.05)
